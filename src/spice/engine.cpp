@@ -103,6 +103,74 @@ void eval_diode(double v, double area, double& id, double& g) {
   }
 }
 
+/// BJT as a base-emitter diode driving a beta-scaled VCCS with an Early
+/// slope: collector and base currents plus the partials Newton and the AC
+/// linearisation stamp. Currents are NPN-signed (`pnp` flips them).
+struct BjtEval {
+  double ic = 0.0, ibe = 0.0;
+  double gm = 0.0, go = 0.0, gbe = 0.0;
+};
+
+BjtEval eval_bjt(double vb, double vc, double ve, double area, bool pnp,
+                 double gmin) {
+  const double sign = pnp ? -1.0 : 1.0;
+  const double vbe = sign * (vb - ve);
+  const double vce = sign * (vc - ve);
+  BjtEval e;
+  eval_diode(vbe, area / kBjtBeta, e.ibe, e.gbe);
+  const double early = 1.0 + std::max(vce, 0.0) / kBjtVa;
+  e.ic = kBjtBeta * e.ibe * early;
+  e.gm = kBjtBeta * e.gbe * early;
+  e.go = vce > 0.0 ? kBjtBeta * e.ibe / kBjtVa : gmin;
+  return e;
+}
+
+/// Conductance g between nodes na and nb (either may be ground, -1).
+void stamp_g(DenseMatrix<double>& a, int na, int nb, double g) {
+  if (na >= 0) a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(na)) += g;
+  if (nb >= 0) a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb)) += g;
+  if (na >= 0 && nb >= 0) {
+    a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(nb)) -= g;
+    a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(na)) -= g;
+  }
+}
+
+/// Partial g of the current leaving node `row` w.r.t. node `col`'s voltage.
+void stamp_partial(DenseMatrix<double>& a, int row, int col, double g) {
+  if (row >= 0 && col >= 0) {
+    a.at(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += g;
+  }
+}
+
+/// MOS partials: the drain current e.id enters at D and leaves at S.
+void stamp_mos(DenseMatrix<double>& a, int nd, int ng, int ns,
+               const MosEval& e) {
+  stamp_partial(a, nd, ng, e.gg);
+  stamp_partial(a, nd, nd, e.gd);
+  stamp_partial(a, nd, ns, e.gs);
+  stamp_partial(a, ns, ng, -e.gg);
+  stamp_partial(a, ns, nd, -e.gd);
+  stamp_partial(a, ns, ns, -e.gs);
+}
+
+/// BJT partials. NPN currents: IC into C, IB into B, -(IC+IB) into E. For
+/// PNP all currents and controlling voltages flip sign; partials w.r.t.
+/// node voltages keep their sign (double negation).
+void stamp_bjt(DenseMatrix<double>& a, int nc, int nb, int ne,
+               const BjtEval& e) {
+  // Row C: ic = gm*vbe + go*vce (about the OP)
+  stamp_partial(a, nc, nb, e.gm);
+  stamp_partial(a, nc, ne, -e.gm - e.go);
+  stamp_partial(a, nc, nc, e.go);
+  // Row B: ibe = gbe*vbe
+  stamp_partial(a, nb, nb, e.gbe);
+  stamp_partial(a, nb, ne, -e.gbe);
+  // Row E: -(ic + ibe)
+  stamp_partial(a, ne, nb, -e.gm - e.gbe);
+  stamp_partial(a, ne, ne, e.gm + e.go + e.gbe);
+  stamp_partial(a, ne, nc, -e.go);
+}
+
 }  // namespace
 
 Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
@@ -154,12 +222,14 @@ Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
     return v;
   };
 
+  io_node_.fill(-1);
   for (std::size_t i = 0; i < nets.size(); ++i) {
     const int node = net_node[i];
     bool has_vin1 = false, has_vin2 = false, has_vout = false, has_iref = false;
     bool has_vdd = false;
     for (const auto& p : nets[i]) {
       if (!p.is_io()) continue;
+      io_node_[static_cast<std::size_t>(p.io)] = node;
       has_vin1 |= p.io == IoPin::Vin1;
       has_vin2 |= p.io == IoPin::Vin2;
       has_vout |= p.io == IoPin::Vout1 || p.io == IoPin::Vout2;
@@ -169,7 +239,7 @@ Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
     if (node < 0) continue;  // ground net: no sources
     if (auto fv = forced_voltage(nets[i])) {
       if (has_vdd) vdd_src_ = static_cast<int>(vsrcs_.size());
-      vsrcs_.push_back(VSource{node, *fv, {0.0, 0.0}});
+      vsrcs_.push_back(VSource{node, *fv, 0.0});
     }
     if (has_vin1) in1_node_ = node;
     if (has_vin2) in2_node_ = node;
@@ -193,12 +263,10 @@ Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
   // AC drive on the input sources.
   for (auto& src : vsrcs_) {
     if (src.node == in1_node_ && in1_node_ >= 0) {
-      src.ac = (in2_node_ >= 0 && in2_node_ != in1_node_)
-                   ? std::complex<double>{0.5, 0.0}
-                   : std::complex<double>{1.0, 0.0};
+      src.ac = (in2_node_ >= 0 && in2_node_ != in1_node_) ? 0.5 : 1.0;
     } else if (src.node == in2_node_ && in2_node_ >= 0 &&
                in2_node_ != in1_node_) {
-      src.ac = {-0.5, 0.0};
+      src.ac = -0.5;
     }
   }
 
@@ -233,24 +301,9 @@ void Simulator::stamp_dc(DenseMatrix<double>& a, std::vector<double>& rhs,
                          double source_scale) const {
   const auto K = static_cast<std::size_t>(num_nodes_);
   auto volt = [&](int n) { return n < 0 ? 0.0 : v[static_cast<std::size_t>(n)]; };
-  // Conductance between two nodes (either may be ground).
-  auto stamp_g = [&](int na, int nb, double g) {
-    if (na >= 0) a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(na)) += g;
-    if (nb >= 0) a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb)) += g;
-    if (na >= 0 && nb >= 0) {
-      a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(nb)) -= g;
-      a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(na)) -= g;
-    }
-  };
-  // Nonlinear current I flowing INTO node `into` and OUT of node `outof`,
-  // with partials w.r.t. arbitrary controlling nodes.
+  // Companion current flowing INTO `node`.
   auto stamp_current = [&](int node, double current_into) {
     if (node >= 0) rhs[static_cast<std::size_t>(node)] += current_into;
-  };
-  auto stamp_partial = [&](int row, int col, double g) {
-    if (row >= 0 && col >= 0) {
-      a.at(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += g;
-    }
   };
 
   // gmin from every node to ground.
@@ -259,20 +312,20 @@ void Simulator::stamp_dc(DenseMatrix<double>& a, std::vector<double>& rhs,
   for (const auto& d : devs_) {
     switch (d.kind) {
       case DeviceKind::Resistor:
-        stamp_g(d.n[0], d.n[1], 1.0 / std::max(d.size, 1e-3));
+        stamp_g(a, d.n[0], d.n[1], 1.0 / std::max(d.size, 1e-3));
         break;
       case DeviceKind::Capacitor:
         // Open at DC (gmin keeps the node anchored).
-        stamp_g(d.n[0], d.n[1], opts_.gmin);
+        stamp_g(a, d.n[0], d.n[1], opts_.gmin);
         break;
       case DeviceKind::Inductor:
-        stamp_g(d.n[0], d.n[1], 1.0 / kIndDcRes);
+        stamp_g(a, d.n[0], d.n[1], 1.0 / kIndDcRes);
         break;
       case DeviceKind::Diode: {
         const double vv = volt(d.n[0]) - volt(d.n[1]);
         double id = 0, g = 0;
         eval_diode(vv, d.size, id, g);
-        stamp_g(d.n[0], d.n[1], g);
+        stamp_g(a, d.n[0], d.n[1], g);
         const double ieq = id - g * vv;  // companion current A->K
         stamp_current(d.n[0], -ieq);
         stamp_current(d.n[1], ieq);
@@ -282,7 +335,7 @@ void Simulator::stamp_dc(DenseMatrix<double>& a, std::vector<double>& rhs,
       case DeviceKind::Pmos: {
         if (opts_.converter_mode && d.clk_gate) {
           const bool on = d.clk_is_phase1 == opts_.phase_a;
-          stamp_g(d.n[circuit::mos::D], d.n[circuit::mos::S],
+          stamp_g(a, d.n[circuit::mos::D], d.n[circuit::mos::S],
                   1.0 / (on ? kSwitchOn : kSwitchOff));
           break;
         }
@@ -291,53 +344,27 @@ void Simulator::stamp_dc(DenseMatrix<double>& a, std::vector<double>& rhs,
         const int ns = d.n[circuit::mos::S];
         const MosEval e = eval_mos(volt(ng), volt(nd), volt(ns), d.size,
                                    d.kind == DeviceKind::Pmos);
-        // Rows: current e.id into the device at D, out at S.
-        stamp_partial(nd, ng, e.gg);
-        stamp_partial(nd, nd, e.gd);
-        stamp_partial(nd, ns, e.gs);
-        stamp_partial(ns, ng, -e.gg);
-        stamp_partial(ns, nd, -e.gd);
-        stamp_partial(ns, ns, -e.gs);
+        stamp_mos(a, nd, ng, ns, e);
         const double ieq =
             e.id - e.gg * volt(ng) - e.gd * volt(nd) - e.gs * volt(ns);
         stamp_current(nd, -ieq);
         stamp_current(ns, ieq);
         // Small drain-source leak improves conditioning.
-        stamp_g(nd, ns, opts_.gmin);
+        stamp_g(a, nd, ns, opts_.gmin);
         break;
       }
       case DeviceKind::Npn:
       case DeviceKind::Pnp: {
-        const bool pnp = d.kind == DeviceKind::Pnp;
         const int nc = d.n[circuit::bjt::C];
         const int nb = d.n[circuit::bjt::B];
         const int ne = d.n[circuit::bjt::E];
-        const double sign = pnp ? -1.0 : 1.0;
-        const double vbe = sign * (volt(nb) - volt(ne));
-        const double vce = sign * (volt(nc) - volt(ne));
-        double ibe = 0, gbe = 0;
-        eval_diode(vbe, d.size / kBjtBeta, ibe, gbe);
-        const double early = 1.0 + std::max(vce, 0.0) / kBjtVa;
-        const double ic = kBjtBeta * ibe * early;
-        const double gm = kBjtBeta * gbe * early;
-        const double go = vce > 0.0 ? kBjtBeta * ibe / kBjtVa : opts_.gmin;
-        // NPN currents: IC into C, IB into B, -(IC+IB) into E. For PNP all
-        // currents and controlling voltages flip sign; partials w.r.t.
-        // node voltages keep their sign (double negation).
-        // Row C: ic = gm*vbe + go*vce (about the OP)
-        stamp_partial(nc, nb, gm);
-        stamp_partial(nc, ne, -gm - go);
-        stamp_partial(nc, nc, go);
-        // Row B: ibe = gbe*vbe
-        stamp_partial(nb, nb, gbe);
-        stamp_partial(nb, ne, -gbe);
-        // Row E: -(ic + ibe)
-        stamp_partial(ne, nb, -gm - gbe);
-        stamp_partial(ne, ne, gm + go + gbe);
-        stamp_partial(ne, nc, -go);
-        const double ic_eq =
-            sign * ic - gm * (volt(nb) - volt(ne)) - go * (volt(nc) - volt(ne));
-        const double ib_eq = sign * ibe - gbe * (volt(nb) - volt(ne));
+        const double sign = d.kind == DeviceKind::Pnp ? -1.0 : 1.0;
+        const BjtEval e = eval_bjt(volt(nb), volt(nc), volt(ne), d.size,
+                                   d.kind == DeviceKind::Pnp, opts_.gmin);
+        stamp_bjt(a, nc, nb, ne, e);
+        const double ic_eq = sign * e.ic - e.gm * (volt(nb) - volt(ne)) -
+                             e.go * (volt(nc) - volt(ne));
+        const double ib_eq = sign * e.ibe - e.gbe * (volt(nb) - volt(ne));
         stamp_current(nc, -ic_eq);
         stamp_current(nb, -ib_eq);
         stamp_current(ne, ic_eq + ib_eq);
@@ -348,7 +375,7 @@ void Simulator::stamp_dc(DenseMatrix<double>& a, std::vector<double>& rhs,
 
   // Converter-mode resistive load on the first output.
   if (opts_.converter_mode && !out_nodes_.empty()) {
-    stamp_g(out_nodes_.front(), -1, 1.0 / opts_.load_res);
+    stamp_g(a, out_nodes_.front(), -1, 1.0 / opts_.load_res);
   }
 
   // IREF current injection / sinking.
@@ -379,17 +406,18 @@ bool Simulator::dc_deadline_hit() {
 
 bool Simulator::newton(double source_scale) {
   const auto total = static_cast<std::size_t>(num_nodes_ + num_vsrc_);
+  DenseMatrix<double> a(total);
+  std::vector<double> x(total);  // right-hand side, then the solution
   for (int iter = 0; iter < opts_.max_newton_iter; ++iter) {
     if (dc_deadline_hit()) {
       ++dc_result_.failed_attempts;
       return false;
     }
     ++dc_result_.iterations;
-    DenseMatrix<double> a(total);
-    std::vector<double> rhs(total, 0.0);
-    stamp_dc(a, rhs, v_, source_scale);
-    std::vector<double> x = rhs;
-    if (!lu_solve(std::move(a), x)) {
+    a.clear();
+    std::fill(x.begin(), x.end(), 0.0);
+    stamp_dc(a, x, v_, source_scale);
+    if (!lu_solve(a, x)) {
       ++dc_result_.failed_attempts;
       return false;
     }
@@ -484,27 +512,8 @@ bool Simulator::solve_dc() {
 
 double Simulator::io_voltage(IoPin pin) const {
   EVA_ASSERT(dc_converged_, "io_voltage requires a converged DC solve");
-  const auto& nets = nl_->nets();
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    for (const auto& p : nets[i]) {
-      if (p.is_io() && p.io == pin) {
-        // Re-derive node id: count non-ground nets before i.
-        int ground = -1;
-        for (std::size_t j = 0; j < nets.size(); ++j) {
-          for (const auto& q : nets[j]) {
-            if (q.is_io() && q.io == IoPin::Vss) ground = static_cast<int>(j);
-          }
-        }
-        if (static_cast<int>(i) == ground) return 0.0;
-        int node = 0;
-        for (std::size_t j = 0; j < i; ++j) {
-          if (static_cast<int>(j) != ground) ++node;
-        }
-        return v_[static_cast<std::size_t>(node)];
-      }
-    }
-  }
-  return 0.0;
+  const int node = io_node_[static_cast<std::size_t>(pin)];
+  return node < 0 ? 0.0 : v_[static_cast<std::size_t>(node)];
 }
 
 double Simulator::supply_power() const {
@@ -518,6 +527,76 @@ double Simulator::supply_power() const {
   return p;
 }
 
+void Simulator::stamp_small_signal(DenseMatrix<double>& g,
+                                   DenseMatrix<double>& c) const {
+  const auto K = static_cast<std::size_t>(num_nodes_);
+  auto volt = [&](int n) {
+    return n < 0 ? 0.0 : v_[static_cast<std::size_t>(n)];
+  };
+
+  for (std::size_t n = 0; n < K; ++n) g.at(n, n) += opts_.gmin;
+
+  for (const auto& d : devs_) {
+    switch (d.kind) {
+      case DeviceKind::Resistor:
+        stamp_g(g, d.n[0], d.n[1], 1.0 / std::max(d.size, 1e-3));
+        break;
+      case DeviceKind::Capacitor:
+        stamp_g(c, d.n[0], d.n[1], d.size);
+        break;
+      case DeviceKind::Inductor:
+        break;  // 1/(R + jwL) depends on w: stamped per point
+      case DeviceKind::Diode: {
+        double id = 0, gd = 0;
+        eval_diode(volt(d.n[0]) - volt(d.n[1]), d.size, id, gd);
+        stamp_g(g, d.n[0], d.n[1], gd);
+        break;
+      }
+      case DeviceKind::Nmos:
+      case DeviceKind::Pmos: {
+        if (opts_.converter_mode && d.clk_gate) {
+          const bool on = d.clk_is_phase1 == opts_.phase_a;
+          stamp_g(g, d.n[circuit::mos::D], d.n[circuit::mos::S],
+                  1.0 / (on ? kSwitchOn : kSwitchOff));
+          break;
+        }
+        const int ng = d.n[circuit::mos::G];
+        const int nd = d.n[circuit::mos::D];
+        const int ns = d.n[circuit::mos::S];
+        stamp_mos(g, nd, ng, ns,
+                  eval_mos(volt(ng), volt(nd), volt(ns), d.size,
+                           d.kind == DeviceKind::Pmos));
+        break;
+      }
+      case DeviceKind::Npn:
+      case DeviceKind::Pnp: {
+        const int nc = d.n[circuit::bjt::C];
+        const int nb = d.n[circuit::bjt::B];
+        const int ne = d.n[circuit::bjt::E];
+        stamp_bjt(g, nc, nb, ne,
+                  eval_bjt(volt(nb), volt(nc), volt(ne), d.size,
+                           d.kind == DeviceKind::Pnp, opts_.gmin));
+        break;
+      }
+    }
+  }
+
+  // Output load capacitance.
+  for (int n : out_nodes_) stamp_g(c, n, -1, opts_.load_cap);
+  if (opts_.converter_mode && !out_nodes_.empty()) {
+    stamp_g(g, out_nodes_.front(), -1, 1.0 / opts_.load_res);
+  }
+
+  for (std::size_t s = 0; s < vsrcs_.size(); ++s) {
+    const std::size_t br = K + s;
+    const int n = vsrcs_[s].node;
+    if (n >= 0) {
+      g.at(static_cast<std::size_t>(n), br) += 1.0;
+      g.at(br, static_cast<std::size_t>(n)) += 1.0;
+    }
+  }
+}
+
 std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
                                          int points) const {
   EVA_ASSERT(dc_converged_, "ac_sweep requires a converged DC solve");
@@ -526,8 +605,32 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
   const std::size_t total = K + vsrcs_.size();
   const int out = out_nodes_.empty() ? -1 : out_nodes_.front();
 
-  auto volt = [&](int n) {
-    return n < 0 ? 0.0 : v_[static_cast<std::size_t>(n)];
+  // A(w) = G + jwC + inductor branches, with G and C stamped once.
+  DenseMatrix<double> g(total), c(total);
+  stamp_small_signal(g, c);
+  std::vector<const DeviceCtx*> inductors;
+  for (const auto& d : devs_) {
+    if (d.kind == DeviceKind::Inductor) inductors.push_back(&d);
+  }
+  std::vector<double> drive(total, 0.0);
+  for (std::size_t s = 0; s < vsrcs_.size(); ++s) drive[K + s] = vsrcs_[s].ac;
+
+  SplitMatrix a(total);
+  SplitVector x(total);
+  // Admittance yr + j*yi between nodes na and nb (either may be ground).
+  const auto stamp_y = [&](int na, int nb, double yr, double yi) {
+    const auto add = [&](int r, int col, double sign) {
+      const std::size_t i = static_cast<std::size_t>(r) * total +
+                            static_cast<std::size_t>(col);
+      a.re[i] += sign * yr;
+      a.im[i] += sign * yi;
+    };
+    if (na >= 0) add(na, na, 1.0);
+    if (nb >= 0) add(nb, nb, 1.0);
+    if (na >= 0 && nb >= 0) {
+      add(na, nb, -1.0);
+      add(nb, na, -1.0);
+    }
   };
 
   std::vector<AcPoint> sweep;
@@ -537,115 +640,23 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
                                      static_cast<double>(pt) /
                                          static_cast<double>(points - 1));
     const double w = 2.0 * 3.141592653589793 * f;
-    DenseMatrix<std::complex<double>> a(total);
-    std::vector<std::complex<double>> rhs(total, {0.0, 0.0});
-
-    auto stamp_y = [&](int na, int nb, std::complex<double> y) {
-      if (na >= 0) a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(na)) += y;
-      if (nb >= 0) a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(nb)) += y;
-      if (na >= 0 && nb >= 0) {
-        a.at(static_cast<std::size_t>(na), static_cast<std::size_t>(nb)) -= y;
-        a.at(static_cast<std::size_t>(nb), static_cast<std::size_t>(na)) -= y;
-      }
-    };
-    auto stamp_partial = [&](int row, int col, double g) {
-      if (row >= 0 && col >= 0) {
-        a.at(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += g;
-      }
-    };
-
-    for (std::size_t n = 0; n < K; ++n) a.at(n, n) += opts_.gmin;
-
-    for (const auto& d : devs_) {
-      switch (d.kind) {
-        case DeviceKind::Resistor:
-          stamp_y(d.n[0], d.n[1], 1.0 / std::max(d.size, 1e-3));
-          break;
-        case DeviceKind::Capacitor:
-          stamp_y(d.n[0], d.n[1], std::complex<double>{0.0, w * d.size});
-          break;
-        case DeviceKind::Inductor:
-          stamp_y(d.n[0], d.n[1],
-                  1.0 / std::complex<double>{kIndDcRes, w * d.size});
-          break;
-        case DeviceKind::Diode: {
-          double id = 0, g = 0;
-          eval_diode(volt(d.n[0]) - volt(d.n[1]), d.size, id, g);
-          stamp_y(d.n[0], d.n[1], g);
-          break;
-        }
-        case DeviceKind::Nmos:
-        case DeviceKind::Pmos: {
-          if (opts_.converter_mode && d.clk_gate) {
-            const bool on = d.clk_is_phase1 == opts_.phase_a;
-            stamp_y(d.n[circuit::mos::D], d.n[circuit::mos::S],
-                    1.0 / (on ? kSwitchOn : kSwitchOff));
-            break;
-          }
-          const int ng = d.n[circuit::mos::G];
-          const int nd = d.n[circuit::mos::D];
-          const int ns = d.n[circuit::mos::S];
-          const MosEval e = eval_mos(volt(ng), volt(nd), volt(ns), d.size,
-                                     d.kind == DeviceKind::Pmos);
-          stamp_partial(nd, ng, e.gg);
-          stamp_partial(nd, nd, e.gd);
-          stamp_partial(nd, ns, e.gs);
-          stamp_partial(ns, ng, -e.gg);
-          stamp_partial(ns, nd, -e.gd);
-          stamp_partial(ns, ns, -e.gs);
-          break;
-        }
-        case DeviceKind::Npn:
-        case DeviceKind::Pnp: {
-          const bool pnp = d.kind == DeviceKind::Pnp;
-          const int nc = d.n[circuit::bjt::C];
-          const int nb = d.n[circuit::bjt::B];
-          const int ne = d.n[circuit::bjt::E];
-          const double sign = pnp ? -1.0 : 1.0;
-          const double vbe = sign * (volt(nb) - volt(ne));
-          const double vce = sign * (volt(nc) - volt(ne));
-          double ibe = 0, gbe = 0;
-          eval_diode(vbe, d.size / kBjtBeta, ibe, gbe);
-          const double early = 1.0 + std::max(vce, 0.0) / kBjtVa;
-          const double gm = kBjtBeta * gbe * early;
-          const double go =
-              vce > 0.0 ? kBjtBeta * ibe / kBjtVa : opts_.gmin;
-          stamp_partial(nc, nb, gm);
-          stamp_partial(nc, ne, -gm - go);
-          stamp_partial(nc, nc, go);
-          stamp_partial(nb, nb, gbe);
-          stamp_partial(nb, ne, -gbe);
-          stamp_partial(ne, nb, -gm - gbe);
-          stamp_partial(ne, ne, gm + go + gbe);
-          stamp_partial(ne, nc, -go);
-          break;
-        }
-      }
+    std::copy(g.data().begin(), g.data().end(), a.re.begin());
+    std::transform(c.data().begin(), c.data().end(), a.im.begin(),
+                   [w](double cap) { return w * cap; });
+    for (const DeviceCtx* d : inductors) {
+      // 1/(R + jwL) = (R - jwL) / (R^2 + (wL)^2)
+      const double wl = w * d->size;
+      const double den = kIndDcRes * kIndDcRes + wl * wl;
+      stamp_y(d->n[0], d->n[1], kIndDcRes / den, -wl / den);
     }
+    std::copy(drive.begin(), drive.end(), x.re.begin());
+    std::fill(x.im.begin(), x.im.end(), 0.0);
 
-    // Output load capacitance.
-    for (int n : out_nodes_) {
-      stamp_y(n, -1, std::complex<double>{0.0, w * opts_.load_cap});
-    }
-    if (opts_.converter_mode && !out_nodes_.empty()) {
-      stamp_y(out_nodes_.front(), -1, 1.0 / opts_.load_res);
-    }
-
-    for (std::size_t s = 0; s < vsrcs_.size(); ++s) {
-      const std::size_t br = K + s;
-      const int n = vsrcs_[s].node;
-      if (n >= 0) {
-        a.at(static_cast<std::size_t>(n), br) += 1.0;
-        a.at(br, static_cast<std::size_t>(n)) += 1.0;
-      }
-      rhs[br] = vsrcs_[s].ac;
-    }
-
-    std::vector<std::complex<double>> x = rhs;
     AcPoint apt;
     apt.freq_hz = f;
-    if (lu_solve(std::move(a), x) && out >= 0) {
-      apt.h = x[static_cast<std::size_t>(out)];
+    if (lu_solve_split(a, x) && out >= 0) {
+      apt.h = {x.re[static_cast<std::size_t>(out)],
+               x.im[static_cast<std::size_t>(out)]};
     } else {
       apt.h = {0.0, 0.0};
     }

@@ -15,6 +15,7 @@
 // Newton uses voltage-step damping plus source stepping as fallback.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <complex>
 #include <optional>
@@ -126,7 +127,7 @@ class Simulator {
   struct VSource {
     int node = -1;
     double dc = 0.0;
-    std::complex<double> ac{0.0, 0.0};
+    double ac = 0.0;  // AC drive amplitude (real: in-phase or inverted)
   };
 
   [[nodiscard]] bool newton(double source_scale);
@@ -135,6 +136,11 @@ class Simulator {
   [[nodiscard]] bool dc_deadline_hit();
   void stamp_dc(DenseMatrix<double>& mat, std::vector<double>& rhs,
                 const std::vector<double>& v, double source_scale) const;
+  /// Frequency-independent part of the AC system at the DC point:
+  /// conductances `g` (everything but capacitors and inductors) and
+  /// capacitances `c`, so that A(w) = G + jwC plus the inductor branches.
+  void stamp_small_signal(DenseMatrix<double>& g,
+                          DenseMatrix<double>& c) const;
 
   const circuit::Netlist* nl_;
   SimOptions opts_;
@@ -149,6 +155,8 @@ class Simulator {
   // reference, which must pull current from the mirror).
   std::vector<std::pair<int, double>> iref_nodes_;
   std::vector<int> out_nodes_;  // nets carrying VOUT pins
+  // Node of the net carrying each IO pin (-1: the ground net, or unused).
+  std::array<int, circuit::kNumIoPins> io_node_{};
   int in1_node_ = -1, in2_node_ = -1;
   int vdd_src_ = -1;  // index into vsrcs_ of the VDD source
   std::vector<double> v_;  // solution: node voltages then source currents

@@ -67,12 +67,177 @@ TEST(Mna, DetectsSingular) {
 }
 
 TEST(Mna, ComplexSolve) {
-  using cd = std::complex<double>;
-  DenseMatrix<cd> a(1);
-  a.at(0, 0) = cd{0.0, 2.0};
-  std::vector<cd> b{cd{4.0, 0.0}};
-  ASSERT_TRUE(lu_solve(a, b));
-  EXPECT_NEAR(b[0].imag(), -2.0, 1e-12);
+  // (2j) x = 4 -> x = -2j
+  SplitMatrix a(1);
+  a.im[0] = 2.0;
+  SplitVector b(1);
+  b.re[0] = 4.0;
+  ASSERT_TRUE(lu_solve_split(a, b));
+  EXPECT_NEAR(b.re[0], 0.0, 1e-12);
+  EXPECT_NEAR(b.im[0], -2.0, 1e-12);
+}
+
+// --- split-plane complex LU against the std::complex oracle -----------------
+
+using cd = std::complex<double>;
+
+/// Row-major complex system A x = b.
+struct ComplexSystem {
+  std::size_t n = 0;
+  std::vector<cd> a, b;
+};
+
+/// Solves `sys` with lu_solve<std::complex<double>> (the oracle) and with
+/// lu_solve_split. `rel_err` is the largest solution difference over the
+/// oracle's largest component, when both solved.
+struct SplitVsOracle {
+  bool oracle_ok = false, split_ok = false;
+  double rel_err = 0.0;
+};
+
+SplitVsOracle solve_both(const ComplexSystem& sys) {
+  const std::size_t n = sys.n;
+  DenseMatrix<cd> dense(n);
+  SplitMatrix split(n);
+  for (std::size_t i = 0; i < n * n; ++i) {
+    dense.at(i / n, i % n) = sys.a[i];
+    split.re[i] = sys.a[i].real();
+    split.im[i] = sys.a[i].imag();
+  }
+  std::vector<cd> x = sys.b;
+  SplitVector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y.re[i] = sys.b[i].real();
+    y.im[i] = sys.b[i].imag();
+  }
+  SplitVsOracle r;
+  r.oracle_ok = lu_solve(dense, x);
+  r.split_ok = lu_solve_split(split, y);
+  if (r.oracle_ok && r.split_ok) {
+    double diff = 0.0, scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      diff = std::max(diff, std::abs(x[i] - cd{y.re[i], y.im[i]}));
+      scale = std::max(scale, std::abs(x[i]));
+    }
+    r.rel_err = diff / scale;
+  }
+  return r;
+}
+
+cd random_complex(Rng& rng) {
+  return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+}
+
+/// A well-conditioned system whose dominant entry in row i sits in column
+/// perm[i]: a diagonally dominant matrix with its rows permuted, so the
+/// pivot search has to find every pivot. `sparse` gives the other entries
+/// MNA's mix of zero, conductance-only and capacitance-only values.
+ComplexSystem permuted_dominant(Rng& rng, std::size_t n,
+                                const std::vector<std::size_t>& perm,
+                                bool sparse = false) {
+  ComplexSystem sys{n, std::vector<cd>(n * n), std::vector<cd>(n)};
+  for (auto& z : sys.a) {
+    z = random_complex(rng);
+    if (!sparse) continue;
+    switch (rng.index(4)) {
+      case 0: z = 0.0; break;
+      case 1: z = z.real(); break;
+      case 2: z = {0.0, z.imag()}; break;
+      default: break;
+    }
+  }
+  for (auto& z : sys.b) z = random_complex(rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    sys.a[i * n + perm[i]] +=
+        std::polar(2.0 * static_cast<double>(n), rng.uniform(0.0, 6.283));
+  }
+  return sys;
+}
+
+TEST(Mna, SplitSolveMatchesComplexOracle) {
+  Rng rng(11);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::size_t> perm(n);
+      for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+      if (trial % 2 == 1) rng.shuffle(perm);
+      const bool sparse = trial % 4 >= 2;
+      const auto r = solve_both(permuted_dominant(rng, n, perm, sparse));
+      ASSERT_TRUE(r.oracle_ok) << "n=" << n << " trial " << trial;
+      ASSERT_TRUE(r.split_ok) << "n=" << n << " trial " << trial;
+      EXPECT_LE(r.rel_err, 1e-12) << "n=" << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(Mna, SplitSolvePivotsOnZeroDiagonal) {
+  // Dominant entries on the cyclic superdiagonal, an exactly zero diagonal:
+  // every column needs a row swap before it can be eliminated.
+  Rng rng(12);
+  for (std::size_t n = 2; n <= 16; ++n) {
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = (i + 1) % n;
+    auto sys = permuted_dominant(rng, n, perm, n % 2 == 1);
+    for (std::size_t i = 0; i < n; ++i) sys.a[i * n + i] = 0.0;
+    const auto r = solve_both(sys);
+    ASSERT_TRUE(r.oracle_ok) << "n=" << n;
+    ASSERT_TRUE(r.split_ok) << "n=" << n;
+    EXPECT_LE(r.rel_err, 1e-12) << "n=" << n;
+  }
+  // [0 1; 1 0] x = [2; 3] -> x = [3; 2], as Mna.PivotsOnZeroDiagonal.
+  SplitMatrix a(2);
+  a.re[1] = 1.0;
+  a.re[2] = 1.0;
+  SplitVector b(2);
+  b.re = {2.0, 3.0};
+  ASSERT_TRUE(lu_solve_split(a, b));
+  EXPECT_NEAR(b.re[0], 3.0, 1e-12);
+  EXPECT_NEAR(b.re[1], 2.0, 1e-12);
+}
+
+TEST(Mna, SplitSolveAgreesOnSingularVerdict) {
+  Rng rng(13);
+  const auto expect_verdict = [](const ComplexSystem& sys, bool solvable,
+                                 const std::string& what) {
+    const auto r = solve_both(sys);
+    EXPECT_EQ(r.oracle_ok, solvable) << what;
+    EXPECT_EQ(r.split_ok, r.oracle_ok) << what;
+  };
+  for (std::size_t n = 1; n <= 16; ++n) {
+    const std::string tag = " n=" + std::to_string(n);
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    rng.shuffle(perm);
+    const std::size_t k = perm[0];
+
+    auto zero_col = permuted_dominant(rng, n, perm);
+    for (std::size_t r = 0; r < n; ++r) zero_col.a[r * n + k] = 0.0;
+    expect_verdict(zero_col, false, "zero column" + tag);
+
+    auto zero_row = permuted_dominant(rng, n, perm);
+    for (std::size_t c = 0; c < n; ++c) zero_row.a[k * n + c] = 0.0;
+    expect_verdict(zero_row, false, "zero row" + tag);
+
+    auto tiny = permuted_dominant(rng, n, perm);
+    for (auto& z : tiny.a) z *= 1e-20 / (2.0 * static_cast<double>(n) + 2.0);
+    expect_verdict(tiny, false, "all entries below the threshold" + tag);
+
+    // Row-permuted upper triangle: elimination is exact, so the last pivot
+    // is exactly the chosen magnitude, on either side of 1e-18.
+    for (const double last : {1e-19, 1e-17}) {
+      ComplexSystem tri{n, std::vector<cd>(n * n), std::vector<cd>(n)};
+      for (std::size_t r = 0; r < n; ++r) {
+        tri.b[r] = random_complex(rng);
+        for (std::size_t c = r + 1; c < n; ++c) {
+          tri.a[perm[r] * n + c] = random_complex(rng);
+        }
+        tri.a[perm[r] * n + r] =
+            std::polar(r + 1 == n ? last : 1.0, rng.uniform(0.0, 6.283));
+      }
+      expect_verdict(tri, last > 1e-18,
+                     "last pivot " + std::to_string(last) + tag);
+    }
+  }
 }
 
 // --- sizing -----------------------------------------------------------------
@@ -230,6 +395,93 @@ TEST(Ac, RcLowpassCorner) {
   const double expected = 1.0 / (2 * 3.14159265 * 1e4 * 1e-9);
   EXPECT_GT(f3, expected / 2);
   EXPECT_LT(f3, expected * 2);
+}
+
+TEST(Ac, RlLowpassCorner) {
+  // L from VIN1 to out, R from out to VSS. With the model's 1 ohm inductor
+  // series resistance, H = R / (R + 1 + jwL): |H(low f)| = R/(R+1) and
+  // the corner is at (R+1)/(2 pi L). The sweep is centred on the corner.
+  NetBuilder b;
+  b.rails();
+  b.io("in", IoPin::Vin1);
+  b.io("out", IoPin::Vout1);
+  const int ind = b.two(DeviceKind::Inductor, "in", "out");
+  const int res = b.two(DeviceKind::Resistor, "out", "VSS");
+  const int anchor = b.two(DeviceKind::Resistor, "VDD", "out");
+  const Netlist nl = b.take();
+  const double r = 99.0, l = 1e-3;
+  Sizing sz = default_sizing(nl);
+  sz.value[static_cast<std::size_t>(ind)] = l;
+  sz.value[static_cast<std::size_t>(res)] = r;
+  sz.value[static_cast<std::size_t>(anchor)] = 1e9;  // negligible
+
+  SimOptions opts;
+  opts.load_cap = 0.0;  // isolate the intended RL
+  Simulator sim(nl, sz, opts);
+  ASSERT_TRUE(sim.solve_dc());
+  const double fc = (r + 1.0) / (2.0 * 3.141592653589793 * l);
+  const auto sweep = sim.ac_sweep(fc / 1e3, fc * 1e3, 121);
+  for (const auto& pt : sweep) {
+    const double w = 2.0 * 3.141592653589793 * pt.freq_hz;
+    const cd h = r / cd{r + 1.0, w * l};
+    EXPECT_LE(std::abs(pt.h - h), 1e-6 * std::abs(h)) << pt.freq_hz;
+  }
+  const double a0 = std::abs(sweep.front().h);
+  EXPECT_NEAR(a0, r / (r + 1.0), 1e-6);
+  const AcPoint& corner = sweep[60];
+  EXPECT_NEAR(corner.freq_hz, fc, 1e-9 * fc);
+  EXPECT_NEAR(std::abs(corner.h), a0 / std::sqrt(2.0), 1e-6);
+  EXPECT_NEAR(std::arg(corner.h), -3.141592653589793 / 4.0, 1e-6);
+  // The first point below a0/sqrt(2) is the one just past the corner.
+  std::size_t first_below = 0;
+  for (std::size_t i = 1; i < sweep.size() && first_below == 0; ++i) {
+    if (std::abs(sweep[i].h) < a0 / std::sqrt(2.0)) first_below = i;
+  }
+  EXPECT_EQ(first_below, 61u);
+}
+
+TEST(Ac, SeriesRlcPeaksAtResonance) {
+  // VIN1 -> L -> C -> out, R from out to VSS:
+  // H = R / (R + 1 + jwL + 1/(jwC)), a band-pass that peaks at
+  // f0 = 1/(2 pi sqrt(LC)) with |H(f0)| = R/(R+1) and zero phase (Q = 10).
+  NetBuilder b;
+  b.rails();
+  b.io("in", IoPin::Vin1);
+  b.io("out", IoPin::Vout1);
+  const int ind = b.two(DeviceKind::Inductor, "in", "mid");
+  const int cap = b.two(DeviceKind::Capacitor, "mid", "out");
+  const int res = b.two(DeviceKind::Resistor, "out", "VSS");
+  const int anchor = b.two(DeviceKind::Resistor, "VDD", "out");
+  const Netlist nl = b.take();
+  const double r = 99.0, l = 1e-3, c = 1e-9;
+  Sizing sz = default_sizing(nl);
+  sz.value[static_cast<std::size_t>(ind)] = l;
+  sz.value[static_cast<std::size_t>(cap)] = c;
+  sz.value[static_cast<std::size_t>(res)] = r;
+  sz.value[static_cast<std::size_t>(anchor)] = 1e9;  // negligible
+
+  SimOptions opts;
+  opts.load_cap = 0.0;
+  // Near f0 the reactances cancel and leave the 100 ohm loop, so the
+  // default gmin leak at the L-C node (~1e-3 ohm of reactance) would move
+  // H by 1e-5; a smaller gmin isolates the intended RLC.
+  opts.gmin = 1e-12;
+  Simulator sim(nl, sz, opts);
+  ASSERT_TRUE(sim.solve_dc());
+  const double f0 = 1.0 / (2.0 * 3.141592653589793 * std::sqrt(l * c));
+  const auto sweep = sim.ac_sweep(f0 / 100.0, f0 * 100.0, 401);
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const double w = 2.0 * 3.141592653589793 * sweep[i].freq_hz;
+    const cd h = r / (cd{r + 1.0, w * l} + 1.0 / cd{0.0, w * c});
+    EXPECT_LE(std::abs(sweep[i].h - h), 1e-6 * std::abs(h))
+        << sweep[i].freq_hz;
+    if (std::abs(sweep[i].h) > std::abs(sweep[peak].h)) peak = i;
+  }
+  EXPECT_EQ(peak, 200u);  // the middle point, f0
+  EXPECT_NEAR(sweep[peak].freq_hz, f0, 1e-9 * f0);
+  EXPECT_NEAR(std::abs(sweep[peak].h), r / (r + 1.0), 1e-6);
+  EXPECT_NEAR(std::arg(sweep[peak].h), 0.0, 1e-6);
 }
 
 TEST(Ac, CommonSourceHasGain) {
