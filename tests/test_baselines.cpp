@@ -2,6 +2,8 @@
 // design-space restriction that defines it.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <set>
 
 #include "baselines/baselines.hpp"
@@ -27,12 +29,19 @@ const data::Dataset& shared_ds() {
   return ds;
 }
 
-using Factory = std::unique_ptr<TopologyGenerator> (*)(const data::Dataset&);
+struct Factory {
+  const char* name;
+  std::unique_ptr<TopologyGenerator> (*make)(const data::Dataset&);
+};
+
+// Print the baseline's name rather than the function's address: the printed
+// value becomes the test name, and an address differs from run to run.
+void PrintTo(const Factory& f, std::ostream* os) { *os << f.name; }
 
 class AllBaselines : public ::testing::TestWithParam<Factory> {};
 
 TEST_P(AllBaselines, ProducesSomeValidCircuits) {
-  auto gen = GetParam()(shared_ds());
+  auto gen = GetParam().make(shared_ds());
   Rng rng(1);
   int valid = 0;
   for (int i = 0; i < 40; ++i) {
@@ -45,7 +54,7 @@ TEST_P(AllBaselines, ProducesSomeValidCircuits) {
 
 TEST_P(AllBaselines, ProducesSomeInvalidCircuits) {
   // Every baseline has a real error model: validity is not 100%.
-  auto gen = GetParam()(shared_ds());
+  auto gen = GetParam().make(shared_ds());
   Rng rng(2);
   int invalid = 0;
   for (int i = 0; i < 60; ++i) {
@@ -55,11 +64,13 @@ TEST_P(AllBaselines, ProducesSomeInvalidCircuits) {
   EXPECT_GT(invalid, 0) << gen->name();
 }
 
-INSTANTIATE_TEST_SUITE_P(Factories, AllBaselines,
-                         ::testing::Values(&baselines::make_analogcoder_like,
-                                           &baselines::make_artisan_like,
-                                           &baselines::make_cktgnn_like,
-                                           &baselines::make_lamagic_like));
+INSTANTIATE_TEST_SUITE_P(
+    Factories, AllBaselines,
+    ::testing::Values(
+        Factory{"AnalogCoderLike", &baselines::make_analogcoder_like},
+        Factory{"ArtisanLike", &baselines::make_artisan_like},
+        Factory{"CktGnnLike", &baselines::make_cktgnn_like},
+        Factory{"LaMagicLike", &baselines::make_lamagic_like}));
 
 TEST(AnalogCoderLike, ReusesLibraryOnly) {
   auto gen = baselines::make_analogcoder_like(shared_ds());
