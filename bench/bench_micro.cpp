@@ -6,7 +6,9 @@
 // writes google-benchmark JSON to BENCH_micro.json in the working
 // directory (override the path with EVA_BENCH_OUT). GFLOP/s and token
 // throughput appear as items_per_second, latencies as real_time in the
-// benchmark's declared unit.
+// benchmark's declared unit. Every kernel and decode family rates on
+// wall-clock time (UseRealTime), so work done by pool workers counts
+// against the elapsed time rather than the main thread's CPU time.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -56,7 +58,7 @@ void BM_GemmNN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmNT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -72,7 +74,7 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmTN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -88,7 +90,7 @@ void BM_GemmTN(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           state.range(0) * state.range(0));
 }
-BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->UseRealTime();
 
 // Quantized inference GEMM (weight-only int8/bf16, fused bias epilogue)
 // at the batched-decode shape: n rows of activations against a
@@ -117,11 +119,11 @@ void bm_qgemm(benchmark::State& state, tensor::QuantKind kind) {
 void BM_QGemmInt8(benchmark::State& state) {
   bm_qgemm(state, tensor::QuantKind::kInt8);
 }
-BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16);
+BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
 void BM_QGemmBf16(benchmark::State& state) {
   bm_qgemm(state, tensor::QuantKind::kBf16);
 }
-BENCHMARK(BM_QGemmBf16)->Arg(1)->Arg(8)->Arg(16);
+BENCHMARK(BM_QGemmBf16)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_TensorMatmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -133,7 +135,7 @@ void BM_TensorMatmul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
 }
-BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_TransformerForwardBackward(benchmark::State& state) {
   Rng rng(2);
@@ -148,27 +150,33 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4 * 128);
 }
-BENCHMARK(BM_TransformerForwardBackward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TransformerForwardBackward)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
+// One width-1 decode step of the batched engine (no sampling): the
+// per-token transformer cost of single-sequence decode.
 void BM_KvCacheTokenThroughput(benchmark::State& state) {
   Rng rng(3);
   nn::ModelConfig cfg = nn::ModelConfig::bench_scale(200);
   nn::TransformerLM model(cfg, rng);
   std::vector<float> logits;
-  auto cache = model.make_cache();
+  auto cache = model.make_batched_cache(1);
+  const std::vector<int> slot{0};
+  const std::vector<int> token{5};
   int produced = 0;
   for (auto _ : state) {
-    if (cache.len >= cfg.max_seq) cache = model.make_cache();
-    model.infer_step(cache, 5, logits);
+    if (cache.len[0] >= cfg.max_seq) cache.reset_slot(0);
+    model.infer_step_batched(cache, slot, token, logits);
     ++produced;
     benchmark::DoNotOptimize(logits.data());
   }
   state.SetItemsProcessed(produced);
 }
-BENCHMARK(BM_KvCacheTokenThroughput);
+BENCHMARK(BM_KvCacheTokenThroughput)->UseRealTime();
 
-// End-to-end generation: KV-cache inference + legality masking + top-k
-// sampling, the loop batched topology discovery spends its time in.
+// End-to-end single-sequence generation: width-1 batched decode +
+// legality masking + top-k sampling, one sequence per iteration.
 // items_per_second == sampled tokens/sec.
 void BM_SampleTokenThroughput(benchmark::State& state) {
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
@@ -179,22 +187,24 @@ void BM_SampleTokenThroughput(benchmark::State& state) {
   opts.temperature = 0.9f;
   opts.top_k = 12;
   opts.max_len = 96;
+  nn::BatchedDecoder decoder(model, tok, 1, opts);
   Rng sample_rng(31);
   std::int64_t tokens = 0;
   for (auto _ : state) {
-    const auto res = nn::sample_sequence(model, tok, sample_rng, opts);
-    tokens += static_cast<std::int64_t>(res.ids.size());
-    benchmark::DoNotOptimize(res.ids.data());
+    const auto res = decoder.decode(sample_rng, 1);
+    tokens += static_cast<std::int64_t>(res.front().ids.size());
+    benchmark::DoNotOptimize(res.data());
   }
   state.SetItemsProcessed(tokens);
 }
-BENCHMARK(BM_SampleTokenThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampleTokenThroughput)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
-// Batch generation head-to-head on an identical 24-sequence workload:
-// the thread-fanout reference path (B independent single-sequence
-// decodes) vs the continuous-batching BatchedDecoder at several widths.
-// items_per_second == sampled tokens/sec in both, so the ratio is the
-// end-to-end speedup of batched decode.
+// Batch generation on an identical 24-sequence workload through the
+// continuous-batching BatchedDecoder at several widths.
+// items_per_second == sampled tokens/sec, so the ratio between widths
+// is the end-to-end speedup of batching.
 
 nn::SampleOptions batch_bench_opts() {
   nn::SampleOptions opts;
@@ -203,35 +213,15 @@ nn::SampleOptions batch_bench_opts() {
   opts.max_len = 80;
   return opts;
 }
-// Deployment-shaped model for the head-to-head: large enough that the
-// weight matrices overflow L2, so per-sequence gemv decode re-streams
-// every weight once per token per sequence while the batched engine
-// streams them once per step for the whole cohort. bench_scale weights
-// fit in L1/L2, which would hide exactly the effect being measured.
+// Deployment-shaped model: large enough that the weight matrices
+// overflow L2, so width-1 decode re-streams every weight once per token
+// per sequence while wider cohorts stream them once per step for every
+// sequence in flight. bench_scale weights fit in L1/L2, which would hide
+// exactly the effect being measured.
 nn::ModelConfig batch_bench_config(int vocab) {
   return {vocab, 192, 4, 4, 768, 96, 0.0f};
 }
 constexpr int kBatchBenchSeqs = 24;
-
-void BM_SampleBatchReference(benchmark::State& state) {
-  const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
-  Rng rng(30);
-  nn::ModelConfig cfg = batch_bench_config(tok.vocab_size());
-  nn::TransformerLM model(cfg, rng);
-  const auto opts = batch_bench_opts();
-  Rng sample_rng(31);
-  std::int64_t tokens = 0;
-  for (auto _ : state) {
-    const auto batch = nn::sample_batch_reference(model, tok, sample_rng,
-                                                  kBatchBenchSeqs, opts);
-    for (const auto& res : batch) {
-      tokens += static_cast<std::int64_t>(res.ids.size());
-    }
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(tokens);
-}
-BENCHMARK(BM_SampleBatchReference)->Unit(benchmark::kMillisecond);
 
 void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
@@ -262,14 +252,16 @@ void BM_SampleBatchDecoder(benchmark::State& state) {
       state, tensor::quant_kind_from_env(tensor::QuantKind::kInt8));
 }
 BENCHMARK(BM_SampleBatchDecoder)->Arg(1)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 // The f32 trajectory, kept as its own family so the quantization win
 // stays measurable against the same commit.
 void BM_SampleBatchDecoderF32(benchmark::State& state) {
   bm_sample_batch_decoder(state, tensor::QuantKind::kF32);
 }
 BENCHMARK(BM_SampleBatchDecoderF32)->Arg(1)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- circuit ----------------------------------------------------------------
 

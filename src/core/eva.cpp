@@ -83,13 +83,10 @@ eval::GenerationEval Eva::evaluate_generation(int n) {
 
 eval::FomAtKResult Eva::discover(CircuitType target, int k,
                                  const opt::GaConfig& ga) {
-  EVA_REQUIRE(prepared(), "call prepare() first");
-  nn::SampleOptions opts;
-  opts.temperature = cfg_.sample_temperature;
-  auto gen = [&]() -> eval::Attempt {
-    const auto s = nn::sample_sequence(*model_, *tokenizer_, rng_, opts);
-    return nn::ids_to_netlist(*tokenizer_, s.ids);
-  };
+  // Decode all k attempts in one batched pass, then size them in order.
+  const auto attempts = generate(k);
+  std::size_t next = 0;
+  auto gen = [&]() -> eval::Attempt { return attempts[next++]; };
   return eval::fom_at_k(gen, k, target, ga);
 }
 

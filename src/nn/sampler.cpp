@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace eva::nn {
 
@@ -413,10 +411,8 @@ class WalkLegality {
   std::map<int, std::map<std::uint64_t, int>> dev_count_;  // root -> dev -> #pins
 };
 
-/// Decode-time state of one in-flight sequence, shared by the reference
-/// path (one SeqState, one Cache) and BatchedDecoder (one per slot).
-/// Keeping the per-step decision logic in a single place is what makes
-/// the two engines token-identical by construction.
+/// Decode-time state of one in-flight sequence (BatchedDecoder keeps one
+/// per slot): the per-step sampling decision logic.
 struct SeqState {
   /// `scratch` is the caller-owned top-k workspace; BatchedDecoder hands
   /// each slot its own buffer, reused across every sequence that passes
@@ -489,7 +485,7 @@ struct SeqState {
   std::vector<float>* topk_scratch;
   Rng* rng;
   int token = 0;
-  int t = 1;        // next decode-step index (mirrors the reference loop)
+  int t = 1;        // next decode-step index
   int steps = 0;    // transformer forwards consumed (== final KV length)
   int max_len;
   int seq;          // request index (result position)
@@ -517,33 +513,6 @@ void record_finished_sequence(const SeqState& st) {
 
 }  // namespace
 
-SampleResult sample_sequence(const TransformerLM& model, const Tokenizer& tok,
-                             Rng& rng, const SampleOptions& opts) {
-  obs::Span span("sampler.sequence");
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const int max_len = resolve_max_len(model, opts);
-  const int soft_len = resolve_soft_len(max_len);
-  auto cache = model.make_cache();
-  std::vector<float> logits;
-  std::vector<float> topk_scratch;
-  SeqState st(tok, opts, &rng, max_len, 0, &topk_scratch);
-  while (st.t < max_len) {
-    model.infer_step(cache, st.token, logits);
-    if (st.advance(logits, tok, opts, soft_len)) break;
-  }
-
-  record_finished_sequence(st);
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (dt > 0) {
-    obs::gauge("sampler.tokens_per_sec")
-        .set(static_cast<double>(st.res.logprobs.size()) / dt);
-  }
-  return st.res;
-}
-
 BatchedDecoder::BatchedDecoder(const TransformerLM& model, const Tokenizer& tok,
                                int batch_width, SampleOptions opts)
     : model_(&model),
@@ -562,8 +531,8 @@ std::vector<SampleResult> BatchedDecoder::decode(Rng& rng, int n) {
   std::vector<SampleResult> out(static_cast<std::size_t>(std::max(n, 0)));
   if (n <= 0) return out;
 
-  // Per-sequence RNG streams, forked in request order — the same stream
-  // layout as the reference fan-out, and independent of batch width.
+  // Per-sequence RNG streams, forked in request order, independent of
+  // batch width.
   std::vector<Rng> rngs;
   rngs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) rngs.push_back(rng.fork());
@@ -665,27 +634,9 @@ std::vector<SampleResult> BatchedDecoder::decode(Rng& rng, int n) {
 std::vector<SampleResult> sample_batch(const TransformerLM& model,
                                        const Tokenizer& tok, Rng& rng, int n,
                                        const SampleOptions& opts) {
-  int width = opts.batch_width;
-  if (const char* env = std::getenv("EVA_BATCH_WIDTH")) {
-    const int w = std::atoi(env);
-    if (w > 0) width = w;
-  }
-  BatchedDecoder decoder(model, tok, std::max(1, std::min(width, n)), opts);
+  BatchedDecoder decoder(model, tok, std::max(1, std::min(opts.batch_width, n)),
+                         opts);
   return decoder.decode(rng, n);
-}
-
-std::vector<SampleResult> sample_batch_reference(const TransformerLM& model,
-                                                 const Tokenizer& tok,
-                                                 Rng& rng, int n,
-                                                 const SampleOptions& opts) {
-  std::vector<SampleResult> out(static_cast<std::size_t>(n));
-  std::vector<Rng> rngs;
-  rngs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) rngs.push_back(rng.fork());
-  parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t i) {
-    out[i] = sample_sequence(model, tok, rngs[i], opts);
-  });
-  return out;
 }
 
 NetlistDecode ids_to_netlist_checked(const Tokenizer& tok,

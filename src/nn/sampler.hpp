@@ -1,14 +1,11 @@
 // Autoregressive topology sampling (generation phase, paper §III-B):
 // start from the single context token VSS and sample until EOS.
 //
-// Two engines produce identical sequences from identical seeds:
-//
-//  * the reference path — sample_sequence / sample_batch_reference, one
-//    KV cache per sequence, thread-fanout parallelism;
-//  * the batched engine — BatchedDecoder, which steps up to B in-flight
-//    sequences through one batched transformer forward per token and
-//    refills finished slots from a pending queue (continuous batching).
-//    sample_batch routes through it.
+// One engine decodes: BatchedDecoder steps up to B in-flight sequences
+// through one batched transformer forward per token and refills
+// finished slots from a pending queue (continuous batching).
+// sample_batch is its one-shot entry point; single-sequence decode is
+// width 1.
 //
 // See DESIGN.md "Batched KV-cache decoding" for the slot lifecycle and
 // the determinism contract.
@@ -35,9 +32,8 @@ struct SampleOptions {
   /// DC solvability: the paper's stated invalidity modes) stays entirely
   /// up to the model and is what the Validity metric measures.
   bool legality_mask = true;
-  /// Slot count of the BatchedDecoder behind sample_batch (overridable
-  /// at runtime with EVA_BATCH_WIDTH). Results never depend on it; only
-  /// throughput does.
+  /// Slot count of the BatchedDecoder behind sample_batch. Results never
+  /// depend on it; only throughput does.
   int batch_width = 8;
 };
 
@@ -56,24 +52,10 @@ struct SampleResult {
   bool hit_eos = false;
 };
 
-/// Sample one sequence with the per-sequence KV-cache reference path.
-[[nodiscard]] SampleResult sample_sequence(const TransformerLM& model,
-                                           const Tokenizer& tok, Rng& rng,
-                                           const SampleOptions& opts = {});
-
 /// Sample `n` sequences through a BatchedDecoder of width
-/// min(opts.batch_width, n) (EVA_BATCH_WIDTH overrides). Deterministic
-/// given the seed rng; sequence i consumes the i-th fork of `rng`, the
-/// same stream layout as sample_batch_reference.
+/// min(opts.batch_width, n). Deterministic given the seed rng; sequence
+/// i consumes the i-th fork of `rng`.
 [[nodiscard]] std::vector<SampleResult> sample_batch(
-    const TransformerLM& model, const Tokenizer& tok, Rng& rng, int n,
-    const SampleOptions& opts = {});
-
-/// Reference implementation of sample_batch: `n` independent
-/// single-sequence decodes fanned out across worker threads (the model
-/// is read-only during inference). Kept as the equivalence baseline for
-/// the batched engine and for ablation.
-[[nodiscard]] std::vector<SampleResult> sample_batch_reference(
     const TransformerLM& model, const Tokenizer& tok, Rng& rng, int n,
     const SampleOptions& opts = {});
 
@@ -84,9 +66,7 @@ struct SampleResult {
 /// Determinism contract: sequence i is driven by the i-th fork of the
 /// decode() rng and by logits rows that do not depend on which other
 /// sequences share the step (see infer_step_batched), so the returned
-/// results are identical for any batch width — and token-identical to
-/// the reference path whenever the model's linears fit one gemm K-panel
-/// (all shipped configs below paper_scale).
+/// results are identical for any batch width, at every model size.
 class BatchedDecoder {
  public:
   BatchedDecoder(const TransformerLM& model, const Tokenizer& tok,

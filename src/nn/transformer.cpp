@@ -180,42 +180,10 @@ Tensor TransformerLM::forward(const std::vector<int>& tokens, int B, int T,
 }
 
 // ---------------------------------------------------------------------------
-// Inference path (KV cache, no autograd)
+// Inference path (slotted KV cache, no autograd)
 // ---------------------------------------------------------------------------
 
-TransformerLM::Cache TransformerLM::make_cache() const {
-  Cache c;
-  c.k.resize(static_cast<std::size_t>(cfg_.n_layers));
-  c.v.resize(static_cast<std::size_t>(cfg_.n_layers));
-  for (auto& kk : c.k) {
-    kk.reserve(static_cast<std::size_t>(cfg_.max_seq * cfg_.d_model));
-  }
-  for (auto& vv : c.v) {
-    vv.reserve(static_cast<std::size_t>(cfg_.max_seq * cfg_.d_model));
-  }
-  return c;
-}
-
 namespace {
-
-/// y = x @ W + b through either weight tier: the quantized kernel with
-/// its fused epilogue when `qw` is packed, the f32 gemv (plus an unfused
-/// GELU pass for kBiasGelu) otherwise. The f32 branch is bitwise the
-/// pre-quantization behavior — gelu_approx is the same tanh GELU the
-/// unfused loop always applied.
-void linear1(const float* x, const QuantMatrix* qw, std::span<const float> w,
-             std::span<const float> b, float* y, int in, int out,
-             Epilogue ep) {
-  if (qw != nullptr && !qw->empty()) {
-    tensor::qgemv(x, *qw, b.empty() ? nullptr : b.data(), y, ep);
-    return;
-  }
-  tensor::gemv(x, w.data(), b.empty() ? nullptr : b.data(), y,
-               static_cast<std::size_t>(in), static_cast<std::size_t>(out));
-  if (ep == Epilogue::kBiasGelu) {
-    for (int i = 0; i < out; ++i) y[i] = gelu_approx(y[i]);
-  }
-}
 
 void layernorm_inplace(float* x, std::span<const float> g,
                        std::span<const float> b, int n) {
@@ -247,10 +215,8 @@ void embed_row(std::span<const float> te, std::span<const float> pe, int token,
 }
 
 /// Causal attention for one query row over T cached positions. `kbase` /
-/// `vbase` point at position 0 of the sequence's cache (positions are
-/// C floats apart, head-major within a position) — the layout both Cache
-/// and BatchedCache slots use, so the reference and batched paths share
-/// this exact reduction order.
+/// `vbase` point at position 0 of the slot's cache (positions are C
+/// floats apart, head-major within a position).
 ///
 /// Single pass: QK^T, softmax and the V reduction run fused over the
 /// cached positions with an online max/normalizer (accumulator rescaled
@@ -291,10 +257,8 @@ void attend_row(const float* q, const float* kbase, const float* vbase, int T,
 
 /// Y(n,out) = X(n,in) @ W(in,out) + bias, the batched-decode linear,
 /// through either weight tier. f32: rows are seeded with the bias and
-/// one gemm_nn accumulates on top, so each row's value equals the gemv
-/// result whenever the reduction fits one K-panel (see
-/// infer_step_batched's contract in the header). Quantized: one qgemm
-/// with the epilogue fused.
+/// one gemm_nn accumulates on top (plus an unfused GELU pass for
+/// kBiasGelu). Quantized: one qgemm with the epilogue fused.
 void linear_batched(const float* x, const QuantMatrix* qw,
                     std::span<const float> w, std::span<const float> b,
                     float* y, std::size_t n, int in, int out, Epilogue ep) {
@@ -317,69 +281,6 @@ void linear_batched(const float* x, const QuantMatrix* qw,
 }
 
 }  // namespace
-
-void TransformerLM::infer_step(Cache& cache, int token,
-                               std::vector<float>& logits) const {
-  EVA_REQUIRE(token >= 0 && token < cfg_.vocab, "infer_step: bad token");
-  EVA_REQUIRE(cache.len < cfg_.max_seq, "infer_step: cache full");
-  const int C = cfg_.d_model;
-  const int H = cfg_.n_heads;
-  const int hd = C / H;
-  const int pos = cache.len;
-
-  std::vector<float> x(static_cast<std::size_t>(C));
-  embed_row(tok_emb_.data(), pos_emb_.data(), token, pos, C, x.data());
-
-  std::vector<float> h(static_cast<std::size_t>(C));
-  std::vector<float> q(static_cast<std::size_t>(C));
-  std::vector<float> kv(static_cast<std::size_t>(C));
-  std::vector<float> ctx(static_cast<std::size_t>(C));
-  std::vector<float> att(static_cast<std::size_t>(C));
-  std::vector<float> ff(static_cast<std::size_t>(cfg_.d_ff));
-
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    const Block& blk = blocks_[l];
-    const QuantBlock* qb = qblocks_.empty() ? nullptr : &qblocks_[l];
-    // ln1
-    h = x;
-    layernorm_inplace(h.data(), blk.ln1_g.data(), blk.ln1_b.data(), C);
-    // q,k,v for this position; append k,v to cache.
-    linear1(h.data(), qb ? &qb->wq : nullptr, blk.wq.data(), blk.bq.data(),
-            q.data(), C, C, Epilogue::kBias);
-    linear1(h.data(), qb ? &qb->wk : nullptr, blk.wk.data(), blk.bk.data(),
-            kv.data(), C, C, Epilogue::kBias);
-    cache.k[l].insert(cache.k[l].end(), kv.begin(), kv.end());
-    linear1(h.data(), qb ? &qb->wv : nullptr, blk.wv.data(), blk.bv.data(),
-            kv.data(), C, C, Epilogue::kBias);
-    cache.v[l].insert(cache.v[l].end(), kv.begin(), kv.end());
-
-    // Attention over cached positions, per head.
-    attend_row(q.data(), cache.k[l].data(), cache.v[l].data(), pos + 1, C, H,
-               hd, ctx.data());
-    linear1(ctx.data(), qb ? &qb->wo : nullptr, blk.wo.data(), blk.bo.data(),
-            att.data(), C, C, Epilogue::kBias);
-    for (int i = 0; i < C; ++i) x[static_cast<std::size_t>(i)] += att[static_cast<std::size_t>(i)];
-
-    // MLP (GELU fused into the up-projection's epilogue).
-    h = x;
-    layernorm_inplace(h.data(), blk.ln2_g.data(), blk.ln2_b.data(), C);
-    linear1(h.data(), qb ? &qb->w1 : nullptr, blk.w1.data(), blk.b1.data(),
-            ff.data(), C, cfg_.d_ff, Epilogue::kBiasGelu);
-    linear1(ff.data(), qb ? &qb->w2 : nullptr, blk.w2.data(), blk.b2.data(),
-            att.data(), cfg_.d_ff, C, Epilogue::kBias);
-    for (int i = 0; i < C; ++i) x[static_cast<std::size_t>(i)] += att[static_cast<std::size_t>(i)];
-  }
-
-  layernorm_inplace(x.data(), lnf_g_.data(), lnf_b_.data(), C);
-  logits.assign(static_cast<std::size_t>(cfg_.vocab), 0.0f);
-  linear1(x.data(), qlm_head_.empty() ? nullptr : &qlm_head_, lm_head_.data(),
-          {}, logits.data(), C, cfg_.vocab, Epilogue::kNone);
-  ++cache.len;
-}
-
-// ---------------------------------------------------------------------------
-// Batched inference path (slotted KV cache, one gemm per linear per step)
-// ---------------------------------------------------------------------------
 
 TransformerLM::BatchedCache TransformerLM::make_batched_cache(
     int capacity) const {

@@ -3,23 +3,22 @@
 // GPT-style pre-norm architecture: token + learned positional embeddings,
 // N blocks of (layernorm -> causal multi-head self-attention -> residual,
 // layernorm -> GELU MLP -> residual), final layernorm, linear vocabulary
-// head. Three execution paths:
+// head. Two execution paths:
 //
 //  * training path — builds the autograd graph (tensor engine), used by
 //    pretraining, the reward model, PPO and DPO;
-//  * reference inference path — plain float math with a per-sequence KV
-//    cache (one gemv per linear per token). O(d^2 + t*d) per token.
 //  * batched inference path — B in-flight sequences share one forward
 //    per decode step: every linear becomes a single (B,in)x(in,out)
 //    gemm call, so the weight matrices stream from memory once per
 //    step instead of once per sequence. Attention stays per-slot (each
 //    slot has its own cache length). This is the engine behind
-//    nn::BatchedDecoder (DESIGN.md "Batched KV-cache decoding").
+//    nn::BatchedDecoder (DESIGN.md "Batched KV-cache decoding"); B = 1
+//    is single-sequence decode.
 //
-// Both inference paths can additionally run on weight-quantized kernels:
+// The inference path can additionally run on weight-quantized kernels:
 // set_inference_quant(kBf16 | kInt8) repacks every block linear and the
 // LM head into tensor::QuantMatrix form and the per-step linears route
-// through tensor::qgemm / qgemv with fused dequant+bias+GELU epilogues.
+// through tensor::qgemm with fused dequant+bias+GELU epilogues.
 // Training always reads the f32 tensors — repacked copies are
 // derived state, invalidated and rebuilt by load_from() and by calling
 // set_inference_quant again after mutating parameters.
@@ -68,8 +67,8 @@ class TransformerLM {
 
   // --- Quantized inference -----------------------------------------------
   /// One-time repack of the inference weights (every block linear + the
-  /// LM head) into the given quantized tier; subsequent infer_step /
-  /// infer_step_batched calls run on tensor::qgemv / qgemm with fused
+  /// LM head) into the given quantized tier; subsequent
+  /// infer_step_batched calls run on tensor::qgemm with fused
   /// epilogues. kF32 drops the packed copies and restores the exact
   /// float path. Repacked weights are a snapshot: after mutating
   /// parameters (training step, load_from is handled automatically),
@@ -78,29 +77,14 @@ class TransformerLM {
   void set_inference_quant(tensor::QuantKind kind);
   [[nodiscard]] tensor::QuantKind inference_quant() const { return qkind_; }
 
-  // --- KV-cache inference ------------------------------------------------
-  struct Cache {
-    // Per layer: keys/values appended per step, each step d_model floats
-    // laid out head-major within the step.
-    std::vector<std::vector<float>> k, v;
-    int len = 0;
-  };
-
-  [[nodiscard]] Cache make_cache() const;
-
-  /// Feed one token; returns logits over the vocabulary for the next
-  /// position. Deterministic, no-grad, thread-safe for concurrent caches.
-  void infer_step(Cache& cache, int token, std::vector<float>& logits) const;
-
   // --- Batched KV-cache inference ----------------------------------------
   /// Fixed pool of `capacity` cache slots. Per layer, keys/values live in
   /// one contiguous (capacity, max_seq, d_model) slab; slot s's cached
   /// position t starts at (s * max_seq + t) * d_model, head-major within
-  /// the position — the same per-position layout as Cache, so the
-  /// attention inner loops are shared between the two paths. Slots are
-  /// recycled by resetting their length (continuous batching). Slabs and
-  /// the step workspace are 64-byte aligned (util/aligned.hpp) for the
-  /// vectorized kernels; infer_step_batched asserts this.
+  /// the position. Slots are recycled by resetting their length
+  /// (continuous batching). Slabs and the step workspace are 64-byte
+  /// aligned (util/aligned.hpp) for the vectorized kernels;
+  /// infer_step_batched asserts this.
   struct BatchedCache {
     int capacity = 0;
     int slot_stride = 0;                 // max_seq * d_model
@@ -128,12 +112,10 @@ class TransformerLM {
   ///
   /// Numerics: each row's result is independent of which other slots are
   /// stepped alongside it (per-row reduction order in gemm_nn / qgemm is
-  /// fixed by the shapes alone), which is what makes BatchedDecoder's
-  /// output invariant to batch width — in both the f32 and quantized
-  /// tiers. It also matches infer_step bitwise whenever every linear's
-  /// K dimension fits a single gemm K-panel (K <= 256: all shipped
-  /// configs except paper_scale, which drifts within float tolerance
-  /// only).
+  /// fixed by the shapes alone, at any K), which is what makes
+  /// BatchedDecoder's output invariant to batch width — in both the f32
+  /// and quantized tiers. The f32 logits match the training forward()
+  /// within float tolerance. Deterministic, no-grad.
   void infer_step_batched(BatchedCache& cache, const std::vector<int>& slots,
                           const std::vector<int>& tokens,
                           std::vector<float>& logits) const;

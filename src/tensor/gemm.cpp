@@ -72,12 +72,50 @@ void micro_kernel(std::size_t kc, const float* a, std::size_t rsa,
   }
 }
 
+// c(N) += a(K) @ B(K,N): gemm_nn's M == 1 case, the shape of every
+// width-1 decode linear. A single row has no row reuse to feed an 8-row
+// tile, so the strip is wider than kNr: 64 floats per strip covers the
+// d_model-sized linears in a few passes and each cache line of B is
+// still fetched once per K-panel. The reduction order is micro_kernel's
+// (each kKc panel summed into a fresh accumulator, then added onto C),
+// so a row comes out bitwise the same whether it is stepped alone or in
+// a cohort, at any K.
+void one_row_nn(const float* a, const float* B, float* c, std::size_t K,
+                std::size_t N) {
+  constexpr std::size_t kVNr = 64;
+  for (std::size_t nb = 0; nb < N; nb += kVNr) {
+    const std::size_t nr = std::min(kVNr, N - nb);
+    for (std::size_t kb = 0; kb < K; kb += kKc) {
+      const std::size_t kc = std::min(kKc, K - kb);
+      float acc[kVNr] = {};
+      if (nr == kVNr) {
+        for (std::size_t k = kb; k < kb + kc; ++k) {
+          const float av = a[k];
+          const float* brow = B + k * N + nb;
+          for (std::size_t n = 0; n < kVNr; ++n) acc[n] += av * brow[n];
+        }
+      } else {
+        for (std::size_t k = kb; k < kb + kc; ++k) {
+          const float av = a[k];
+          const float* brow = B + k * N + nb;
+          for (std::size_t n = 0; n < nr; ++n) acc[n] += av * brow[n];
+        }
+      }
+      for (std::size_t n = 0; n < nr; ++n) c[nb + n] += acc[n];
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_nn(const float* A, const float* B, float* C, std::size_t M,
              std::size_t K, std::size_t N) {
   obs::Span span("gemm_nn");
   count_flops(M, K, N);
+  if (M == 1) {
+    one_row_nn(A, B, C, K, N);
+    return;
+  }
   parallel_chunks(
       0, M,
       [&](std::size_t lo, std::size_t hi) {
@@ -149,41 +187,6 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
       kNr);
 }
 
-void gemv(const float* x, const float* w, const float* bias, float* y,
-          std::size_t in, std::size_t out) {
-  // No span here: gemv runs several times per generated token and a
-  // trace event each would swamp the buffers; the flop counter is one
-  // relaxed add.
-  count_flops(1, in, out);
-  // One-row variant of the micro-kernel. The strip is wider than kNr
-  // because a single row has no row-reuse to feed: 64 floats per strip
-  // covers the whole output of the d_model-sized inference linears in
-  // one pass and each cache line of W is still fetched exactly once.
-  constexpr std::size_t kVNr = 64;
-  for (std::size_t nb = 0; nb < out; nb += kVNr) {
-    const std::size_t nr = std::min(kVNr, out - nb);
-    float acc[kVNr] = {};
-    if (nr == kVNr) {
-      for (std::size_t k = 0; k < in; ++k) {
-        const float xv = x[k];
-        const float* wrow = w + k * out + nb;
-        for (std::size_t n = 0; n < kVNr; ++n) acc[n] += xv * wrow[n];
-      }
-    } else {
-      for (std::size_t k = 0; k < in; ++k) {
-        const float xv = x[k];
-        const float* wrow = w + k * out + nb;
-        for (std::size_t n = 0; n < nr; ++n) acc[n] += xv * wrow[n];
-      }
-    }
-    if (bias != nullptr) {
-      for (std::size_t n = 0; n < nr; ++n) y[nb + n] = bias[nb + n] + acc[n];
-    } else {
-      for (std::size_t n = 0; n < nr; ++n) y[nb + n] = acc[n];
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Quantized inference family (weight-only bf16/int8)
 // ---------------------------------------------------------------------------
@@ -203,9 +206,8 @@ void gemv(const float* x, const float* w, const float* bias, float* y,
 // reduction order over K, epilogue arithmetic — depends only on the
 // shapes, never on the batch size n or which tile the row landed in.
 // Rows are processed by one 8-row tile kernel plus a 1-row remainder
-// kernel whose per-row instruction sequence is identical, and qgemv is
-// exactly the 1-row kernel, which is what keeps batched and per-sequence
-// decode FLOAT_EQ-identical and sampled tokens width-invariant.
+// kernel whose per-row instruction sequence is identical, which is what
+// keeps sampled tokens width-invariant.
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \
     defined(__AVX512VNNI__) && defined(__AVX512BF16__)
@@ -246,8 +248,8 @@ inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
 }
 
 /// int8 epilogue: undo the zero point (128 * colsum), apply the two
-/// scales, then bias/GELU. Shared by full strips, ragged tails, the
-/// 8-row tile path and qgemv, so all produce bit-identical values per
+/// scales, then bias/GELU. Shared by full strips, ragged tails and the
+/// 8-row and 1-row tile paths, so all produce bit-identical values per
 /// column.
 __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float ascale,
                            const float* wscale, const std::int32_t* colsum,
@@ -614,77 +616,6 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
         }
       },
       kNr);
-#endif  // EVA_QKERNELS_AVX512
-}
-
-void qgemv(const float* x, const QuantMatrix& W, const float* bias, float* y,
-           Epilogue ep) {
-  const std::size_t K = W.rows;
-  const std::size_t N = W.cols;
-  count_flops(1, K, N);
-  if (W.empty()) return;
-#ifdef EVA_QKERNELS_AVX512
-  // Exactly the 1-row tile of qgemm, strip by strip: identical
-  // activation quantization, reduction and epilogue arithmetic keep the
-  // per-sequence and batched decode paths FLOAT_EQ-identical.
-  const std::size_t Np = W.padded_cols;
-  const std::size_t strips = Np / kQNr;
-  if (W.kind == QuantKind::kInt8) {
-    const std::size_t kg = (K + 3) / 4;
-    const std::size_t K4 = kg * 4;
-    static thread_local AlignedVec<std::uint8_t> xu;
-    xu.resize(K4);
-    const float ascale = quantize_row_u8(x, K, K4, xu.data());
-    alignas(64) std::int32_t acc[kQNr];
-    for (std::size_t s = 0; s < strips; ++s) {
-      const std::size_t nb = s * kQNr;
-      const std::size_t nr = std::min(kQNr, N - nb);
-      qtile_i8<1>(xu.data(), K4, kg, W.q8p.data() + nb * 4, Np * 4, acc);
-      store_strip_i8(acc, ascale, W.scale.data() + nb, W.colsum.data() + nb,
-                     bias != nullptr ? bias + nb : nullptr, ep, y + nb, nr);
-    }
-    return;
-  }
-  const std::size_t kp = (K + 1) / 2;
-  static thread_local AlignedVec<std::uint32_t> xb;
-  xb.resize(kp);
-  convert_row_bf16(x, K, kp, xb.data());
-  alignas(64) float facc[kQNr];
-  for (std::size_t s = 0; s < strips; ++s) {
-    const std::size_t nb = s * kQNr;
-    const std::size_t nr = std::min(kQNr, N - nb);
-    qtile_bf16<1>(xb.data(), kp, kp, W.bf16p.data() + nb * 2, Np * 2, facc);
-    store_strip_f32(facc, nullptr, bias != nullptr ? bias + nb : nullptr, ep,
-                    y + nb, nr);
-  }
-#else   // !EVA_QKERNELS_AVX512
-  // Portable path: strip accumulation in the same per-column K order as
-  // the fallback qgemm's micro-kernel, then the shared epilogue.
-  for (std::size_t nb = 0; nb < N; nb += kNr) {
-    const std::size_t nr = std::min(kNr, N - nb);
-    float acc[kNr] = {};
-    if (W.kind == QuantKind::kBf16) {
-      for (std::size_t k = 0; k < K; ++k) {
-        const float av = x[k];
-        const std::uint16_t* wrow = W.bf16.data() + k * N + nb;
-        for (std::size_t j = 0; j < nr; ++j) {
-          acc[j] += av * bf16_to_f32(wrow[j]);
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < K; ++k) {
-        const float av = x[k];
-        const std::int8_t* wrow = W.q8.data() + k * N + nb;
-        for (std::size_t j = 0; j < nr; ++j) {
-          acc[j] += av * static_cast<float>(wrow[j]);
-        }
-      }
-    }
-    const float* ws =
-        W.kind == QuantKind::kInt8 ? W.scale.data() + nb : nullptr;
-    store_strip_f32(acc, ws, bias != nullptr ? bias + nb : nullptr, ep,
-                    y + nb, nr);
-  }
 #endif  // EVA_QKERNELS_AVX512
 }
 

@@ -7,14 +7,13 @@
 // per-backend tensor.gemm_backend_dispatch.<name> counter. The built-in
 // "cpu" backend is one register-tiled micro-kernel (MR x NR accumulator
 // block, NR = one cache line of floats) backing all matmul variants of
-// the tensor engine plus the KV-cache inference path's vector-matrix
-// products. All matrices are row-major float32 and the GEMM trio
-// *accumulates* into C (C += ...), matching the autograd convention of
-// += into grads.
+// the tensor engine and the batched decode linears. All matrices are
+// row-major float32 and the GEMM trio *accumulates* into C (C += ...),
+// matching the autograd convention of += into grads.
 //
-// The quantized family (qgemm/qgemv) is inference-only: weight-quantized
+// The quantized kernel (qgemm) is inference-only: weight-quantized
 // bf16/int8 matrices (tensor/quant.hpp) with a fused bias+activation
-// epilogue. These OVERWRITE their output. On AVX-512 VNNI/BF16 hardware
+// epilogue. It OVERWRITES its output. On AVX-512 VNNI/BF16 hardware
 // the multiplies run natively reduced-precision (int8: u8-quantized
 // activations + exact int32 vpdpbusd accumulation rescaled per column;
 // bf16: bf16-rounded activations + vdpbf16ps); elsewhere a portable
@@ -35,7 +34,11 @@
 
 namespace eva::tensor {
 
-/// C(M,N) += A(M,K) @ B(K,N).
+/// C(M,N) += A(M,K) @ B(K,N). On the cpu backend row r of C depends
+/// only on row r of A, B and the shapes, never on M: every row sums
+/// each K-panel of 256 into a fresh accumulator and adds it onto C in
+/// panel order, so the M == 1 case (its own kernel) matches the same
+/// row of a larger call bitwise.
 void gemm_nn(const float* A, const float* B, float* C, std::size_t M,
              std::size_t K, std::size_t N);
 
@@ -48,12 +51,6 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
 void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
              std::size_t M, std::size_t N);
 
-/// y(out) = x(in) @ W(in,out) + bias. bias may be null (treated as 0).
-/// Serial: the inference path parallelizes across sequences, not inside
-/// a single token step.
-void gemv(const float* x, const float* w, const float* bias, float* y,
-          std::size_t in, std::size_t out);
-
 /// Y(n,out) ~= epilogue(X(n,in) @ dequant(W) [+ bias]) for a quantized
 /// weight matrix W(in,out), within the tier's documented error bound.
 /// Overwrites Y; bias must be non-null for the kBias/kBiasGelu
@@ -63,10 +60,5 @@ void gemv(const float* x, const float* w, const float* bias, float* y,
 /// quantization.
 void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
            std::size_t n, Epilogue ep);
-
-/// One-row variant of qgemm, bit-identical to a qgemm row (it runs the
-/// same 1-row kernel): y(out) ~= epilogue(x @ dequant(W) [+ bias]).
-void qgemv(const float* x, const QuantMatrix& W, const float* bias, float* y,
-           Epilogue ep);
 
 }  // namespace eva::tensor

@@ -47,9 +47,7 @@ Registry& registry() {
     cpu.nn = &cpu::gemm_nn;
     cpu.nt = &cpu::gemm_nt;
     cpu.tn = &cpu::gemm_tn;
-    cpu.gemv = &cpu::gemv;
     cpu.qgemm = &cpu::qgemm;
-    cpu.qgemv = &cpu::qgemv;
     auto* e = new Entry{std::move(cpu),
                         &obs::counter("tensor.gemm_backend_dispatch.cpu")};
     reg->entries.push_back(e);
@@ -80,7 +78,7 @@ Entry& active() {
 
 bool register_gemm_backend(GemmBackendOps ops) {
   if (ops.name.empty() || ops.nn == nullptr || ops.nt == nullptr ||
-      ops.tn == nullptr || ops.gemv == nullptr) {
+      ops.tn == nullptr) {
     return false;
   }
   Registry& reg = registry();
@@ -143,13 +141,6 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
   e.ops.tn(A, B, C, K, M, N);
 }
 
-void gemv(const float* x, const float* w, const float* bias, float* y,
-          std::size_t in, std::size_t out) {
-  Entry& e = active();
-  e.dispatches->add(1);
-  e.ops.gemv(x, w, bias, y, in, out);
-}
-
 void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
            std::size_t n, Epilogue ep) {
   Entry& e = active();
@@ -177,24 +168,6 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
   e.ops.nn(X, wf.data(), Y, n, W.rows, N);
   if (ep == Epilogue::kBiasGelu) {
     for (std::size_t i = 0; i < n * N; ++i) Y[i] = gelu_approx(Y[i]);
-  }
-}
-
-void qgemv(const float* x, const QuantMatrix& W, const float* bias, float* y,
-           Epilogue ep) {
-  Entry& e = active();
-  e.dispatches->add(1);
-  if (e.ops.qgemv != nullptr) {
-    e.ops.qgemv(x, W, bias, y, ep);
-    return;
-  }
-  static thread_local std::vector<float> wf;
-  wf.resize(W.rows * W.cols);
-  W.dequantize(wf.data());
-  e.ops.gemv(x, wf.data(), ep == Epilogue::kNone ? nullptr : bias, y, W.rows,
-             W.cols);
-  if (ep == Epilogue::kBiasGelu) {
-    for (std::size_t i = 0; i < W.cols; ++i) y[i] = gelu_approx(y[i]);
   }
 }
 

@@ -16,12 +16,11 @@
 //     tensor.gemm_backend_dispatch.<name>, so operators can see which
 //     kernel tier actually served a workload.
 //
-// The table carries both the f32 training family (gemm_nn/nt/tn, gemv)
-// and the quantized inference family (qgemm/qgemv with fused
-// dequant+bias+activation epilogues). The quantized entries may be null:
-// dispatch then falls back to dequantize-into-scratch + the backend's
-// own f32 kernels, so a minimal backend still serves quantized models
-// (slowly) rather than aborting.
+// The table carries both the f32 family (gemm_nn/nt/tn) and the
+// quantized inference kernel (qgemm with fused dequant+bias+activation
+// epilogues). The quantized entry may be null: dispatch then falls back
+// to dequantize-into-scratch + the backend's own gemm_nn, so a minimal
+// backend still serves quantized models (slowly) rather than aborting.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +33,8 @@
 namespace eva::tensor {
 
 /// Kernel table for one backend. All f32 entries are required; the
-/// GEMM trio accumulates into C, gemv/qgemm/qgemv overwrite their
-/// output (inference semantics).
+/// GEMM trio accumulates into C, qgemm overwrites its output (inference
+/// semantics).
 struct GemmBackendOps {
   std::string name;
 
@@ -48,16 +47,10 @@ struct GemmBackendOps {
   /// C(M,N) += A(K,M)^T @ B(K,N).
   void (*tn)(const float* A, const float* B, float* C, std::size_t K,
              std::size_t M, std::size_t N) = nullptr;
-  /// y(out) = x(in) @ W(in,out) + bias (bias nullable).
-  void (*gemv)(const float* x, const float* w, const float* bias, float* y,
-               std::size_t in, std::size_t out) = nullptr;
 
   /// Y(n,out) = epilogue(X(n,in) @ dequant(W) [+ bias]). Overwrites Y.
   void (*qgemm)(const float* X, const QuantMatrix& W, const float* bias,
                 float* Y, std::size_t n, Epilogue ep) = nullptr;
-  /// One-row variant of qgemm.
-  void (*qgemv)(const float* x, const QuantMatrix& W, const float* bias,
-                float* y, Epilogue ep) = nullptr;
 };
 
 /// Register a backend under ops.name. Returns false (and ignores the

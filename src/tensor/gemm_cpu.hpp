@@ -16,11 +16,7 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
              std::size_t K, std::size_t N);
 void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
              std::size_t M, std::size_t N);
-void gemv(const float* x, const float* w, const float* bias, float* y,
-          std::size_t in, std::size_t out);
 void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
            std::size_t n, Epilogue ep);
-void qgemv(const float* x, const QuantMatrix& W, const float* bias, float* y,
-           Epilogue ep);
 
 }  // namespace eva::tensor::cpu

@@ -151,7 +151,7 @@ TEST(ConstrainedSampling, UnmaskedModeStillWorks) {
   nn::SampleOptions opts;
   opts.max_len = 64;
   opts.legality_mask = false;
-  const auto s = nn::sample_sequence(fx.model, fx.tok, rng, opts);
+  const auto s = nn::sample_batch(fx.model, fx.tok, rng, 1, opts).front();
   EXPECT_GE(s.ids.size(), 1u);
   EXPECT_EQ(s.ids.front(), fx.tok.start_token());
 }

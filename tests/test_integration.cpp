@@ -45,10 +45,9 @@ TEST(Integration, PipelineIsDeterministicForSeed) {
     Rng srng(99);
     nn::SampleOptions opts;
     opts.max_len = 64;
-    for (int i = 0; i < 3; ++i) {
-      ids.push_back(
-          nn::sample_sequence(engine.model(), engine.tokenizer(), srng, opts)
-              .ids);
+    for (const auto& s :
+         nn::sample_batch(engine.model(), engine.tokenizer(), srng, 3, opts)) {
+      ids.push_back(s.ids);
     }
     return ids;
   };

@@ -132,19 +132,38 @@ TEST(Transformer, KvCacheMatchesTrainingPath) {
   ModelConfig cfg = ModelConfig::tiny(24);
   cfg.n_layers = 2;  // exercise multi-layer cache
   TransformerLM model(cfg, rng);
-  const std::vector<int> tokens{2, 7, 11, 3, 19};
-  const int T = static_cast<int>(tokens.size());
-  const auto logits = model.forward(tokens, 1, T, false);
+  const std::vector<std::vector<int>> seqs{
+      {2, 7, 11, 3, 19}, {4, 4, 9, 1, 22}, {13, 0, 5, 17, 6}};
+  const int T = static_cast<int>(seqs[0].size());
+  std::vector<int> flat;
+  for (const auto& s : seqs) flat.insert(flat.end(), s.begin(), s.end());
+  const auto logits = model.forward(flat, 3, T, false);
 
-  auto cache = model.make_cache();
-  std::vector<float> step_logits;
-  for (int t = 0; t < T; ++t) {
-    model.infer_step(cache, tokens[static_cast<std::size_t>(t)], step_logits);
-    for (int v = 0; v < cfg.vocab; ++v) {
-      EXPECT_NEAR(step_logits[static_cast<std::size_t>(v)],
-                  logits.data()[static_cast<std::size_t>(t * cfg.vocab + v)],
-                  2e-3f)
-          << "t=" << t << " v=" << v;
+  // Step the first sequence alone (width 1), then all three together
+  // (width 3); every step's row must match the training pass.
+  for (const int width : {1, 3}) {
+    auto cache = model.make_batched_cache(width);
+    std::vector<int> slots(static_cast<std::size_t>(width));
+    for (int i = 0; i < width; ++i) slots[static_cast<std::size_t>(i)] = i;
+    std::vector<float> step_logits;
+    for (int t = 0; t < T; ++t) {
+      std::vector<int> tokens;
+      for (int i = 0; i < width; ++i) {
+        tokens.push_back(seqs[static_cast<std::size_t>(i)]
+                             [static_cast<std::size_t>(t)]);
+      }
+      model.infer_step_batched(cache, slots, tokens, step_logits);
+      for (int i = 0; i < width; ++i) {
+        for (int v = 0; v < cfg.vocab; ++v) {
+          EXPECT_NEAR(
+              step_logits[static_cast<std::size_t>(i * cfg.vocab + v)],
+              logits.data()[static_cast<std::size_t>(
+                  (i * T + t) * cfg.vocab + v)],
+              2e-3f)
+              << "width=" << width << " seq=" << i << " t=" << t
+              << " v=" << v;
+        }
+      }
     }
   }
 }
@@ -194,7 +213,7 @@ TEST(Sampler, StartsWithVssAndRespectsMaxLen) {
   SampleOptions opts;
   opts.max_len = 12;
   Rng srng(11);
-  const auto res = sample_sequence(model, tok, srng, opts);
+  const auto res = sample_batch(model, tok, srng, 1, opts).front();
   EXPECT_EQ(res.ids.front(), tok.start_token());
   EXPECT_LE(res.ids.size(), 12u);
   EXPECT_EQ(res.logprobs.size() >= res.ids.size() - 1, true);
@@ -206,8 +225,8 @@ TEST(Sampler, DeterministicGivenSeed) {
   const Tokenizer tok = small_tokenizer();
   TransformerLM model(ModelConfig::tiny(tok.vocab_size()), rng);
   Rng s1(77), s2(77);
-  const auto a = sample_sequence(model, tok, s1);
-  const auto b = sample_sequence(model, tok, s2);
+  const auto a = sample_batch(model, tok, s1, 1).front();
+  const auto b = sample_batch(model, tok, s2, 1).front();
   EXPECT_EQ(a.ids, b.ids);
 }
 
@@ -234,8 +253,8 @@ TEST(Sampler, TopKRestrictsSupport) {
   opts.max_len = 10;
   Rng s1(5), s2(99);
   // Greedy sampling is seed-independent.
-  const auto a = sample_sequence(model, tok, s1, opts);
-  const auto b = sample_sequence(model, tok, s2, opts);
+  const auto a = sample_batch(model, tok, s1, 1, opts).front();
+  const auto b = sample_batch(model, tok, s2, 1, opts).front();
   EXPECT_EQ(a.ids, b.ids);
 }
 

@@ -1,11 +1,11 @@
 // Quantized-inference suite (DESIGN.md "Kernel backends & quantized
 // inference"): QuantMatrix roundtrip error bounds (bf16 relative, int8
 // per-column-scale absolute) including zero-column and large-magnitude
-// edge cases, qgemm/qgemv vs the f32 kernels at the tier's analytic
-// error bound (weight rounding + activation quantization), fused-
-// epilogue equivalence, the gemm backend registry/dispatch counters,
-// and quantized-vs-f32 decode: width-invariance at widths 1/8/16 with
-// mid-stream slot refill, and logits tolerance against the f32 path.
+// edge cases, qgemm vs the f32 kernels at the tier's analytic error
+// bound (weight rounding + activation quantization), fused-epilogue
+// equivalence, the gemm backend registry/dispatch counters, and
+// quantized decode: width-invariance at widths 1/8/16 with mid-stream
+// slot refill, and logits tolerance against the training forward pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,27 +216,6 @@ TEST(QuantKernels, QgemmMatchesF32WithinTierTolerance) {
   }
 }
 
-TEST(QuantKernels, QgemvMatchesQgemmRowZero) {
-  constexpr std::size_t kIn = 128, kOut = 200;
-  const auto w = random_matrix(kIn * kOut, 31, 0.1f);
-  const auto x = random_matrix(kIn, 32);
-  const auto bias = random_matrix(kOut, 33, 0.05f);
-  for (const QuantKind kind : {QuantKind::kBf16, QuantKind::kInt8}) {
-    const auto qw = QuantMatrix::quantize(kind, w.data(), kIn, kOut);
-    for (const Epilogue ep :
-         {Epilogue::kNone, Epilogue::kBias, Epilogue::kBiasGelu}) {
-      std::vector<float> y1(kOut, -7.0f), yn(kOut, 7.0f);
-      qgemv(x.data(), qw, bias.data(), y1.data(), ep);
-      qgemm(x.data(), qw, bias.data(), yn.data(), 1, ep);
-      // qgemv IS the 1-row qgemm kernel, so this is bitwise, not merely
-      // within accumulation noise.
-      for (std::size_t j = 0; j < kOut; ++j) {
-        ASSERT_EQ(y1[j], yn[j]) << quant_kind_name(kind) << " col " << j;
-      }
-    }
-  }
-}
-
 TEST(QuantKernels, QgemmRowsIndependentOfBatchSize) {
   // Width-invariance at the kernel level: row r of an n-row qgemm is
   // bitwise the same as the single-row call (the per-row reduction order
@@ -351,14 +330,12 @@ TEST(GemmBackend, RegistrationValidatesAndDispatchCounts) {
                 std::size_t) {};
     dup.nt = dup.nn;
     dup.tn = dup.nn;
-    dup.gemv = [](const float*, const float*, const float*, float*,
-                  std::size_t, std::size_t) {};
     EXPECT_FALSE(register_gemm_backend(dup));
   }
 
-  // A minimal f32-only backend (no quantized entries): dispatch must
-  // route qgemm/qgemv through the dequant fallback + its f32 kernels,
-  // and bump its counter for every entry point.
+  // A minimal f32-only backend (no quantized entry): dispatch must
+  // route qgemm through the dequant fallback + its f32 gemm_nn, and
+  // bump its counter for every entry point.
   static int nn_calls = 0;
   GemmBackendOps null_ops;
   null_ops.name = "test-null";
@@ -377,14 +354,6 @@ TEST(GemmBackend, RegistrationValidatesAndDispatchCounts) {
                    std::size_t, std::size_t) {};
   null_ops.tn = [](const float*, const float*, float*, std::size_t,
                    std::size_t, std::size_t) {};
-  null_ops.gemv = [](const float* x, const float* w, const float* bias,
-                     float* y, std::size_t in, std::size_t out) {
-    for (std::size_t j = 0; j < out; ++j) {
-      float acc = bias != nullptr ? bias[j] : 0.0f;
-      for (std::size_t k = 0; k < in; ++k) acc += x[k] * w[k * out + j];
-      y[j] = acc;
-    }
-  };
   const bool first_run = register_gemm_backend(null_ops);
   if (!first_run) {
     // Re-registration in the same process (test repeated via --gtest_repeat)
@@ -417,9 +386,9 @@ TEST(GemmBackend, RegistrationValidatesAndDispatchCounts) {
   }
   EXPECT_LE(max_abs_diff(y_fb.data(), y_ref.data(), kOut), 1e-5f);
 
-  std::vector<float> yv(kOut);
-  qgemv(x.data(), qw, nullptr, yv.data(), Epilogue::kNone);
-  EXPECT_LE(max_abs_diff(yv.data(), y_ref.data(), kOut), 1e-5f);
+  std::vector<float> y_nn(kOut, 0.0f);
+  gemm_nn(x.data(), wq.data(), y_nn.data(), 1, kIn, kOut);
+  EXPECT_LE(max_abs_diff(y_nn.data(), y_ref.data(), kOut), 1e-5f);
 
   EXPECT_GE(c.value() - before, 2);  // one dispatch per entry point above
 
@@ -431,7 +400,7 @@ TEST(GemmBackend, RegistrationValidatesAndDispatchCounts) {
   const auto cpu_before =
       obs::counter("tensor.gemm_backend_dispatch.cpu").value();
   std::vector<float> y(kOut, 0.0f);
-  gemv(x.data(), w.data(), nullptr, y.data(), kIn, kOut);
+  gemm_nn(x.data(), w.data(), y.data(), 1, kIn, kOut);
   EXPECT_GE(obs::counter("tensor.gemm_backend_dispatch.cpu").value(),
             cpu_before + 1);
 }
@@ -442,6 +411,41 @@ nn::Tokenizer small_tokenizer() {
   return nn::Tokenizer({4, 4, 2, 2, 2, 2, 2, 2});
 }
 
+/// Logits for `seqs` (equal lengths) from the training forward pass:
+/// row (i * T + t) predicts the token after seqs[i][t]. The f32 oracle
+/// every decode tier is checked against.
+std::vector<float> forward_logits(const nn::TransformerLM& model,
+                                  const std::vector<std::vector<int>>& seqs) {
+  std::vector<int> flat;
+  for (const auto& s : seqs) flat.insert(flat.end(), s.begin(), s.end());
+  const auto logits = model.forward(flat, static_cast<int>(seqs.size()),
+                                    static_cast<int>(seqs[0].size()), false);
+  return {logits.data().begin(), logits.data().end()};
+}
+
+/// Width-1 decode logits for `seq`, one vocab row per step, concatenated.
+std::vector<float> decode_logits(const nn::TransformerLM& model,
+                                 const std::vector<int>& seq) {
+  auto cache = model.make_batched_cache(1);
+  std::vector<float> out, logits;
+  for (const int t : seq) {
+    model.infer_step_batched(cache, {0}, {t}, logits);
+    out.insert(out.end(), logits.begin(), logits.end());
+  }
+  return out;
+}
+
+struct Tier {
+  tensor::QuantKind kind;
+  float tol;
+};
+// Tolerance contract (DESIGN.md): bf16 ~ 2^-8 relative weight error
+// (+2^-9 activation rounding), int8 per-column absolute weight error
+// (+per-row activation quantization); both amplified by depth. These
+// bounds are the documented ones for tiny/bench-scale configs.
+constexpr Tier kTiers[] = {{QuantKind::kBf16, 5e-2f},
+                           {QuantKind::kInt8, 2e-1f}};
+
 TEST(QuantDecode, RepackedLogitsWithinToleranceOfF32) {
   const auto tok = small_tokenizer();
   Rng rng(60);
@@ -450,82 +454,65 @@ TEST(QuantDecode, RepackedLogitsWithinToleranceOfF32) {
   nn::TransformerLM model(cfg, rng);
 
   const std::vector<int> seq{2, 7, 11, 3, 19, 5, 8};
-  // f32 reference logits per step.
-  std::vector<std::vector<float>> ref;
-  {
-    auto cache = model.make_cache();
-    std::vector<float> logits;
-    for (int t : seq) {
-      model.infer_step(cache, t, logits);
-      ref.push_back(logits);
-    }
-  }
-  struct Tier {
-    tensor::QuantKind kind;
-    float tol;
-  };
-  // Tolerance contract (DESIGN.md): bf16 ~ 2^-8 relative weight error
-  // (+2^-9 activation rounding), int8 per-column absolute weight error
-  // (+per-row activation quantization); both amplified by depth. These
-  // bounds are the documented ones for tiny/bench-scale configs.
-  for (const Tier tier : {Tier{QuantKind::kBf16, 5e-2f},
-                          Tier{QuantKind::kInt8, 2e-1f}}) {
+  const auto oracle = forward_logits(model, {seq});
+  const auto f32 = decode_logits(model, seq);
+  ASSERT_EQ(f32.size(), oracle.size());
+  EXPECT_LE(max_abs_diff(f32.data(), oracle.data(), f32.size()), 2e-3f);
+  for (const Tier tier : kTiers) {
     model.set_inference_quant(tier.kind);
     EXPECT_EQ(model.inference_quant(), tier.kind);
-    auto cache = model.make_cache();
-    std::vector<float> logits;
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      model.infer_step(cache, seq[i], logits);
-      ASSERT_EQ(logits.size(), ref[i].size());
-      EXPECT_LE(max_abs_diff(logits.data(), ref[i].data(), logits.size()),
-                tier.tol)
-          << quant_kind_name(tier.kind) << " step " << i;
-    }
+    const auto got = decode_logits(model, seq);
+    ASSERT_EQ(got.size(), oracle.size());
+    EXPECT_LE(max_abs_diff(got.data(), oracle.data(), got.size()), tier.tol)
+        << quant_kind_name(tier.kind);
   }
   // kF32 restores the exact float path.
   model.set_inference_quant(QuantKind::kF32);
-  auto cache = model.make_cache();
-  std::vector<float> logits;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    model.infer_step(cache, seq[i], logits);
-    for (std::size_t j = 0; j < logits.size(); ++j) {
-      ASSERT_EQ(logits[j], ref[i][j]) << "step " << i << " logit " << j;
-    }
+  const auto restored = decode_logits(model, seq);
+  for (std::size_t j = 0; j < restored.size(); ++j) {
+    ASSERT_EQ(restored[j], f32[j]) << "logit " << j;
   }
 }
 
-TEST(QuantDecode, BatchedMatchesReferenceStepPathQuantized) {
-  // The batched and reference inference paths must stay exactly
-  // equivalent under quantization (same kernels, same per-row reduction
-  // order).
+TEST(QuantDecode, BatchedMatchesTrainingForwardQuantized) {
+  // Under each quantized tier, every row of a three-sequence batched
+  // step stays within the tier's tolerance of the training forward pass,
+  // and is bitwise the row the same sequence gets when stepped alone.
   const auto tok = small_tokenizer();
   Rng rng(61);
   nn::ModelConfig cfg = nn::ModelConfig::tiny(tok.vocab_size());
   cfg.n_layers = 2;
   nn::TransformerLM model(cfg, rng);
-  model.set_inference_quant(QuantKind::kInt8);
 
   const std::vector<std::vector<int>> seqs{
       {2, 7, 11, 3, 19}, {5, 5, 5, 5, 5}, {21, 2, 13, 17, 8}};
-  std::vector<nn::TransformerLM::Cache> ref_caches;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    ref_caches.push_back(model.make_cache());
-  }
-  auto bcache = model.make_batched_cache(static_cast<int>(seqs.size()));
-  std::vector<float> ref_logits, bat_logits;
+  const auto oracle = forward_logits(model, seqs);
+  const std::size_t T = seqs[0].size();
   const auto vocab = static_cast<std::size_t>(cfg.vocab);
-  for (std::size_t t = 0; t < seqs[0].size(); ++t) {
-    std::vector<int> slots, tokens;
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      slots.push_back(static_cast<int>(i));
-      tokens.push_back(seqs[i][t]);
-    }
-    model.infer_step_batched(bcache, slots, tokens, bat_logits);
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      model.infer_step(ref_caches[i], seqs[i][t], ref_logits);
-      for (std::size_t j = 0; j < vocab; ++j) {
-        ASSERT_FLOAT_EQ(ref_logits[j], bat_logits[i * vocab + j])
-            << "seq " << i << " step " << t << " logit " << j;
+  for (const Tier tier : kTiers) {
+    model.set_inference_quant(tier.kind);
+    auto bcache = model.make_batched_cache(static_cast<int>(seqs.size()));
+    std::vector<std::vector<float>> solo;
+    for (const auto& s : seqs) solo.push_back(decode_logits(model, s));
+    std::vector<float> bat_logits;
+    for (std::size_t t = 0; t < T; ++t) {
+      std::vector<int> slots, tokens;
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        slots.push_back(static_cast<int>(i));
+        tokens.push_back(seqs[i][t]);
+      }
+      model.infer_step_batched(bcache, slots, tokens, bat_logits);
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        const float* row = bat_logits.data() + i * vocab;
+        EXPECT_LE(max_abs_diff(row, oracle.data() + (i * T + t) * vocab,
+                               vocab),
+                  tier.tol)
+            << quant_kind_name(tier.kind) << " seq " << i << " step " << t;
+        for (std::size_t j = 0; j < vocab; ++j) {
+          ASSERT_EQ(row[j], solo[i][t * vocab + j])
+              << quant_kind_name(tier.kind) << " seq " << i << " step " << t
+              << " logit " << j;
+        }
       }
     }
   }
@@ -580,15 +567,11 @@ TEST(QuantDecode, LoadFromRefreshesQuantizedWeights) {
   // b's weights — not the stale snapshot of a's old ones.
   a.load_from(b);
   b.set_inference_quant(QuantKind::kInt8);
-  auto ca = a.make_cache(), cb = b.make_cache();
-  std::vector<float> la, lb;
-  for (const int t : {2, 9, 4}) {
-    a.infer_step(ca, t, la);
-    b.infer_step(cb, t, lb);
-    ASSERT_EQ(la.size(), lb.size());
-    for (std::size_t j = 0; j < la.size(); ++j) {
-      ASSERT_EQ(la[j], lb[j]) << "logit " << j;
-    }
+  const auto la = decode_logits(a, {2, 9, 4});
+  const auto lb = decode_logits(b, {2, 9, 4});
+  ASSERT_EQ(la.size(), lb.size());
+  for (std::size_t j = 0; j < la.size(); ++j) {
+    ASSERT_EQ(la[j], lb[j]) << "logit " << j;
   }
 }
 

@@ -255,24 +255,36 @@ TEST(Gemm, KernelsAccumulateIntoC) {
     EXPECT_NEAR(twice[i], 2.0f * once[i] - 1.0f, 1e-3f);
 }
 
-TEST(Gemm, GemvMatchesGemmRow) {
+TEST(Gemm, OneRowMatchesCohortRow) {
+  // gemm_nn's M == 1 case runs its own kernel. It must reduce in the
+  // tiled kernel's K-panel order, so a row computed alone is bitwise the
+  // row of a 9-row call (one full 8-row tile plus a ragged one) at every
+  // K, including K past one 256-wide panel. C starts non-zero because
+  // gemm_nn accumulates into it.
   Rng rng(101);
-  for (std::size_t in : {1u, 7u, 64u, 130u}) {
-    for (std::size_t out : {1u, 9u, 64u, 200u}) {
-      const auto x = random_mat(1, in, rng);
-      const auto w = random_mat(in, out, rng);
-      const auto b = random_mat(1, out, rng);
-      std::vector<float> ref(out, 0.0f), y(out, -1.0f);
-      for (std::size_t k = 0; k < in; ++k)
-        for (std::size_t j = 0; j < out; ++j) ref[j] += x[k] * w[k * out + j];
-      gemv(x.data(), w.data(), nullptr, y.data(), in, out);
-      for (std::size_t j = 0; j < out; ++j)
-        ASSERT_NEAR(y[j], ref[j], 1e-4f * static_cast<float>(in) + 1e-5f)
-            << "in=" << in << " out=" << out << " @" << j;
-      gemv(x.data(), w.data(), b.data(), y.data(), in, out);
-      for (std::size_t j = 0; j < out; ++j)
-        ASSERT_NEAR(y[j], ref[j] + b[j], 1e-4f * static_cast<float>(in) + 1e-5f)
-            << "bias in=" << in << " out=" << out << " @" << j;
+  constexpr std::size_t kRows = 9;
+  for (std::size_t K : {1u, 7u, 255u, 256u, 257u, 769u}) {
+    for (std::size_t N : {1u, 31u, 32u, 33u, 64u, 65u, 200u}) {
+      const auto A = random_mat(kRows, K, rng);
+      const auto B = random_mat(K, N, rng);
+      const auto c0 = random_mat(1, N, rng);
+      std::vector<float> cohort(kRows * N);
+      for (std::size_t r = 0; r < kRows; ++r)
+        std::copy(c0.begin(), c0.end(), cohort.begin() + r * N);
+      gemm_nn(A.data(), B.data(), cohort.data(), kRows, K, N);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        std::vector<float> solo(c0), ref(c0);
+        gemm_nn(A.data() + r * K, B.data(), solo.data(), 1, K, N);
+        for (std::size_t k = 0; k < K; ++k)
+          for (std::size_t j = 0; j < N; ++j)
+            ref[j] += A[r * K + k] * B[k * N + j];
+        for (std::size_t j = 0; j < N; ++j) {
+          ASSERT_EQ(solo[j], cohort[r * N + j])
+              << "K=" << K << " N=" << N << " row " << r << " @" << j;
+          ASSERT_NEAR(solo[j], ref[j], 1e-4f * static_cast<float>(K) + 1e-5f)
+              << "K=" << K << " N=" << N << " row " << r << " @" << j;
+        }
+      }
     }
   }
 }
