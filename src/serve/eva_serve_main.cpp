@@ -7,6 +7,7 @@
 // Environment:
 //   EVA_SERVE_PORT          listen port (default 7077; 0 = ephemeral)
 //   EVA_SERVE_QUEUE_MAX     admission queue bound (default 64)
+//   EVA_SERVE_IDLE_MS       per-connection idle read timeout
 //   EVA_QUANT               inference weight tier: f32 (default) | bf16 | int8
 //   EVA_GEMM_BACKEND        kernel backend the GEMMs dispatch to (cpu)
 //   EVA_SURROGATE           1 = enable the learned FoM pre-filter
@@ -58,6 +59,7 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig scfg;
   scfg.port = env_int("EVA_SERVE_PORT", 7077);
+  scfg.idle_ms = serve::idle_ms_from_env(0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") scfg.port = std::atoi(argv[i + 1]);

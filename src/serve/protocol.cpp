@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/json.hpp"
 
@@ -188,6 +190,16 @@ std::optional<circuit::CircuitType> parse_type(std::string_view name) {
   return std::nullopt;
 }
 
+/// Wire numbers are doubles, and converting one outside the target
+/// type's range is undefined: clamp first. NaN maps to the minimum.
+template <class Int>
+Int clamp_cast(double v) {
+  using Lim = std::numeric_limits<Int>;
+  if (!(v > static_cast<double>(Lim::min()))) return Lim::min();
+  if (v >= static_cast<double>(Lim::max()) + 1.0) return Lim::max();
+  return static_cast<Int>(v);
+}
+
 std::optional<Priority> parse_priority(std::string_view name) {
   if (name == "high") return Priority::kHigh;
   if (name == "normal") return Priority::kNormal;
@@ -228,7 +240,7 @@ std::optional<ParsedLine> parse_line(std::string_view line,
         field_err = "unknown circuit type: " + f.str;
       }
     } else if (f.key == "n" && f.kind == Kind::kNumber) {
-      req.n = static_cast<int>(f.num);
+      req.n = clamp_cast<int>(f.num);
     } else if (f.key == "temperature" && f.kind == Kind::kNumber) {
       req.temperature = static_cast<float>(f.num);
     } else if (f.key == "deadline_ms" && f.kind == Kind::kNumber) {
@@ -240,7 +252,9 @@ std::optional<ParsedLine> parse_line(std::string_view line,
         field_err = "unknown priority: " + f.str;
       }
     } else if (f.key == "seed" && f.kind == Kind::kNumber) {
-      req.seed = f.num < 0 ? 0 : static_cast<std::uint64_t>(f.num);
+      // Negative seeds select the service stream (0). Seeds at or above
+      // 2^64 saturate, so a client asking for a fixed seed gets one.
+      req.seed = clamp_cast<std::uint64_t>(f.num);
     }
     // Unknown keys are ignored (forward compatibility).
   });

@@ -1,16 +1,12 @@
 #include "serve/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -22,20 +18,11 @@ namespace eva::serve {
 
 namespace {
 
-constexpr int kPollMs = 100;  // stop-flag observation granularity
 using Clock = std::chrono::steady_clock;
 
 std::chrono::steady_clock::duration ms_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
-}
-
-/// Sleep `ms`, waking every 20 ms to observe `stop`.
-void interruptible_sleep(double ms, const std::atomic<bool>& stop) {
-  const auto until = Clock::now() + ms_duration(ms);
-  while (Clock::now() < until && !stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
 }
 
 bool split_addr(std::string_view addr, std::string* host, int* port) {
@@ -271,7 +258,11 @@ struct Router::CancelToken {
   }
 };
 
-Router::Router(RouterConfig cfg) : cfg_(std::move(cfg)) {
+Router::Router(RouterConfig cfg)
+    : cfg_(std::move(cfg)),
+      lines_("router", cfg_.bind_addr, cfg_.port, cfg_.idle_ms, [this] {
+        if (prober_.joinable()) prober_.join();
+      }) {
   std::vector<std::size_t> members;
   for (const std::string& b : cfg_.backends) {
     std::string host;
@@ -300,80 +291,22 @@ Router::Router(RouterConfig cfg) : cfg_(std::move(cfg)) {
 Router::~Router() { stop(); }
 
 int Router::listen_and_start() {
-  net::ignore_sigpipe();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw ConfigError(std::string("router: socket() failed: ") +
-                      std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.port));
-  if (::inet_pton(AF_INET, cfg_.bind_addr.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("router: bad bind address: " + cfg_.bind_addr);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("router: cannot listen on " + cfg_.bind_addr + ":" +
-                      std::to_string(cfg_.port) + ": " + why);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port_ = ntohs(bound.sin_port);
-
-  acceptor_ = std::thread([this] { accept_loop(); });
+  const int port = lines_.start([this](int fd) -> LineServer::LineHandler {
+    return std::bind_front(&Router::answer, this, fd);
+  });
   prober_ = std::thread([this] { health_loop(); });
-  obs::log_info("router.listening",
-                {{"addr", cfg_.bind_addr},
-                 {"port", bound_port_},
-                 {"backends", static_cast<std::int64_t>(replicas_.size())},
-                 {"cache", cfg_.cache_addr}});
-  return bound_port_;
+  return port;
 }
 
 void Router::run() {
-  while (!stopping_.load() && !train::stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
-  }
+  lines_.run();
   stop();
 }
 
 void Router::stop() {
-  std::call_once(stop_once_, [this] {
-    stopping_.store(true);
-    if (acceptor_.joinable()) acceptor_.join();
-    if (prober_.joinable()) prober_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    std::vector<std::thread> handlers;
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      handlers.swap(handlers_);
-    }
-    for (auto& t : handlers) {
-      if (t.joinable()) t.join();
-    }
-    {
-      std::lock_guard<std::mutex> lk(cache_mu_);
-      cache_drop_locked();
-    }
-    obs::log_info("router.stopped");
-  });
+  lines_.stop();
+  std::lock_guard<std::mutex> lk(cache_mu_);
+  cache_drop_locked();
 }
 
 std::vector<Router::ReplicaSnapshot> Router::replica_snapshots() const {
@@ -391,25 +324,10 @@ std::vector<Router::ReplicaSnapshot> Router::replica_snapshots() const {
   return out;
 }
 
-void Router::accept_loop() {
-  static obs::Counter& accepted = obs::counter("router.connections");
-  while (!stopping_.load() && !train::stop_requested()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    accepted.add();
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    open_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
-
 void Router::health_loop() {
-  while (!stopping_.load() && !train::stop_requested()) {
+  while (!lines_.stopping() && !train::stop_requested()) {
     for (auto& r : replicas_) {
-      if (stopping_.load()) break;
+      if (lines_.stopping()) break;
       // allow() doubles as the open -> half-open transition: the prober
       // is the half-open trial, so a replica recovers without waiting
       // for data traffic to gamble on it.
@@ -425,7 +343,7 @@ void Router::health_loop() {
         note_failure(*r);
       }
     }
-    interruptible_sleep(cfg_.health_interval_ms, stopping_);
+    lines_.pause(cfg_.health_interval_ms);
   }
 }
 
@@ -462,80 +380,34 @@ void Router::note_failure(Replica& r) {
   }
 }
 
-void Router::handle_connection(int fd) {
+bool Router::answer(int fd, const std::string& line,
+                    const ParsedLine& parsed) {
   static obs::Counter& requests = obs::counter("router.requests");
   static obs::Counter& shed = obs::counter("router.shed");
   static obs::SlidingHistogram& dispatch_h =
       obs::sliding_histogram("router.dispatch_ms");
-  std::string buf;
-  char chunk[4096];
-  bool open = true;
-  auto last_activity = Clock::now();
-  while (open && !stopping_.load()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) {
-      if (cfg_.idle_ms > 0.0 &&
-          std::chrono::duration<double, std::milli>(Clock::now() -
-                                                    last_activity)
-                  .count() > cfg_.idle_ms) {
-        obs::counter("router.idle_timeouts").add();
-        break;
-      }
-      continue;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    last_activity = Clock::now();
-    buf.append(chunk, static_cast<std::size_t>(n));
-    if (buf.size() > 1 << 20) break;
-
-    std::size_t nl;
-    while (open && (nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-
-      std::string err;
-      const auto parsed = parse_line(line, &err);
-      if (!parsed) {
-        open = net::send_line(fd, bad_request_json(err));
-        continue;
-      }
-      if (parsed->kind == ParsedLine::Kind::kStats) {
-        open = net::send_line(fd, stats_json());
-        continue;
-      }
-      if (parsed->kind != ParsedLine::Kind::kGenerate) {
-        open = net::send_line(
-            fd, bad_request_json("cache commands are answered by the sidecar"));
-        continue;
-      }
-      requests.add();
-      // Load shedding: above max_inflight the router answers with clean
-      // backpressure immediately instead of queueing behind a congested
-      // fleet — the client's retry policy takes it from there.
-      if (inflight_.load() >= static_cast<long>(cfg_.max_inflight)) {
-        shed.add();
-        open = net::send_line(fd, shed_json(cfg_.shed_retry_after_ms));
-        continue;
-      }
-      inflight_.fetch_add(1);
-      const auto t0 = Clock::now();
-      std::string payload = dispatch(*parsed, line);
-      dispatch_h.record(
-          std::chrono::duration<double, std::milli>(Clock::now() - t0)
-              .count());
-      inflight_.fetch_sub(1);
-      open = net::send_all(fd, payload);
-    }
+  if (parsed.kind == ParsedLine::Kind::kStats) {
+    return net::send_line(fd, stats_json());
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  open_fds_.erase(std::remove(open_fds_.begin(), open_fds_.end(), fd),
-                  open_fds_.end());
+  if (parsed.kind != ParsedLine::Kind::kGenerate) {
+    return net::send_line(
+        fd, bad_request_json("cache commands are answered by the sidecar"));
+  }
+  requests.add();
+  // Load shedding: above max_inflight the router answers with clean
+  // backpressure immediately instead of queueing behind a congested
+  // fleet — the client's retry policy takes it from there.
+  if (inflight_.load() >= static_cast<long>(cfg_.max_inflight)) {
+    shed.add();
+    return net::send_line(fd, shed_json(cfg_.shed_retry_after_ms));
+  }
+  inflight_.fetch_add(1);
+  const auto t0 = Clock::now();
+  std::string payload = dispatch(parsed, line);
+  dispatch_h.record(
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  inflight_.fetch_sub(1);
+  return net::send_all(fd, payload);
 }
 
 std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) {
@@ -689,8 +561,7 @@ std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) 
     last = std::move(o);
     if (attempt < cfg_.max_attempts) {
       retries.add();
-      interruptible_sleep(
-          cfg_.backoff.delay_ms(attempt, cfg_.seed ^ rk), stopping_);
+      lines_.pause(cfg_.backoff.delay_ms(attempt, cfg_.seed ^ rk));
     }
   }
 

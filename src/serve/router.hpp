@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "serve/backoff.hpp"
+#include "serve/line_server.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 
@@ -154,7 +155,7 @@ class Router {
   /// Stop accepting, shut open connections, join all threads. Idempotent.
   void stop();
 
-  [[nodiscard]] int port() const { return bound_port_; }
+  [[nodiscard]] int port() const { return lines_.port(); }
 
   /// Live per-replica view for tests and the stats command.
   struct ReplicaSnapshot {
@@ -185,9 +186,9 @@ class Router {
   struct ForwardOutcome;
   struct CancelToken;
 
-  void accept_loop();
   void health_loop();
-  void handle_connection(int fd);
+  /// Answer one parsed client line on `fd`; false hangs up.
+  bool answer(int fd, const std::string& line, const ParsedLine& parsed);
   /// Serve one parsed generation request end-to-end; returns the full
   /// multi-line payload to write to the client.
   [[nodiscard]] std::string dispatch(const ParsedLine& parsed,
@@ -209,17 +210,8 @@ class Router {
   RouterConfig cfg_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::unique_ptr<HashRing> ring_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> spread_{0};   // ring spread for unseeded requests
   std::atomic<long> inflight_{0};          // client requests being served
-  std::thread acceptor_;
-  std::thread prober_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
 
   // Sidecar client: one persistent connection, mutex-serialized (the
   // round trips are tiny loopback exchanges). Failures drop the
@@ -227,6 +219,10 @@ class Router {
   std::mutex cache_mu_;
   int cache_fd_ = -1;
   std::unique_ptr<net::LineReader> cache_reader_;
+
+  // Last: their threads use everything above.
+  LineServer lines_;
+  std::thread prober_;
 };
 
 /// Parse "host:port[,host:port...]" (EVA_ROUTER_BACKENDS). Entries

@@ -1,17 +1,10 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <thread>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -19,16 +12,11 @@
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/stats.hpp"
-#include "serve/timeline.hpp"
-#include "train/signal.hpp"
-#include "util/error.hpp"
 #include "util/fault.hpp"
 
 namespace eva::serve {
 
 namespace {
-
-constexpr int kPollMs = 100;  // stop-flag observation granularity
 
 /// Write all of `data` (EINTR/EAGAIN/partial-write safe via
 /// net::send_all). Under the serve_slow_client fault the payload
@@ -69,231 +57,98 @@ double idle_ms_from_env(double fallback) {
 }
 
 JsonLineServer::JsonLineServer(GenerationService& service, ServerConfig cfg)
-    : service_(&service), cfg_(std::move(cfg)) {}
+    : service_(&service),
+      // Admitted work completes before the sockets carrying it are torn
+      // down: drain between "stop accepting" and "close connections".
+      lines_("serve", std::move(cfg.bind_addr), cfg.port, cfg.idle_ms,
+             [this] { service_->drain(); }) {}
 
 JsonLineServer::~JsonLineServer() { stop(); }
 
 int JsonLineServer::listen_and_start() {
-  net::ignore_sigpipe();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw ConfigError(std::string("serve: socket() failed: ") +
-                      std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.port));
-  if (::inet_pton(AF_INET, cfg_.bind_addr.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("serve: bad bind address: " + cfg_.bind_addr);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("serve: cannot listen on " + cfg_.bind_addr + ":" +
-                      std::to_string(cfg_.port) + ": " + why);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port_ = ntohs(bound.sin_port);
-
-  service_->start();
-  acceptor_ = std::thread([this] { accept_loop(); });
-  obs::log_info("serve.listening",
-                {{"addr", cfg_.bind_addr}, {"port", bound_port_}});
-  return bound_port_;
-}
-
-void JsonLineServer::run() {
-  while (!stopping_.load() && !train::stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
-  }
-  stop();
-}
-
-void JsonLineServer::stop() {
-  std::call_once(stop_once_, [this] {
-    stopping_.store(true);
-    if (acceptor_.joinable()) acceptor_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // Admitted work completes before the sockets carrying it are torn
-    // down: drain first, then shut the remaining connections so their
-    // handler threads observe EOF and exit.
-    service_->drain();
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    std::vector<std::thread> handlers;
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      handlers.swap(handlers_);
-    }
-    for (auto& t : handlers) {
-      if (t.joinable()) t.join();
-    }
-    obs::log_info("serve.stopped");
-  });
-}
-
-void JsonLineServer::accept_loop() {
-  static obs::Counter& accepted = obs::counter("serve.connections");
-  static obs::Counter& dropped = obs::counter("serve.accept_faults");
-  while (!stopping_.load() && !train::stop_requested()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc <= 0) continue;  // timeout or EINTR: re-check stop flags
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+  service_->start();  // before the first connection can submit to it
+  return lines_.start([this](int fd) -> LineServer::LineHandler {
+    static obs::Counter& dropped = obs::counter("serve.accept_faults");
     if (fault::enabled() && fault::should_fire("serve_accept")) {
       // Injected accept failure: the client sees an immediate close and
       // must retry — exercises client reconnect paths.
       dropped.add();
-      ::close(fd);
-      continue;
+      return {};
     }
-    accepted.add();
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    open_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handle_connection(fd); });
-  }
+    const bool slow =
+        fault::enabled() && fault::should_fire("serve_slow_client");
+    return std::bind_front(&JsonLineServer::answer, this, fd, slow);
+  });
 }
 
-void JsonLineServer::handle_connection(int fd) {
-  static obs::Counter& idle_c = obs::counter("serve.idle_timeouts");
-  const bool slow =
-      fault::enabled() && fault::should_fire("serve_slow_client");
-  std::string buf;
-  char chunk[4096];
-  bool open = true;
-  auto last_activity = std::chrono::steady_clock::now();
-  while (open && !stopping_.load()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) {
-      // A stalled client must not pin this handler thread forever: no
-      // bytes for idle_ms closes the connection.
-      if (cfg_.idle_ms > 0.0 &&
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - last_activity)
-                  .count() > cfg_.idle_ms) {
-        idle_c.add();
-        obs::log_every_n(obs::LogLevel::kWarn, "serve.idle_timeout", 10,
-                         {{"idle_ms", cfg_.idle_ms}});
-        break;
-      }
-      continue;
+void JsonLineServer::run() { lines_.run(); }
+
+void JsonLineServer::stop() { lines_.stop(); }
+
+bool JsonLineServer::answer(int fd, bool slow, const std::string&,
+                            const ParsedLine& parsed) {
+  if (parsed.kind == ParsedLine::Kind::kStats) {
+    // Introspection: answered inline from the metrics registry and the
+    // service's live state — never queued behind generation.
+    return send_line(fd, stats_response_json(*service_), slow);
+  }
+  if (parsed.kind != ParsedLine::Kind::kGenerate) {
+    return send_line(
+        fd, bad_request_json("cache commands are answered by the sidecar"),
+        slow);
+  }
+  // Network fault sites, fired per generation request so occurrence
+  // counting is deterministic (the router's failover, the chaos gate,
+  // and test_router all key off these):
+  //   replica_crash      the whole process dies, as under SIGKILL
+  //   serve_conn_drop    hang up without answering
+  //   serve_stall        sit on the request, then answer normally
+  if (fault::enabled()) {
+    if (fault::should_fire("replica_crash")) {
+      obs::log_warn("fault.replica_crash_exit");
+      std::_Exit(137);
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // EOF or error: client is gone
-    last_activity = std::chrono::steady_clock::now();
-    buf.append(chunk, static_cast<std::size_t>(n));
-    if (buf.size() > 1 << 20) break;  // pathological line: hang up
-
-    std::size_t nl;
-    while (open && (nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-
-      std::string err;
-      const auto parsed = parse_line(line, &err);
-      if (!parsed) {
-        open = send_line(fd, bad_request_json(err), slow);
-        continue;
-      }
-      if (parsed->kind == ParsedLine::Kind::kStats) {
-        // Introspection: answered inline from the metrics registry and
-        // the service's live state — never queued behind generation.
-        open = send_line(fd, stats_response_json(*service_), slow);
-        continue;
-      }
-      if (parsed->kind != ParsedLine::Kind::kGenerate) {
-        open = send_line(
-            fd, bad_request_json("cache commands are answered by the sidecar"),
-            slow);
-        continue;
-      }
-      // Network fault sites, fired per generation request so occurrence
-      // counting is deterministic (the router's failover, the chaos
-      // gate, and test_router all key off these):
-      //   replica_crash      the whole process dies, as under SIGKILL
-      //   serve_conn_drop    hang up without answering
-      //   serve_stall        sit on the request, then answer normally
-      if (fault::enabled()) {
-        if (fault::should_fire("replica_crash")) {
-          obs::log_warn("fault.replica_crash_exit");
-          std::_Exit(137);
-        }
-        if (fault::should_fire("serve_conn_drop")) {
+    if (fault::should_fire("serve_conn_drop")) return false;
+    if (fault::should_fire("serve_stall")) {
+      lines_.pause(env_ms("EVA_SERVE_STALL_FAULT_MS", 2000.0));
+    }
+  }
+  auto ticket = service_->submit(parsed.req);
+  Response resp = ticket.response.get();
+  // The response-write stage closes the request timeline: measured here
+  // (the only place that sees the socket), recorded into the
+  // serve.stage.write_ms window and the request's Perfetto lane.
+  static obs::SlidingHistogram& write_h =
+      obs::sliding_histogram("serve.stage.write_ms");
+  const auto w0 = std::chrono::steady_clock::now();
+  bool open = true;
+  {
+    obs::Span write_span("serve.request.write", ticket.id);
+    // serve_partial_write: truncate the first response line mid-byte and
+    // hang up — the reader must treat the torn line as a transport
+    // failure, never as a parseable response.
+    if (fault::enabled() && fault::should_fire("serve_partial_write")) {
+      const std::string first = resp.items.empty()
+                                    ? done_to_json(resp)
+                                    : item_to_json(resp.items[0], ticket.id);
+      (void)write_all(fd, std::string_view(first).substr(0, first.size() / 2),
+                      slow);
+      open = false;
+    }
+    if (open) {
+      for (const Item& item : resp.items) {
+        if (!send_line(fd, item_to_json(item, ticket.id), slow)) {
           open = false;
           break;
         }
-        if (fault::should_fire("serve_stall")) {
-          const double stall_ms = env_ms("EVA_SERVE_STALL_FAULT_MS", 2000.0);
-          const auto until =
-              std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(stall_ms));
-          while (std::chrono::steady_clock::now() < until &&
-                 !stopping_.load()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
-        }
       }
-      auto ticket = service_->submit(parsed->req);
-      Response resp = ticket.response.get();
-      // The response-write stage closes the request timeline: measured
-      // here (the only place that sees the socket), recorded into the
-      // serve.stage.write_ms window and the request's Perfetto lane.
-      static obs::SlidingHistogram& write_h =
-          obs::sliding_histogram("serve.stage.write_ms");
-      const auto w0 = std::chrono::steady_clock::now();
-      {
-        obs::Span write_span("serve.request.write", ticket.id);
-        // serve_partial_write: truncate the first response line mid-byte
-        // and hang up — the reader must treat the torn line as a
-        // transport failure, never as a parseable response.
-        if (fault::enabled() && fault::should_fire("serve_partial_write")) {
-          const std::string first = resp.items.empty()
-                                        ? done_to_json(resp)
-                                        : item_to_json(resp.items[0], ticket.id);
-          (void)write_all(fd, std::string_view(first).substr(0, first.size() / 2),
-                          slow);
-          open = false;
-        }
-        if (open) {
-          for (const Item& item : resp.items) {
-            if (!send_line(fd, item_to_json(item, ticket.id), slow)) {
-              open = false;
-              break;
-            }
-          }
-        }
-        if (open) open = send_line(fd, done_to_json(resp), slow);
-      }
-      write_h.record(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - w0)
-                         .count());
     }
+    if (open) open = send_line(fd, done_to_json(resp), slow);
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  open_fds_.erase(std::remove(open_fds_.begin(), open_fds_.end(), fd),
-                  open_fds_.end());
+  write_h.record(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - w0)
+                     .count());
+  return open;
 }
 
 }  // namespace eva::serve

@@ -1,27 +1,24 @@
-// Minimal TCP JSON-lines front end for GenerationService (DESIGN.md
-// §10).
+// The replica's JSON-lines TCP front end for GenerationService
+// (DESIGN.md §10).
 //
-// One acceptor thread polls the listening socket (100 ms granularity so
-// a SIGTERM via train/signal is observed promptly); each accepted
-// connection gets its own handler thread that reads request lines,
-// submits them to the service, and streams the response items followed
-// by a terminator line (see serve/protocol.hpp). Connections are served
-// request-at-a-time — the concurrency story lives in the service queue,
-// not in the socket layer.
+// The socket layer (accept loop, a thread per connection, framing,
+// parsing, the idle timeout, ordered stop) is the shared LineServer
+// (serve/line_server.hpp); this class adds only the replica's answers.
+// Each connection is served request-at-a-time: a request line is
+// submitted to the service and its response items are streamed back,
+// followed by a terminator line (see serve/protocol.hpp). The
+// concurrency story lives in the service queue, not in the socket
+// layer.
 //
-// Shutdown: stop() (or SIGTERM observed by run()) closes the listener,
-// wakes every handler, drains the service (completing all admitted
-// requests), and joins all threads.
-//
-// Robustness: SIGPIPE is ignored process-wide (net::ignore_sigpipe), all
-// socket writes absorb EINTR/EAGAIN and partial writes (net::send_all),
-// and a connection that sends no bytes for idle_ms (EVA_SERVE_IDLE_MS)
-// is closed so a stalled client cannot pin a handler thread forever.
+// Shutdown: stop() (or SIGTERM observed by run()) stops accepting,
+// drains the service (completing all admitted requests), then closes
+// the remaining connections and joins their threads.
 //
 // Fault sites (EVA_FAULT, util/fault.hpp): `serve_accept` drops a
-// freshly accepted connection; `serve_slow_client` trickles a response
-// out in tiny chunks; `serve_conn_drop` hangs up after reading a
-// request without answering; `serve_partial_write` emits a truncated
+// freshly accepted connection; `serve_slow_client` trickles a
+// connection's responses out in tiny chunks (both drawn on the
+// acceptor, in accept order); `serve_conn_drop` hangs up after reading
+// a request without answering; `serve_partial_write` emits a truncated
 // response line then hangs up; `serve_stall` sits on a request for
 // EVA_SERVE_STALL_FAULT_MS before answering; `replica_crash` kills the
 // whole process (_Exit — what a SIGKILL looks like to peers). The last
@@ -29,19 +26,15 @@
 // deterministically in tests and in the chaos gate.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "serve/line_server.hpp"
 #include "serve/service.hpp"
 
 namespace eva::serve {
 
 /// Parse EVA_SERVE_IDLE_MS (fractional milliseconds; unset/invalid ->
-/// `fallback`). Exposed for the ServerConfig default initializer.
+/// `fallback`). Each tier's main copies it into its config's idle_ms.
 [[nodiscard]] double idle_ms_from_env(double fallback);
 
 struct ServerConfig {
@@ -49,8 +42,8 @@ struct ServerConfig {
   int port = 7077;  // 0 = ephemeral (bound port returned by listen_and_start)
   /// Per-connection idle read timeout: a connection that delivers no
   /// bytes for this long is closed (serve.idle_timeouts counter). 0
-  /// disables. EVA_SERVE_IDLE_MS overrides.
-  double idle_ms = idle_ms_from_env(0.0);
+  /// disables. eva_serve_main reads it from EVA_SERVE_IDLE_MS.
+  double idle_ms = 0.0;
 };
 
 class JsonLineServer {
@@ -74,22 +67,15 @@ class JsonLineServer {
   /// threads. Idempotent and thread-safe.
   void stop();
 
-  [[nodiscard]] int port() const { return bound_port_; }
+  [[nodiscard]] int port() const { return lines_.port(); }
 
  private:
-  void accept_loop();
-  void handle_connection(int fd);
+  /// Answer one parsed line on `fd`; false hangs up.
+  bool answer(int fd, bool slow, const std::string& line,
+              const ParsedLine& parsed);
 
   GenerationService* service_;
-  ServerConfig cfg_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
+  LineServer lines_;
 };
 
 }  // namespace eva::serve

@@ -137,12 +137,15 @@ GenerationService::Ticket GenerationService::submit(Request req) {
   p->req = req;
   p->admitted = std::chrono::steady_clock::now();
   if (req.deadline_ms > 0.0) {
+    // Capped at ~31 years: a wire deadline can be any double, and the
+    // clock's nanosecond count overflows past ~292 years.
+    constexpr double kMaxDeadlineMs = 1e12;
     p->has_deadline = true;
     p->deadline =
         p->admitted + std::chrono::duration_cast<
                           std::chrono::steady_clock::duration>(
                           std::chrono::duration<double, std::milli>(
-                              req.deadline_ms));
+                              std::min(req.deadline_ms, kMaxDeadlineMs)));
   }
 
   Ticket t;

@@ -1,29 +1,16 @@
 #include "serve/sidecar.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
+#include <functional>
 
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
-#include "train/signal.hpp"
-#include "util/error.hpp"
 
 namespace eva::serve {
 
 namespace {
-
-constexpr int kPollMs = 100;
 
 // Responses echo the key so clients (the router) can parse them with the
 // same parse_line grammar used for requests.
@@ -58,181 +45,65 @@ std::string put_json(bool stored) {
 
 }  // namespace
 
-CacheSidecar::CacheSidecar(SidecarConfig cfg) : cfg_(std::move(cfg)) {}
+CacheSidecar::CacheSidecar(SidecarConfig cfg)
+    : cfg_(std::move(cfg)),
+      lines_("cache", cfg_.bind_addr, cfg_.port, cfg_.idle_ms) {}
 
 CacheSidecar::~CacheSidecar() { stop(); }
 
 int CacheSidecar::listen_and_start() {
-  net::ignore_sigpipe();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw ConfigError(std::string("cache sidecar: socket() failed: ") +
-                      std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(cfg_.port));
-  if (::inet_pton(AF_INET, cfg_.bind_addr.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("cache sidecar: bad bind address: " + cfg_.bind_addr);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 64) < 0) {
-    const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw ConfigError("cache sidecar: cannot listen on " + cfg_.bind_addr +
-                      ":" + std::to_string(cfg_.port) + ": " + why);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port_ = ntohs(bound.sin_port);
-  acceptor_ = std::thread([this] { accept_loop(); });
-  obs::log_info("cache.listening",
-                {{"addr", cfg_.bind_addr}, {"port", bound_port_}});
-  return bound_port_;
-}
-
-void CacheSidecar::run() {
-  while (!stopping_.load() && !train::stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
-  }
-  stop();
-}
-
-void CacheSidecar::stop() {
-  std::call_once(stop_once_, [this] {
-    stopping_.store(true);
-    if (acceptor_.joinable()) acceptor_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    std::vector<std::thread> handlers;
-    {
-      std::lock_guard<std::mutex> lk(conn_mu_);
-      handlers.swap(handlers_);
-    }
-    for (auto& t : handlers) {
-      if (t.joinable()) t.join();
-    }
-    obs::log_info("cache.stopped");
+  return lines_.start([this](int fd) -> LineServer::LineHandler {
+    return std::bind_front(&CacheSidecar::answer, this, fd);
   });
 }
 
-void CacheSidecar::accept_loop() {
-  while (!stopping_.load() && !train::stop_requested()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    obs::counter("cache.connections").add();
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    open_fds_.push_back(fd);
-    handlers_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
+void CacheSidecar::run() { lines_.run(); }
 
-void CacheSidecar::handle_connection(int fd) {
+void CacheSidecar::stop() { lines_.stop(); }
+
+bool CacheSidecar::answer(int fd, const std::string&, ParsedLine& parsed) {
   static obs::Counter& hits = obs::counter("cache.hits");
   static obs::Counter& misses = obs::counter("cache.misses");
   static obs::Counter& puts = obs::counter("cache.puts");
   static obs::Counter& refused = obs::counter("cache.put_refused");
-  std::string buf;
-  char chunk[4096];
-  bool open = true;
-  auto last_activity = std::chrono::steady_clock::now();
-  while (open && !stopping_.load()) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollMs);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) {
-      if (cfg_.idle_ms > 0.0 &&
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - last_activity)
-                  .count() > cfg_.idle_ms) {
-        break;
+  switch (parsed.kind) {
+    case ParsedLine::Kind::kCacheGet: {
+      std::string value;
+      if (get(parsed.key, &value)) {
+        hits.add();
+        return net::send_line(fd, hit_json(parsed.key, value));
       }
-      continue;
+      misses.add();
+      return net::send_line(fd, miss_json(parsed.key));
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    last_activity = std::chrono::steady_clock::now();
-    buf.append(chunk, static_cast<std::size_t>(n));
-    if (buf.size() > 1 << 20) break;
-
-    std::size_t nl;
-    while (open && (nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-
-      std::string err;
-      auto parsed = parse_line(line, &err);
-      if (!parsed) {
-        open = net::send_line(fd, bad_request_json(err));
-        continue;
+    case ParsedLine::Kind::kCachePut: {
+      const bool ok = parsed.value.size() <= cfg_.max_value_bytes;
+      if (ok) {
+        puts.add();
+        put(parsed.key, std::move(parsed.value));
+      } else {
+        refused.add();
       }
-      switch (parsed->kind) {
-        case ParsedLine::Kind::kCacheGet: {
-          std::string value;
-          if (get(parsed->key, &value)) {
-            hits.add();
-            open = net::send_line(fd, hit_json(parsed->key, value));
-          } else {
-            misses.add();
-            open = net::send_line(fd, miss_json(parsed->key));
-          }
-          break;
-        }
-        case ParsedLine::Kind::kCachePut: {
-          const bool ok = parsed->value.size() <= cfg_.max_value_bytes;
-          if (ok) {
-            puts.add();
-            put(parsed->key, std::move(parsed->value));
-          } else {
-            refused.add();
-          }
-          open = net::send_line(fd, put_json(ok));
-          break;
-        }
-        case ParsedLine::Kind::kStats: {
-          std::string out =
-              "{\"done\": true, \"status\": \"ok\", \"cmd\": \"stats\", "
-              "\"cache_sidecar\": {\"size\": " +
-              std::to_string(size());
-          out += ", \"capacity\": " + std::to_string(cfg_.max_entries);
-          out += ", \"hits\": " + std::to_string(hits.value());
-          out += ", \"misses\": " + std::to_string(misses.value());
-          out += ", \"puts\": " + std::to_string(puts.value());
-          out += ", \"put_refused\": " + std::to_string(refused.value());
-          out += "}}";
-          open = net::send_line(fd, out);
-          break;
-        }
-        case ParsedLine::Kind::kGenerate:
-          open = net::send_line(
-              fd, bad_request_json(
-                      "generation requests are answered by replicas"));
-          break;
-      }
+      return net::send_line(fd, put_json(ok));
     }
+    case ParsedLine::Kind::kStats: {
+      std::string out =
+          "{\"done\": true, \"status\": \"ok\", \"cmd\": \"stats\", "
+          "\"cache_sidecar\": {\"size\": " +
+          std::to_string(size());
+      out += ", \"capacity\": " + std::to_string(cfg_.max_entries);
+      out += ", \"hits\": " + std::to_string(hits.value());
+      out += ", \"misses\": " + std::to_string(misses.value());
+      out += ", \"puts\": " + std::to_string(puts.value());
+      out += ", \"put_refused\": " + std::to_string(refused.value());
+      out += "}}";
+      return net::send_line(fd, out);
+    }
+    case ParsedLine::Kind::kGenerate:
+      break;
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  open_fds_.erase(std::remove(open_fds_.begin(), open_fds_.end(), fd),
-                  open_fds_.end());
+  return net::send_line(
+      fd, bad_request_json("generation requests are answered by replicas"));
 }
 
 bool CacheSidecar::get(const std::string& key, std::string* value) {

@@ -26,14 +26,13 @@
 // sidecar degrades by forgetting, never by growing without limit.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
+
+#include "serve/line_server.hpp"
 
 namespace eva::serve {
 
@@ -63,24 +62,16 @@ class CacheSidecar {
   /// Stop accepting, close every connection, join all threads.
   void stop();
 
-  [[nodiscard]] int port() const { return bound_port_; }
+  [[nodiscard]] int port() const { return lines_.port(); }
   [[nodiscard]] std::size_t size() const;
 
  private:
-  void accept_loop();
-  void handle_connection(int fd);
+  /// Answer one parsed line on `fd`; false hangs up.
+  bool answer(int fd, const std::string& line, ParsedLine& parsed);
   [[nodiscard]] bool get(const std::string& key, std::string* value);
   void put(const std::string& key, std::string value);
 
   SidecarConfig cfg_;
-  int listen_fd_ = -1;
-  int bound_port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> handlers_;
-  std::vector<int> open_fds_;
-  std::once_flag stop_once_;
 
   // Bounded LRU: front of lru_ = most recently used.
   mutable std::mutex cache_mu_;
@@ -88,6 +79,8 @@ class CacheSidecar {
   std::unordered_map<std::string,
                      std::list<std::pair<std::string, std::string>>::iterator>
       index_;
+
+  LineServer lines_;  // last: its connection threads use the cache above
 };
 
 }  // namespace eva::serve

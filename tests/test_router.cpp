@@ -4,8 +4,10 @@
 // failover on dropped/torn connections, breaker trip + half-open
 // recovery via the health prober, hedged dispatch with loser
 // cancellation, router-level load shedding, the shared cache sidecar
-// (miss -> fill -> cross-replica hit), and real JsonLineServer replicas
-// under injected serve_conn_drop / serve_partial_write faults.
+// (miss -> fill -> cross-replica hit), real JsonLineServer replicas
+// under injected serve_conn_drop / serve_partial_write faults, and the
+// shared line server's thread reaping and idle timeout on the router and
+// the sidecar.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "circuit/classify.hpp"
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
+#include "obs/metrics.hpp"
 #include "serve/backoff.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
@@ -621,6 +625,92 @@ TEST(CacheSidecarTest, LruEvictsBeyondCapacity) {
   EXPECT_TRUE(line.find("\"hit\": true") != std::string::npos);
   ::close(fd);
   cache.stop();
+}
+
+/// Lines in /proc/self/maps: each live thread holds a stack and a guard
+/// mapping, so an unjoined thread per closed connection shows here.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(CacheSidecarTest, FinishedConnectionThreadsAreReaped) {
+  CacheSidecar cache({/*bind_addr=*/"127.0.0.1", /*port=*/0,
+                      /*max_entries=*/4, /*max_value_bytes=*/256,
+                      /*idle_ms=*/0.0});
+  const int port = cache.listen_and_start();
+  const std::string stats = "{\"cmd\": \"stats\"}";
+  // Each round_trip is one connection: connect, send, read one line,
+  // close. Warm-up first, so allocator arenas and the thread-stack cache
+  // settle.
+  for (int i = 0; i < 50; ++i) ASSERT_FALSE(round_trip(port, stats).empty());
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_FALSE(round_trip(port, stats).empty()) << "exchange " << i;
+  }
+  const std::size_t after = mapping_count();
+  // Unjoined threads would add two mappings per connection (~2,000).
+  EXPECT_LT(after, before + 200) << before << " -> " << after;
+  cache.stop();
+}
+
+/// Connect and stay silent: true when the server hangs up (EOF) within
+/// five seconds.
+bool closed_while_silent(int port) {
+  const int fd = net::connect_with_deadline("127.0.0.1", port, 1000.0);
+  if (fd < 0) return false;
+  std::string line;
+  const auto rc = net::LineReader(fd).read_line(
+      line, Clock::now() + std::chrono::seconds(5));
+  ::close(fd);
+  return rc == net::LineReader::Result::kEof;
+}
+
+/// Send `line` `rounds` times on one connection, `gap_ms` apart, so the
+/// exchange outlasts the idle timeout: true when every send is answered.
+bool answered_while_talking(int port, const std::string& line, int rounds,
+                            int gap_ms) {
+  const int fd = net::connect_with_deadline("127.0.0.1", port, 1000.0);
+  if (fd < 0) return false;
+  net::LineReader reader(fd);
+  bool ok = true;
+  for (int i = 0; ok && i < rounds; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
+    std::string resp;
+    ok = net::send_line(fd, line) &&
+         reader.read_line(resp, Clock::now() + std::chrono::seconds(2)) ==
+             net::LineReader::Result::kLine;
+  }
+  ::close(fd);
+  return ok;
+}
+
+TEST(CacheSidecarTest, IdleConnectionIsClosedAfterTimeout) {
+  CacheSidecar cache({/*bind_addr=*/"127.0.0.1", /*port=*/0,
+                      /*max_entries=*/4, /*max_value_bytes=*/256,
+                      /*idle_ms=*/150.0});
+  const int port = cache.listen_and_start();
+  const auto before = obs::counter("cache.idle_timeouts").value();
+  EXPECT_TRUE(closed_while_silent(port));
+  EXPECT_GT(obs::counter("cache.idle_timeouts").value(), before);
+  // 6 x 60 ms of traffic outlasts the 150 ms timeout without idling.
+  EXPECT_TRUE(answered_while_talking(port, "{\"cmd\": \"stats\"}", 6, 60));
+  cache.stop();
+}
+
+TEST(RouterFleetTest, IdleConnectionIsClosedAfterTimeout) {
+  FakeReplica a(0, FakeReplica::Mode::kOk);
+  auto cfg = fast_router({a.addr()});
+  cfg.idle_ms = 150.0;
+  Router router(cfg);
+  const int port = router.listen_and_start();
+  const auto before = obs::counter("router.idle_timeouts").value();
+  EXPECT_TRUE(closed_while_silent(port));
+  EXPECT_GT(obs::counter("router.idle_timeouts").value(), before);
+  EXPECT_TRUE(answered_while_talking(port, "{\"cmd\": \"stats\"}", 6, 60));
+  router.stop();
 }
 
 TEST(RouterFleetTest, CacheMissFillThenCrossReplicaHit) {

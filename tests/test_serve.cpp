@@ -15,9 +15,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +126,19 @@ TEST(Service, ExpiredDeadlineResolvesToTimeout) {
   Response r = t.response.get();
   EXPECT_EQ(r.status, Status::kTimeout);
   EXPECT_TRUE(r.items.empty());
+}
+
+TEST(Service, FarFutureDeadlineIsServed) {
+  // 1e30 ms does not fit the clock's nanosecond count; converting it
+  // unclamped overflows (undefined, and on x86 a deadline in the past).
+  ServeFixture f(fast_config());
+  f.service.start();
+  Request req;
+  req.seed = 4;
+  req.deadline_ms = 1e30;
+  const Response r = f.service.submit(req).response.get();
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.items.size(), 1u);
 }
 
 TEST(Service, QueueFullRejectsWithRetryAfter) {
@@ -389,6 +405,92 @@ TEST(Protocol, RejectsMalformedInput) {
   EXPECT_FALSE(
       parse_request("{\"type\":\"" + std::string(5000, 'x') + "\"}", &err)
           .has_value());
+}
+
+TEST(Protocol, OutOfRangeNumbersAreClamped) {
+  // Wire numbers are doubles; each is clamped into its field's range
+  // before the conversion, which is undefined outside it.
+  std::string err;
+  for (const char* big : {"1e10", "1e400"}) {
+    const auto req = parse_request(std::string("{\"n\": ") + big + "}", &err);
+    ASSERT_TRUE(req.has_value()) << big << ": " << err;
+    EXPECT_EQ(req->n, INT_MAX) << big;
+  }
+  // Clamped to INT_MIN, the n >= 1 check still refuses it.
+  EXPECT_FALSE(parse_request(R"({"n": -1e10})", &err).has_value());
+  EXPECT_NE(err.find("n must be >= 1"), std::string::npos) << err;
+
+  // A seed at or above 2^64 saturates instead of wrapping to 0, the
+  // unseeded service stream that no cache would key.
+  for (const char* big : {"1e30", "18446744073709551616", "1e400"}) {
+    const auto req =
+        parse_request(std::string("{\"seed\": ") + big + "}", &err);
+    ASSERT_TRUE(req.has_value()) << big << ": " << err;
+    EXPECT_EQ(req->seed, UINT64_MAX) << big;
+  }
+  const auto neg = parse_request(R"({"seed": -1e400})", &err);
+  ASSERT_TRUE(neg.has_value()) << err;
+  EXPECT_EQ(neg->seed, 0u);
+}
+
+TEST(Protocol, FuzzedLinesNeverThrow) {
+  // Seeded fuzz over random and mutated lines: parse_line is total — a
+  // value, or nullopt with a non-empty reason — and never throws.
+  const std::vector<std::string> corpus = {
+      R"({"type":"Ldo","n":4,"temperature":0.5,"deadline_ms":250,)"
+      R"("priority":"high","seed":9})",
+      R"({"n": 1e10, "seed": 1e30, "temperature": -1e400})",
+      R"({"cmd": "stats"})",
+      R"({"cmd": "cache_get", "key": "t0:n4:T1:s42"})",
+      R"({"cmd": "cache_put", "key": "k", "value": "{"done": true}
+"})",
+      R"({"type": "Op-Amp", "seed": 18446744073709551616, "x": null})",
+      R"({"a": "é	\", "b": true, "c": false, "n": -0.5e-3})",
+  };
+  const std::string alphabet =
+      "{}[]\":,.+-eE0123456789 \\/ntrufalsecmdkyv\t\r\x01\x7f\xff";
+  Rng rng(0xF0221);
+  int accepted = 0;
+  int refused = 0;
+  for (int iter = 0; iter < 120000; ++iter) {
+    std::string line;
+    if (iter % 4 == 0) {
+      const std::size_t len = rng.index(64);
+      for (std::size_t i = 0; i < len; ++i) {
+        line += alphabet[rng.index(alphabet.size())];
+      }
+    } else {
+      line = corpus[rng.index(corpus.size())];
+      const std::size_t edits = 1 + rng.index(4);
+      for (std::size_t e = 0; e < edits && !line.empty(); ++e) {
+        const std::size_t at = rng.index(line.size());
+        switch (rng.index(4)) {
+          case 0: line[at] = alphabet[rng.index(alphabet.size())]; break;
+          case 1: line.insert(at, 1, alphabet[rng.index(alphabet.size())]);
+                  break;
+          case 2: line.erase(at, 1 + rng.index(3)); break;
+          default: line.resize(at); break;
+        }
+      }
+    }
+    std::string err;
+    std::optional<ParsedLine> out;
+    try {
+      out = parse_line(line, &err);
+    } catch (...) {
+      ADD_FAILURE() << "parse_line threw on: " << line;
+      continue;
+    }
+    if (out) {
+      ++accepted;
+    } else {
+      ++refused;
+      if (err.empty()) ADD_FAILURE() << "no reason given for: " << line;
+    }
+  }
+  // Both outcomes were exercised, not just the error path.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(refused, 1000);
 }
 
 TEST(Protocol, IgnoresUnknownKeys) {
