@@ -41,8 +41,8 @@ rl::DpoConfig fig_dpo() {
 int main() {
   using namespace eva;
   bench::BenchScale scale;
-  scale.per_type = bench::env_int("EVA_BENCH_PER_TYPE", 20);
-  scale.pretrain_steps = bench::env_int("EVA_BENCH_STEPS", 1500);
+  scale.per_type = env_int("EVA_BENCH_PER_TYPE", 20);
+  scale.pretrain_steps = env_int("EVA_BENCH_STEPS", 1500);
 
   std::cout << "=== Fig. 3: necessity of pretraining AND fine-tuning "
                "(Op-Amp target) ===\n";

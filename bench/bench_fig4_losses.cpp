@@ -17,8 +17,8 @@ int main() {
   using circuit::CircuitType;
 
   bench::BenchScale scale;
-  scale.per_type = bench::env_int("EVA_BENCH_PER_TYPE", 20);
-  scale.pretrain_steps = bench::env_int("EVA_BENCH_STEPS", 1500);
+  scale.per_type = env_int("EVA_BENCH_PER_TYPE", 20);
+  scale.pretrain_steps = env_int("EVA_BENCH_STEPS", 1500);
 
   std::cout << "=== Fig. 4: PPO and DPO training losses after pretraining "
                "(Op-Amp target) ===\n";

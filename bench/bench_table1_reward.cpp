@@ -15,8 +15,8 @@ int main() {
   using rl::RankClass;
 
   bench::BenchScale scale;
-  scale.per_type = bench::env_int("EVA_BENCH_PER_TYPE", 18);
-  scale.pretrain_steps = bench::env_int("EVA_BENCH_STEPS", 800);
+  scale.per_type = env_int("EVA_BENCH_PER_TYPE", 18);
+  scale.pretrain_steps = env_int("EVA_BENCH_STEPS", 800);
 
   std::cout << "=== Table I: rank-score definitions, reward model check "
                "(Op-Amp target) ===\n";

@@ -103,7 +103,7 @@ rl::RewardModelConfig bench_rm() {
 int main() {
   using namespace eva;
   bench::BenchScale scale;
-  scale.gen_n = bench::env_int("EVA_BENCH_GEN_N", 200);
+  scale.gen_n = env_int("EVA_BENCH_GEN_N", 200);
 
   std::cout << "=== Table II: EVA vs prior art ===\n";
   core::Eva engine = bench::make_pretrained(scale);

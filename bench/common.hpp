@@ -11,19 +11,14 @@
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "core/eva.hpp"
 #include "obs/log.hpp"
+#include "util/env.hpp"
 #include "util/io.hpp"
 
 namespace eva::bench {
-
-inline int env_int(const char* name, int def) {
-  const char* v = std::getenv(name);
-  return v ? std::atoi(v) : def;
-}
 
 struct BenchScale {
   int per_type = env_int("EVA_BENCH_PER_TYPE", 30);

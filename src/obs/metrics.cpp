@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -207,25 +208,6 @@ Histogram& histogram(std::string_view name) {
 SlidingHistogram& sliding_histogram(std::string_view name) {
   Registry& r = registry();
   return lookup(r.sliding, r.mu, name);
-}
-
-std::vector<std::pair<std::string, std::int64_t>> counters_with_prefix(
-    std::string_view prefix) {
-  Registry& r = registry();
-  std::vector<std::pair<std::string, const Counter*>> view;
-  {
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, c] : r.counters) {
-      if (name.size() >= prefix.size() &&
-          std::string_view(name).substr(0, prefix.size()) == prefix) {
-        view.emplace_back(name, c.get());
-      }
-    }
-  }
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(view.size());
-  for (const auto& [name, c] : view) out.emplace_back(name, c->value());
-  return out;
 }
 
 namespace {

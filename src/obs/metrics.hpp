@@ -26,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <utility>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -151,12 +150,6 @@ class SlidingHistogram {
 [[nodiscard]] Gauge& gauge(std::string_view name);
 [[nodiscard]] Histogram& histogram(std::string_view name);
 [[nodiscard]] SlidingHistogram& sliding_histogram(std::string_view name);
-
-/// Name/value snapshot of every counter whose name starts with `prefix`
-/// (sorted by name). For grouped exports like the per-backend GEMM
-/// dispatch counts in the serve stats snapshot.
-[[nodiscard]] std::vector<std::pair<std::string, std::int64_t>>
-counters_with_prefix(std::string_view prefix);
 
 /// Full registry as a JSON object (stable name order).
 [[nodiscard]] std::string metrics_to_json();

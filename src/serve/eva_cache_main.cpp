@@ -7,29 +7,18 @@
 //   EVA_CACHE_PORT      listen port (default 7190; 0 = ephemeral)
 //   EVA_CACHE_ENTRIES   LRU entry bound (default 4096)
 //   EVA_SERVE_IDLE_MS   per-connection idle read timeout
+//
+// Malformed or out-of-range values fall back to the defaults
+// (util/env.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "serve/server.hpp"
 #include "serve/sidecar.hpp"
 #include "train/signal.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
-
-namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace eva;
@@ -41,10 +30,10 @@ int main(int argc, char** argv) {
   cfg.port = env_int("EVA_CACHE_PORT", 7190);
   cfg.max_entries = static_cast<std::size_t>(
       std::max(1, env_int("EVA_CACHE_ENTRIES", 4096)));
-  cfg.idle_ms = serve::idle_ms_from_env(0.0);
+  cfg.idle_ms = env_double("EVA_SERVE_IDLE_MS", 0.0, 0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--port") cfg.port = std::atoi(argv[i + 1]);
+    if (arg == "--port") cfg.port = parse_int(argv[i + 1], cfg.port);
   }
 
   try {

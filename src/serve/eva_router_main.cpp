@@ -18,6 +18,9 @@
 //   EVA_ROUTER_MAX_INFLIGHT  shed above this many in-flight requests (256)
 //   EVA_SERVE_IDLE_MS        per-connection idle read timeout
 //   EVA_METRICS_FILE         metrics export target (obs layer)
+//
+// Malformed or out-of-range values fall back to the defaults
+// (util/env.hpp).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -25,29 +28,11 @@
 
 #include "obs/metrics.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 #include "train/signal.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') return fallback;
-  return parsed;
-}
 
 std::string env_str(const char* name, const char* fallback) {
   const char* v = std::getenv(name);
@@ -72,13 +57,15 @@ int main(int argc, char** argv) {
   cfg.hedge_delay_ms = env_double("EVA_ROUTER_HEDGE_MS", -1.0);
   cfg.max_inflight = static_cast<std::size_t>(
       std::max(1, env_int("EVA_ROUTER_MAX_INFLIGHT", 256)));
-  cfg.idle_ms = serve::idle_ms_from_env(0.0);
+  cfg.idle_ms = env_double("EVA_SERVE_IDLE_MS", 0.0, 0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--port") cfg.port = std::atoi(argv[i + 1]);
+    if (arg == "--port") cfg.port = parse_int(argv[i + 1], cfg.port);
     if (arg == "--backends") backends = argv[i + 1];
     if (arg == "--cache") cfg.cache_addr = argv[i + 1];
-    if (arg == "--hedge-ms") cfg.hedge_delay_ms = std::atof(argv[i + 1]);
+    if (arg == "--hedge-ms") {
+      cfg.hedge_delay_ms = parse_double(argv[i + 1], cfg.hedge_delay_ms);
+    }
   }
   cfg.backends = serve::parse_backend_list(backends);
 

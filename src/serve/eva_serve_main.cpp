@@ -8,10 +8,11 @@
 //   EVA_SERVE_PORT          listen port (default 7077; 0 = ephemeral)
 //   EVA_SERVE_QUEUE_MAX     admission queue bound (default 64)
 //   EVA_SERVE_IDLE_MS       per-connection idle read timeout
+//   EVA_SERVE_SLOW_MS       latency budget for the slow-request WARN log
 //   EVA_QUANT               inference weight tier: f32 (default) | bf16 | int8
-//   EVA_GEMM_BACKEND        kernel backend the GEMMs dispatch to (cpu)
 //   EVA_SURROGATE           1 = enable the learned FoM pre-filter
 //   EVA_SURROGATE_KEEP      fraction of cache misses that still run SPICE
+//                           (default 0.25)
 //   EVA_SURROGATE_CKPT      checkpoint dir for a trained surrogate head
 //                           (unset/unloadable = embedding-seeded fresh head)
 //   EVA_AC_POINTS           AC sweep resolution for verify-stage FoM
@@ -19,6 +20,9 @@
 //   EVA_METRICS_FLUSH_SEC   periodic metrics export interval
 //   EVA_METRICS_FILE        metrics export target (obs layer)
 //   EVA_FAULT               fault injection spec (serve_accept, ...)
+//
+// Malformed or out-of-range values fall back to the defaults
+// (util/env.hpp).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -35,21 +39,9 @@
 #include "surrogate/scorer.hpp"
 #include "surrogate/surrogate.hpp"
 #include "train/signal.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace eva;
@@ -59,10 +51,10 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig scfg;
   scfg.port = env_int("EVA_SERVE_PORT", 7077);
-  scfg.idle_ms = serve::idle_ms_from_env(0.0);
+  scfg.idle_ms = env_double("EVA_SERVE_IDLE_MS", 0.0, 0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--port") scfg.port = std::atoi(argv[i + 1]);
+    if (arg == "--port") scfg.port = parse_int(argv[i + 1], scfg.port);
   }
 
   serve::ServiceConfig cfg;
@@ -70,6 +62,11 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(std::max(1, env_int("EVA_SERVE_QUEUE_MAX", 64)));
   cfg.sim.ac_points =
       std::max(2, env_int("EVA_AC_POINTS", cfg.sim.ac_points));
+  cfg.slow_warn_ms = env_double("EVA_SERVE_SLOW_MS", cfg.slow_warn_ms, 0.0);
+  cfg.surrogate_keep =
+      env_double("EVA_SURROGATE_KEEP", cfg.surrogate_keep, 0.0);
+  // Before the surrogate scorer below, which is built at this tier.
+  cfg.quant = tensor::quant_kind_from_env(cfg.quant);
 
   // Bench-scale model with fresh weights: the serving layer's contract is
   // about scheduling/caching, not sample quality. A trained checkpoint

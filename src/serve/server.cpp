@@ -12,6 +12,7 @@
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/stats.hpp"
+#include "util/env.hpp"
 #include "util/fault.hpp"
 
 namespace eva::serve {
@@ -41,20 +42,7 @@ bool send_line(int fd, std::string line, bool slow) {
   return write_all(fd, line, slow);
 }
 
-double env_ms(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double ms = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(ms >= 0.0)) return fallback;
-  return ms;
-}
-
 }  // namespace
-
-double idle_ms_from_env(double fallback) {
-  return env_ms("EVA_SERVE_IDLE_MS", fallback);
-}
 
 JsonLineServer::JsonLineServer(GenerationService& service, ServerConfig cfg)
     : service_(&service),
@@ -110,7 +98,7 @@ bool JsonLineServer::answer(int fd, bool slow, const std::string&,
     }
     if (fault::should_fire("serve_conn_drop")) return false;
     if (fault::should_fire("serve_stall")) {
-      lines_.pause(env_ms("EVA_SERVE_STALL_FAULT_MS", 2000.0));
+      lines_.pause(env_double("EVA_SERVE_STALL_FAULT_MS", 2000.0, 0.0));
     }
   }
   auto ticket = service_->submit(parsed.req);

@@ -33,10 +33,6 @@
 
 namespace eva::serve {
 
-/// Parse EVA_SERVE_IDLE_MS (fractional milliseconds; unset/invalid ->
-/// `fallback`). Each tier's main copies it into its config's idle_ms.
-[[nodiscard]] double idle_ms_from_env(double fallback);
-
 struct ServerConfig {
   std::string bind_addr = "127.0.0.1";
   int port = 7077;  // 0 = ephemeral (bound port returned by listen_and_start)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/gemm_backend.hpp"
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
 #include "train/signal.hpp"
@@ -29,24 +27,6 @@ std::string_view status_name(Status s) {
     case Status::kShutdown: return "shutdown";
   }
   return "unknown";
-}
-
-double slow_warn_ms_from_env(double fallback) {
-  const char* v = std::getenv("EVA_SERVE_SLOW_MS");
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double ms = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(ms >= 0.0)) return fallback;
-  return ms;
-}
-
-double surrogate_keep_from_env(double fallback) {
-  const char* v = std::getenv("EVA_SURROGATE_KEEP");
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double keep = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(keep >= 0.0)) return fallback;
-  return keep;
 }
 
 namespace {
@@ -99,8 +79,7 @@ GenerationService::GenerationService(nn::TransformerLM& model,
           std::string("serve.backend.") +
           tensor::quant_kind_name(cfg.quant))) {
   obs::log_info("serve.backend",
-                {{"quant", tensor::quant_kind_name(cfg_.quant)},
-                 {"gemm_backend", tensor::gemm_backend_name()}});
+                {{"quant", tensor::quant_kind_name(cfg_.quant)}});
   if (cfg_.surrogate) {
     const double acc = cfg_.surrogate->ranking_accuracy();
     if (std::isfinite(acc)) {

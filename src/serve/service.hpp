@@ -72,16 +72,6 @@ enum class Status {
 
 [[nodiscard]] std::string_view status_name(Status s);
 
-/// Parse EVA_SERVE_SLOW_MS (fractional milliseconds; unset/invalid ->
-/// `fallback`). Exposed for the ServiceConfig default initializer.
-[[nodiscard]] double slow_warn_ms_from_env(double fallback);
-
-/// Parse EVA_SURROGATE_KEEP (fraction of cache-miss candidates that
-/// still run Mini-SPICE when the surrogate pre-filter is active;
-/// unset/invalid -> `fallback`). Exposed for the ServiceConfig default
-/// initializer.
-[[nodiscard]] double surrogate_keep_from_env(double fallback);
-
 /// One generation request. `seed` selects a reproducible RNG stream for
 /// the request (0 = draw from the service's own stream): identical
 /// {seed, n, temperature} requests generate identical topologies, which
@@ -138,18 +128,18 @@ struct ServiceConfig {
   /// Inference weight tier the service repacks the model into at
   /// construction. Defaults to f32 — bit-identical tokens/logprobs to the
   /// pre-quantization serving path — so existing deployments see no
-  /// silent output change. Opt into the reduced-precision tiers with
-  /// EVA_QUANT=int8|bf16 (or set this field): decode throughput is
-  /// weight-bandwidth-bound and the tolerance contract (DESIGN.md
-  /// "Kernel backends & quantized inference") covers the FoM pipeline
-  /// downstream.
-  tensor::QuantKind quant = tensor::quant_kind_from_env(tensor::QuantKind::kF32);
+  /// silent output change. Opt into the reduced-precision tiers by
+  /// setting this field (eva_serve_main reads EVA_QUANT=int8|bf16):
+  /// decode throughput is weight-bandwidth-bound and the tolerance
+  /// contract (DESIGN.md "Kernel backends & quantized inference") covers
+  /// the FoM pipeline downstream.
+  tensor::QuantKind quant = tensor::QuantKind::kF32;
   /// Latency budget for the serve.slow_request WARN log: a completed
   /// request slower than this (or one that finished past its own
   /// deadline) logs its id + per-stage breakdown, rate-limited. 0
   /// disables the budget check (deadline overruns still warn).
-  /// EVA_SERVE_SLOW_MS overrides.
-  double slow_warn_ms = slow_warn_ms_from_env(0.0);
+  /// eva_serve_main reads EVA_SERVE_SLOW_MS.
+  double slow_warn_ms = 0.0;
   /// Learned FoM surrogate pre-filter (DESIGN.md §15). When set, every
   /// decoded candidate is scored in one batched pass and only the top
   /// `surrogate_keep` fraction of cache misses runs Newton DC + the AC
@@ -158,8 +148,8 @@ struct ServiceConfig {
   std::shared_ptr<const surrogate::SurrogateScorer> surrogate;
   /// Fraction of cache-miss candidates that survive the pre-filter
   /// (ceil(keep * misses), at least 1 while keep > 0). <= 0 keeps none;
-  /// >= 1 (or NaN) keeps all. EVA_SURROGATE_KEEP overrides.
-  double surrogate_keep = surrogate_keep_from_env(0.25);
+  /// >= 1 (or NaN) keeps all. eva_serve_main reads EVA_SURROGATE_KEEP.
+  double surrogate_keep = 0.25;
   /// Simulation options for the verify stage. sim.ac_points sets the AC
   /// sweep resolution (cost is linear in points); EVA_AC_POINTS raises it
   /// to model SPICE-bound verification, the regime the surrogate

@@ -1,12 +1,9 @@
 #include "serve/stats.hpp"
 
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/gemm_backend.hpp"
 #include "tensor/quant.hpp"
 
 namespace eva::serve {
@@ -121,22 +118,13 @@ std::string stats_json(const GenerationService& svc) {
   counter_field(out, "deadline_exceeded", "serve.deadline_exceeded", &first);
   out += "}";
 
-  // Kernel-dispatch attribution: which backend and weight tier served
-  // the traffic (tensor.gemm_backend_dispatch.* is bumped per GEMM call,
-  // serve.backend.* once per request).
+  // Kernel attribution: the weight tier that served the traffic and the
+  // FLOPs the GEMM kernels have run (tensor.gemm_flops, 2*M*K*N per call).
   out += ", \"quant\": ";
   obs::json_string_into(out, tensor::quant_kind_name(svc.config().quant));
-  out += ", \"backends\": {";
-  first = true;
-  constexpr std::string_view kDispatchPrefix = "tensor.gemm_backend_dispatch.";
-  for (const auto& [name, value] : obs::counters_with_prefix(kDispatchPrefix)) {
-    out += first ? "" : ", ";
-    first = false;
-    obs::json_string_into(out, name.substr(kDispatchPrefix.size()));
-    out += ": ";
-    obs::json_number_into(out, value);
-  }
-  out += "}}";
+  out += ", \"gemm_flops\": ";
+  obs::json_number_into(out, obs::counter("tensor.gemm_flops").value());
+  out += "}";
   return out;
 }
 

@@ -7,10 +7,10 @@
 //
 //   pool    n rows of mean-pooled token embeddings (parallel_for across
 //           sequences — O(len * E) per row, no GEMM)
-//   layer1  (n,E) x (E,H) through the tensor::gemm_backend seam —
-//           f32 gemm_nn, or qgemm with the fused kBiasGelu epilogue on
-//           the bf16/int8 tiers (same QuantMatrix machinery as the
-//           transformer's repacked linears)
+//   layer1  (n,E) x (E,H) on the tensor kernels — f32
+//           tensor::gemm_nn, or tensor::qgemm with the fused kBiasGelu
+//           epilogue on the bf16/int8 tiers (same QuantMatrix machinery
+//           as the transformer's repacked linears)
 //   layer2  (n,H) x (H,3) + bias, softmax per row, expected rank score
 //
 // Per-row results are independent of the batch composition (pooling is

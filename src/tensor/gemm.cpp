@@ -1,7 +1,6 @@
-// The built-in "cpu" GEMM backend: register-tiled f32 kernels plus the
-// weight-quantized inference family. The public dispatch wrappers that
-// route through the active backend live in gemm_backend.cpp.
-#include "tensor/gemm_cpu.hpp"
+// The kernels behind tensor/gemm.hpp: register-tiled f32 GEMMs plus the
+// weight-quantized inference family.
+#include "tensor/gemm.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -10,7 +9,7 @@
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
-namespace eva::tensor::cpu {
+namespace eva::tensor {
 
 namespace {
 
@@ -197,9 +196,11 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
 // (4 MACs/lane/instruction); bf16 rounds the activation row to bf16
 // pairs and drives vdpbf16ps (2 MACs/lane/instruction). Both read the
 // K-grouped packed payloads built at quantize() time. Elsewhere a
-// portable fallback dequantizes panels and reuses the f32 micro-kernel
-// (f32 activations — cross-platform results differ, within the same
-// documented tolerance vs f32).
+// portable body decodes weight panels and reuses the f32 micro-kernel;
+// for int8 it first replaces each activation row with its u8 round trip
+// (same quantization rule), so int8 is W8A8 on every build. bf16 keeps
+// f32 activations there (results differ across platforms, within the
+// same documented tolerance vs f32).
 //
 // Determinism contract shared by every path: the work a given output
 // element (row r, column j) sees — activation quantization of row r,
@@ -247,27 +248,9 @@ inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
   return amax / 127.0f;
 }
 
-/// int8 epilogue: undo the zero point (128 * colsum), apply the two
-/// scales, then bias/GELU. Shared by full strips, ragged tails and the
-/// 8-row and 1-row tile paths, so all produce bit-identical values per
-/// column.
-__attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float ascale,
-                           const float* wscale, const std::int32_t* colsum,
-                           const float* bias, Epilogue ep, float* y,
-                           std::size_t nr) {
-  const bool add_bias = ep != Epilogue::kNone && bias != nullptr;
-  for (std::size_t j = 0; j < nr; ++j) {
-    float v = ascale *
-              (wscale[j] * static_cast<float>(acc[j] - 128 * colsum[j]));
-    if (add_bias) v += bias[j];
-    if (ep == Epilogue::kBiasGelu) v = gelu_approx(v);
-    y[j] = v;
-  }
-}
-
-/// f32-accumulator epilogue (bf16 and the portable fallback). `wscale`
-/// is null except for the fallback int8 path, where the raw x.q dot
-/// still needs the per-column rescale.
+/// f32-accumulator epilogue of the portable body. `wscale` is null
+/// except for int8, where the raw x.q dot still needs the per-column
+/// rescale.
 __attribute__((noinline)) void store_strip_f32(const float* acc, const float* wscale,
                             const float* bias, Epilogue ep, float* y,
                             std::size_t nr) {
@@ -472,7 +455,7 @@ inline void qtile_bf16(const std::uint32_t* xb, std::size_t xstride,
 
 #ifndef EVA_QKERNELS_AVX512
 
-/// Portable fallback: decode one kc x nr weight panel to raw f32 codes
+/// Portable body: decode one kc x nr weight panel to raw f32 codes
 /// (leading dimension kNr) so the register-tiled micro-kernel can run
 /// unmodified on top; the int8 per-column rescale happens once in the
 /// epilogue.
@@ -587,6 +570,24 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
       },
       1);
 #else   // !EVA_QKERNELS_AVX512
+  const float* xa = X;
+  if (W.kind == QuantKind::kInt8) {
+    // W8A8 as on AVX-512: each activation row becomes its u8 round trip,
+    // (code - 128) * ascale, so a NaN element maps to code -127 instead
+    // of reaching the output. Same thread_local snapshot as above.
+    static thread_local std::vector<std::uint8_t> xu;
+    static thread_local std::vector<float> xq;
+    xu.resize(K);
+    xq.resize(n * K);
+    for (std::size_t r = 0; r < n; ++r) {
+      const float ascale = quantize_row_u8(X + r * K, K, K, xu.data());
+      float* row = xq.data() + r * K;
+      for (std::size_t k = 0; k < K; ++k) {
+        row[k] = static_cast<float>(int{xu[k]} - 128) * ascale;
+      }
+    }
+    xa = xq.data();
+  }
   parallel_chunks(
       0, N,
       [&](std::size_t n0, std::size_t n1) {
@@ -602,7 +603,7 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
             decode_panel(W, kb, kc, nb, nr, panel.data());
             for (std::size_t m = 0; m < n; m += kMr) {
               const std::size_t mr = std::min(kMr, n - m);
-              micro_kernel(kc, X + m * K + kb, K, 1, panel.data(), kNr,
+              micro_kernel(kc, xa + m * K + kb, K, 1, panel.data(), kNr,
                            Y + m * N + nb, N, mr, nr);
             }
           }
@@ -619,4 +620,4 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
 #endif  // EVA_QKERNELS_AVX512
 }
 
-}  // namespace eva::tensor::cpu
+}  // namespace eva::tensor

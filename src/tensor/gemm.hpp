@@ -1,15 +1,12 @@
-// Blocked, vectorization-friendly GEMM kernel family behind the runtime
-// backend seam.
+// Blocked, vectorization-friendly GEMM kernel family.
 //
-// These are the dispatch entry points the whole engine calls: each
-// routes through the active GemmBackendOps table (tensor/gemm_backend.hpp,
-// selected by EVA_GEMM_BACKEND / set_gemm_backend) and bumps the
-// per-backend tensor.gemm_backend_dispatch.<name> counter. The built-in
-// "cpu" backend is one register-tiled micro-kernel (MR x NR accumulator
-// block, NR = one cache line of floats) backing all matmul variants of
-// the tensor engine and the batched decode linears. All matrices are
-// row-major float32 and the GEMM trio *accumulates* into C (C += ...),
-// matching the autograd convention of += into grads.
+// One register-tiled micro-kernel (MR x NR accumulator block, NR = one
+// cache line of floats) backs all matmul variants of the tensor engine
+// and the batched decode linears. Each platform has one implementation,
+// chosen at compile time; every call bumps the tensor.gemm_flops
+// counter by 2*M*K*N. All matrices are row-major float32 and the GEMM
+// trio *accumulates* into C (C += ...), matching the autograd
+// convention of += into grads.
 //
 // The quantized kernel (qgemm) is inference-only: weight-quantized
 // bf16/int8 matrices (tensor/quant.hpp) with a fused bias+activation
@@ -17,14 +14,15 @@
 // the multiplies run natively reduced-precision (int8: u8-quantized
 // activations + exact int32 vpdpbusd accumulation rescaled per column;
 // bf16: bf16-rounded activations + vdpbf16ps); elsewhere a portable
-// dequant-panel fallback computes in f32 with f32 activations. See
+// panel-decode body runs the f32 micro-kernel, on the same u8-quantized
+// activations for int8 and on f32 activations for bf16. See
 // tensor/quant.hpp for the error model.
 //
-// Threading (cpu backend): gemm_nn / gemm_nt partition over rows of C,
-// gemm_tn and qgemm over columns of C (each thread owns a disjoint
-// column stripe, so the K-reduction needs no atomics or per-thread
-// buffers). All dispatch via eva::parallel_chunks, so they run inline
-// under set_num_threads(1) or when called from inside another parallel
+// Threading: gemm_nn / gemm_nt partition over rows of C, gemm_tn and
+// qgemm over columns of C (each thread owns a disjoint column stripe,
+// so the K-reduction needs no atomics or per-thread buffers). All
+// dispatch via eva::parallel_chunks, so they run inline under
+// set_num_threads(1) or when called from inside another parallel
 // region.
 #pragma once
 
@@ -34,11 +32,11 @@
 
 namespace eva::tensor {
 
-/// C(M,N) += A(M,K) @ B(K,N). On the cpu backend row r of C depends
-/// only on row r of A, B and the shapes, never on M: every row sums
-/// each K-panel of 256 into a fresh accumulator and adds it onto C in
-/// panel order, so the M == 1 case (its own kernel) matches the same
-/// row of a larger call bitwise.
+/// C(M,N) += A(M,K) @ B(K,N). Row r of C depends only on row r of A,
+/// B and the shapes, never on M: every row sums each K-panel of 256
+/// into a fresh accumulator and adds it onto C in panel order, so the
+/// M == 1 case (its own kernel) matches the same row of a larger call
+/// bitwise.
 void gemm_nn(const float* A, const float* B, float* C, std::size_t M,
              std::size_t K, std::size_t N);
 

@@ -226,20 +226,6 @@ TEST(ObsSliding, AppearsInMetricsJson) {
   EXPECT_NE(json.find("\"total\""), std::string::npos);
 }
 
-TEST(ObsMetrics, CountersWithPrefixFiltersByName) {
-  obs::counter("test.prefix.alpha").add(3);
-  obs::counter("test.prefix.beta").add(5);
-  obs::counter("test.other").add(1);
-  const auto matched = obs::counters_with_prefix("test.prefix.");
-  ASSERT_EQ(matched.size(), 2u);
-  std::int64_t sum = 0;
-  for (const auto& [name, value] : matched) {
-    EXPECT_EQ(name.rfind("test.prefix.", 0), 0u) << name;
-    sum += value;
-  }
-  EXPECT_EQ(sum, 8);
-}
-
 TEST(ObsMetrics, MetricsJsonIsWellFormed) {
   obs::counter("test.json_counter").add(42);
   obs::gauge("test.json_gauge").set(3.5);

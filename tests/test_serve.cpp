@@ -40,6 +40,7 @@
 #include "serve/stats.hpp"
 #include "serve/timeline.hpp"
 #include "train/signal.hpp"
+#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 
@@ -75,6 +76,21 @@ ServiceConfig fast_config() {
 }
 
 // --- GenerationService -------------------------------------------------------
+
+TEST(Service, DefaultConfigIgnoresEnvironment) {
+  // Configuration is read in eva_serve_main, never by a default member
+  // initializer: a default ServiceConfig is the same in every process.
+  ::setenv("EVA_QUANT", "int8", 1);
+  ::setenv("EVA_SERVE_SLOW_MS", "250", 1);
+  ::setenv("EVA_SURROGATE_KEEP", "0.9", 1);
+  const ServiceConfig cfg;
+  ::unsetenv("EVA_QUANT");
+  ::unsetenv("EVA_SERVE_SLOW_MS");
+  ::unsetenv("EVA_SURROGATE_KEEP");
+  EXPECT_EQ(cfg.quant, tensor::QuantKind::kF32);
+  EXPECT_EQ(cfg.slow_warn_ms, 0.0);
+  EXPECT_EQ(cfg.surrogate_keep, 0.25);
+}
 
 TEST(Service, FutureRoundTrip) {
   ServeFixture f(fast_config());
@@ -319,12 +335,19 @@ TEST(Timeline, StageNamesAndSlidingMetricsRecorded) {
 }
 
 TEST(Timeline, SlowWarnBudgetComesFromEnv) {
+  // eva_serve_main reads the budget exactly like this: fractional ms,
+  // negative or malformed values keep the default.
+  const auto budget = [](double fallback) {
+    return env_double("EVA_SERVE_SLOW_MS", fallback, 0.0);
+  };
   ::unsetenv("EVA_SERVE_SLOW_MS");
-  EXPECT_DOUBLE_EQ(slow_warn_ms_from_env(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(budget(0.0), 0.0);
   ::setenv("EVA_SERVE_SLOW_MS", "250", 1);
-  EXPECT_DOUBLE_EQ(slow_warn_ms_from_env(0.0), 250.0);
+  EXPECT_DOUBLE_EQ(budget(0.0), 250.0);
   ::setenv("EVA_SERVE_SLOW_MS", "garbage", 1);
-  EXPECT_DOUBLE_EQ(slow_warn_ms_from_env(7.0), 7.0);
+  EXPECT_DOUBLE_EQ(budget(7.0), 7.0);
+  ::setenv("EVA_SERVE_SLOW_MS", "-5", 1);
+  EXPECT_DOUBLE_EQ(budget(7.0), 7.0);
   ::unsetenv("EVA_SERVE_SLOW_MS");
 }
 
@@ -589,14 +612,18 @@ TEST(Stats, SnapshotIsWellFormedAndCoversTheService) {
                                                  << json;
   }
   // Live service state: queue depths, occupancy, cache and request
-  // counters, backend dispatch counts.
+  // counters, kernel FLOPs.
   for (const char* key :
        {"\"queue_depth\"", "\"batch_occupancy\"", "\"cache\"",
-        "\"hit_rate\"", "\"requests\"", "\"submitted\"", "\"backends\"",
-        "\"uptime_s\""}) {
+        "\"hit_rate\"", "\"requests\"", "\"submitted\"",
+        "\"gemm_flops\"", "\"uptime_s\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing\n"
                                                  << json;
   }
+  // The request above decoded through the GEMM kernels.
+  const std::size_t at = json.find("\"gemm_flops\": ");
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_GT(std::strtod(json.c_str() + at + 14, nullptr), 0.0) << json;
 
   const std::string line = stats_response_json(f.service);
   EXPECT_TRUE(eva::testutil::json_valid(line)) << line;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
 #include "tensor/serialize.hpp"
@@ -18,6 +19,7 @@ namespace {
 
 using namespace eva::tensor;
 using eva::Rng;
+namespace obs = eva::obs;
 
 /// Numeric gradient check: f builds a fresh graph from the leaf each call.
 void grad_check(Tensor leaf, const std::function<Tensor(const Tensor&)>& f,
@@ -286,6 +288,38 @@ TEST(Gemm, OneRowMatchesCohortRow) {
         }
       }
     }
+  }
+}
+
+TEST(Gemm, FlopCounterCountsEveryKernel) {
+  // tensor.gemm_flops is the kernels' only traffic count (the serve
+  // stats snapshot reports it): every call adds exactly 2*M*K*N.
+  Rng rng(102);
+  obs::Counter& flops = obs::counter("tensor.gemm_flops");
+  const auto expect_flops = [&](const char* what, std::int64_t want,
+                                const std::function<void()>& call) {
+    const std::int64_t before = flops.value();
+    call();
+    EXPECT_EQ(flops.value() - before, want) << what;
+  };
+  const auto A = random_mat(9, 40, rng);
+  const auto B = random_mat(40, 24, rng);
+  const auto Bt = random_mat(24, 40, rng);
+  std::vector<float> C(9 * 24, 0.0f);
+  expect_flops("nn M=1", 2 * 1 * 40 * 24,
+               [&] { gemm_nn(A.data(), B.data(), C.data(), 1, 40, 24); });
+  expect_flops("nn M=9", 2 * 9 * 40 * 24,
+               [&] { gemm_nn(A.data(), B.data(), C.data(), 9, 40, 24); });
+  expect_flops("nt", 2 * 9 * 40 * 24,
+               [&] { gemm_nt(A.data(), Bt.data(), C.data(), 9, 40, 24); });
+  // tn: A is (K,M) = (40,9) read transposed.
+  expect_flops("tn", 2 * 40 * 9 * 24,
+               [&] { gemm_tn(A.data(), B.data(), C.data(), 40, 9, 24); });
+  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kBf16}) {
+    const auto W = QuantMatrix::quantize(kind, B.data(), 40, 24);
+    expect_flops(quant_kind_name(kind), 2 * 9 * 40 * 24, [&] {
+      qgemm(A.data(), W, nullptr, C.data(), 9, Epilogue::kNone);
+    });
   }
 }
 

@@ -1,14 +1,17 @@
 // Unit tests for src/util: RNG, statistics (incl. Otsu), parallel_for,
-// CSV/console output helpers.
+// CSV/console output helpers, environment parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "util/env.hpp"
 #include "util/io.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -335,6 +338,55 @@ TEST(Io, AsciiCurveHandlesData) {
 TEST(Io, AsciiCurveEmpty) {
   const std::string s = eva::ascii_curve({}, "none");
   EXPECT_NE(s.find("no data"), std::string::npos);
+}
+
+TEST(Env, IntParsesWholeInRangeValuesElseFallsBack) {
+  constexpr const char* kVar = "EVA_TEST_ENV_INT";
+  ::unsetenv(kVar);
+  EXPECT_EQ(eva::env_int(kVar, 7), 7);
+  const auto with = [&](const char* v, int min = INT_MIN) {
+    ::setenv(kVar, v, 1);
+    return eva::env_int(kVar, 7, min);
+  };
+  EXPECT_EQ(with("42"), 42);
+  EXPECT_EQ(with("-3"), -3);
+  EXPECT_EQ(with("2147483647"), INT_MAX);
+  EXPECT_EQ(with(""), 7);
+  EXPECT_EQ(with("abc"), 7);
+  EXPECT_EQ(with("12abc"), 7);         // trailing junk
+  EXPECT_EQ(with("1.5"), 7);
+  EXPECT_EQ(with("2147483648"), 7);    // INT_MAX + 1
+  EXPECT_EQ(with("4294967297"), 7);    // would wrap to 1 in an int cast
+  EXPECT_EQ(with("-2147483649"), 7);
+  EXPECT_EQ(with("99999999999999999999999"), 7);
+  EXPECT_EQ(with("0", 1), 7);          // below the minimum
+  EXPECT_EQ(with("1", 1), 1);
+  ::unsetenv(kVar);
+  EXPECT_EQ(eva::parse_int(nullptr, 5), 5);
+  EXPECT_EQ(eva::parse_int("8080", 5), 8080);
+}
+
+TEST(Env, DoubleParsesWholeFiniteValuesElseFallsBack) {
+  constexpr const char* kVar = "EVA_TEST_ENV_DOUBLE";
+  ::unsetenv(kVar);
+  EXPECT_EQ(eva::env_double(kVar, 2.5), 2.5);
+  const auto with = [&](const char* v, double min = -1e300) {
+    ::setenv(kVar, v, 1);
+    return eva::env_double(kVar, 2.5, min);
+  };
+  EXPECT_EQ(with("0.125"), 0.125);
+  EXPECT_EQ(with("-4"), -4.0);
+  EXPECT_EQ(with("1e10"), 1e10);
+  EXPECT_EQ(with(""), 2.5);
+  EXPECT_EQ(with("garbage"), 2.5);
+  EXPECT_EQ(with("3ms"), 2.5);         // trailing junk
+  EXPECT_EQ(with("1e400"), 2.5);       // overflows a double
+  EXPECT_EQ(with("inf"), 2.5);
+  EXPECT_EQ(with("nan"), 2.5);
+  EXPECT_EQ(with("-0.5", 0.0), 2.5);   // below the minimum
+  EXPECT_EQ(with("0", 0.0), 0.0);
+  ::unsetenv(kVar);
+  EXPECT_EQ(eva::parse_double(nullptr, 1.0), 1.0);
 }
 
 }  // namespace

@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "serve/backoff.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -72,13 +73,8 @@ using Clock = std::chrono::steady_clock;
 
 // --- config ------------------------------------------------------------------
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end == v || *end != '\0') ? fallback : parsed;
-}
+using eva::env_double;
+using eva::env_int;
 
 struct Config {
   std::string host = "127.0.0.1";
@@ -94,8 +90,8 @@ struct Config {
                                    // = server default type
   double warm_frac = 0.5;    // fraction reusing the warm seed pool
   int warm_seeds = 8;        // pool size: smaller = warmer
-  int conns = static_cast<int>(env_double("EVA_LOADGEN_CONNS", 16));
-  int retry = static_cast<int>(env_double("EVA_LOADGEN_RETRY", 0));
+  int conns = env_int("EVA_LOADGEN_CONNS", 16);
+  int retry = env_int("EVA_LOADGEN_RETRY", 0);
   double retry_base_ms = 25.0;  // backoff base for --retry
   std::uint64_t seed = 1;    // arrival + mix RNG
   std::string out = [] {
