@@ -20,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "spice/engine.hpp"
 #include "train/signal.hpp"
+#include "util/env.hpp"
 #include "util/io.hpp"
 
 int main() {
@@ -31,12 +32,12 @@ int main() {
   cfg.model = nn::ModelConfig::bench_scale(0);
 
   if (const char* dir = std::getenv("EVA_CHECKPOINT_DIR")) {
-    cfg.pretrain.checkpoint_dir = dir;
-    if (const char* every = std::getenv("EVA_CHECKPOINT_EVERY")) {
-      cfg.pretrain.checkpoint_every = std::max(1, std::atoi(every));
-    }
+    auto& run = cfg.pretrain.run;
+    run.checkpoint_dir = dir;
+    run.checkpoint_every =
+        env_int("EVA_CHECKPOINT_EVERY", run.checkpoint_every, 1);
     const char* resume = std::getenv("EVA_RESUME");
-    cfg.pretrain.resume = resume && std::string(resume) != "0";
+    run.resume = resume && std::string(resume) != "0";
     train::install_signal_handlers();  // SIGINT/SIGTERM -> clean stop
   }
 
@@ -58,8 +59,7 @@ int main() {
               << "\n";
   }
   if (result.interrupted) {
-    std::cout << "interrupted at step "
-              << result.start_step + static_cast<int>(result.losses.size())
+    std::cout << "interrupted at step " << result.end_step
               << "; checkpoint written, rerun with EVA_RESUME=1\n";
     obs::flush();
     return 0;

@@ -2,7 +2,7 @@
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
-#include "tensor/serialize.hpp"
+#include "train/checkpoint.hpp"
 
 namespace eva::core {
 
@@ -92,14 +92,13 @@ eval::FomAtKResult Eva::discover(CircuitType target, int k,
 
 void Eva::save_model(const std::string& path) const {
   EVA_REQUIRE(prepared(), "call prepare() first");
-  auto params = model_->parameters();
-  tensor::save_params(params, path);
+  train::write_snapshot(path, {model_->parameters()}, /*fingerprint=*/0);
 }
 
 void Eva::load_model(const std::string& path) {
   EVA_REQUIRE(prepared(), "call prepare() first");
-  auto params = model_->parameters();
-  tensor::load_params(params, path);
+  train::TrainState state{model_->parameters()};
+  train::read_snapshot(path, state, /*fingerprint=*/0);
 }
 
 const data::Dataset& Eva::dataset() const {

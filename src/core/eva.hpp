@@ -78,7 +78,9 @@ class Eva {
                                             int k, const opt::GaConfig& ga);
 
   /// Snapshot / restore model weights (e.g. pretrained checkpoint reuse
-  /// across fine-tuning arms).
+  /// across fine-tuning arms) as one params-only EVA2 snapshot
+  /// (train/checkpoint.hpp). Throws eva::ConfigError on I/O failure or
+  /// a file that does not match the model.
   void save_model(const std::string& path) const;
   void load_model(const std::string& path);
 

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <memory>
 
 #include "circuit/pingraph.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "train/checkpoint.hpp"
-#include "train/signal.hpp"
-#include "util/fault.hpp"
 
 namespace eva::nn {
 
@@ -142,38 +137,17 @@ PretrainResult pretrain(TransformerLM& model, const SequenceCorpus& corpus,
   auto window_t0 = std::chrono::steady_clock::now();
   std::int64_t window_tokens = 0;
 
-  train::TrainState ts;
-  ts.params = params;
-  ts.opt = &opt;
-  ts.rng = &rng;
-
-  std::unique_ptr<train::CheckpointManager> ckpt;
-  if (!cfg.checkpoint_dir.empty()) {
-    ckpt = std::make_unique<train::CheckpointManager>(train::CheckpointOptions{
-        cfg.checkpoint_dir, cfg.keep_checkpoints,
-        pretrain_fingerprint(model, cfg)});
-  }
-
+  train::Run run("pretrain", {params, &opt, &rng}, cfg.steps, cfg.run,
+                 cfg.sentinel, pretrain_fingerprint(model, cfg));
   PretrainResult result;
-  if (ckpt && cfg.resume) {
-    if (auto restored = ckpt->load_latest(ts)) {
-      result.start_step = static_cast<int>(*restored);
-    }
-  }
-
-  train::DivergenceSentinel sentinel(cfg.sentinel);
-  train::RollbackSlot last_good;
-  int rollbacks_left = 5;  // give up instead of thrashing forever
-
-  ts.step = result.start_step;
-  last_good.capture(ts, 0);
+  result.start_step = run.step();
 
   result.losses.reserve(static_cast<std::size_t>(cfg.steps));
   for (int step = result.start_step; step < cfg.steps; ++step) {
     obs::Span step_span("pretrain.step");
     // LR schedule: linear warmup then cosine decay to lr_min_frac * lr,
     // scaled down while the divergence sentinel is backing off.
-    const float lr = schedule_lr(cfg, step) * sentinel.lr_scale();
+    const float lr = schedule_lr(cfg, step) * run.lr_scale();
     opt.set_lr(lr);
 
     std::vector<const std::vector<int>*> ptrs;
@@ -189,81 +163,57 @@ PretrainResult pretrain(TransformerLM& model, const SequenceCorpus& corpus,
         model.forward(b.inputs, b.batch, b.seq_len, true, &drop_rng);
     Tensor loss = cross_entropy(logits, b.targets, -1);
     loss.backward();
-    if (fault::enabled() && fault::should_fire("nan_grad")) {
-      params[0].grad()[0] = std::numeric_limits<float>::quiet_NaN();
-    }
-    const double grad_norm = clip_grad_norm(params, cfg.clip);
+    const double grad_norm = run.clip(params, cfg.clip);
 
-    switch (sentinel.observe(loss.item(), grad_norm)) {
-      case train::SentinelAction::kRollback:
-        if (last_good.armed() && rollbacks_left > 0) {
-          --rollbacks_left;
-          const long back = last_good.restore(ts);
-          result.losses.resize(last_good.progress_size());
-          sentinel.notify_rollback();
-          step = static_cast<int>(back) - 1;  // ++ resumes at `back`
-          continue;
+    const auto verdict = run.judge(loss.item(), grad_norm);
+    if (verdict == train::Verdict::kRewind) {
+      result.losses.resize(run.progress(0));
+      step = run.step() - 1;  // ++ resumes at the restored step
+      continue;
+    }
+    if (verdict == train::Verdict::kAbort) {
+      result.interrupted = true;
+      break;
+    }
+    if (verdict == train::Verdict::kStep) {
+      opt.step();
+
+      const std::int64_t step_tokens =
+          static_cast<std::int64_t>(b.batch) * b.seq_len;
+      steps_c.add();
+      tokens_c.add(step_tokens);
+      window_tokens += step_tokens;
+      loss_h.record(loss.item());
+      gnorm_h.record(grad_norm);
+
+      result.losses.push_back(loss.item());
+      if (step % cfg.log_every == 0 || step + 1 == cfg.steps) {
+        const auto now = std::chrono::steady_clock::now();
+        const double dt =
+            std::chrono::duration<double>(now - window_t0).count();
+        const double tok_s =
+            dt > 0 ? static_cast<double>(window_tokens) / dt : 0;
+        obs::gauge("pretrain.loss").set(loss.item());
+        obs::gauge("pretrain.tokens_per_sec").set(tok_s);
+        if (on_step) {
+          on_step(step, loss.item());
+        } else {
+          obs::log_info("pretrain.step", {{"step", step},
+                                          {"loss", loss.item()},
+                                          {"grad_norm", grad_norm},
+                                          {"tok_s", tok_s},
+                                          {"lr", lr}});
         }
-        obs::log_error("pretrain.diverged",
-                       {{"step", step}, {"loss", loss.item()}});
-        result.interrupted = true;
-        step = cfg.steps;  // abort the run
-        continue;
-      case train::SentinelAction::kSkip:
-        continue;  // drop the batch; no optimizer step
-      case train::SentinelAction::kProceed:
-        break;
-    }
-    opt.step();
-    ts.step = step + 1;
-
-    const std::int64_t step_tokens =
-        static_cast<std::int64_t>(b.batch) * b.seq_len;
-    steps_c.add();
-    tokens_c.add(step_tokens);
-    window_tokens += step_tokens;
-    loss_h.record(loss.item());
-    gnorm_h.record(grad_norm);
-
-    result.losses.push_back(loss.item());
-    if (step % cfg.log_every == 0 || step + 1 == cfg.steps) {
-      const auto now = std::chrono::steady_clock::now();
-      const double dt = std::chrono::duration<double>(now - window_t0).count();
-      const double tok_s = dt > 0 ? static_cast<double>(window_tokens) / dt : 0;
-      obs::gauge("pretrain.loss").set(loss.item());
-      obs::gauge("pretrain.tokens_per_sec").set(tok_s);
-      if (on_step) {
-        on_step(step, loss.item());
-      } else {
-        obs::log_info("pretrain.step", {{"step", step},
-                                        {"loss", loss.item()},
-                                        {"grad_norm", grad_norm},
-                                        {"tok_s", tok_s},
-                                        {"lr", lr}});
+        window_t0 = now;
+        window_tokens = 0;
       }
-      window_t0 = now;
-      window_tokens = 0;
     }
-
-    const bool stopping = train::stop_requested();
-    const bool at_cadence =
-        cfg.checkpoint_every > 0 && ts.step % cfg.checkpoint_every == 0;
-    if (at_cadence || stopping || ts.step == static_cast<long>(cfg.steps)) {
-      if (ckpt) {
-        try {
-          ckpt->save(ts);
-        } catch (const Error& e) {
-          obs::log_error("pretrain.ckpt_failed", {{"error", e.what()}});
-        }
-      }
-      last_good.capture(ts, result.losses.size());
-    }
-    if (stopping) {
-      obs::log_info("pretrain.interrupted", {{"step", ts.step}});
+    if (run.finish(step + 1, {result.losses.size()})) {
       result.interrupted = true;
       break;
     }
   }
+  result.end_step = run.step();
   if (!result.interrupted) {
     result.final_val_loss = eval_lm_loss(model, corpus.val, cfg.batch);
     obs::log_info("pretrain.done",

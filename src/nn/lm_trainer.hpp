@@ -15,6 +15,7 @@
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/optim.hpp"
+#include "train/run.hpp"
 #include "train/sentinel.hpp"
 
 namespace eva::nn {
@@ -44,20 +45,18 @@ struct PretrainConfig {
   std::uint64_t seed = 1234;
   int log_every = 25;
 
-  // Fault tolerance (train/): empty checkpoint_dir disables snapshots.
-  // With resume=true the newest valid snapshot is restored and the run
-  // continues bit-compatibly (RNG + optimizer state, LR re-aligned).
-  std::string checkpoint_dir;
-  int checkpoint_every = 50;   // steps between snapshots
-  int keep_checkpoints = 3;
-  bool resume = false;
+  // Fault tolerance (train/run.hpp): snapshots cover params, optimizer
+  // and RNG; a resumed run re-aligns the LR schedule from the step.
+  train::RunConfig run;
   train::SentinelConfig sentinel;
 };
 
 struct PretrainResult {
-  std::vector<double> losses;      // per-step training loss (this run only)
+  std::vector<double> losses;      // per-step training loss (this run only;
+                                   // steps the sentinel skipped have none)
   double final_val_loss = 0.0;
   int start_step = 0;              // > 0 when resumed from a checkpoint
+  int end_step = 0;                // completed steps when the run returned
   bool interrupted = false;        // stopped early via SIGINT/SIGTERM
 };
 

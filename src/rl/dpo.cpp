@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "tensor/optim.hpp"
-#include "train/checkpoint.hpp"
-#include "train/signal.hpp"
-#include "util/fault.hpp"
 
 namespace eva::rl {
 
@@ -90,37 +85,19 @@ DpoStats DpoTrainer::train(const std::vector<PreferencePair>& pairs,
 
   // Snapshots also carry the frozen reference model: on resume the policy
   // has already moved, so the reference cannot be re-derived from it.
-  train::TrainState ts;
-  ts.params = params;
-  for (const auto& p : ref_.parameters()) ts.params.push_back(p);
-  ts.opt = &opt;
-  ts.rng = &rng;
-
-  std::unique_ptr<train::CheckpointManager> ckpt;
-  if (!cfg_.checkpoint_dir.empty()) {
-    const auto& mc = policy_->config();
-    train::Fingerprint fp;
-    fp.mix(mc.vocab).mix(mc.d_model).mix(mc.n_layers).mix(mc.n_heads)
-        .mix(mc.d_ff).mix(mc.max_seq);
-    fp.mix(cfg_.steps).mix(cfg_.pairs_per_step).mix(cfg_.beta).mix(cfg_.lr)
-        .mix(cfg_.clip_grad).mix(cfg_.seed);
-    ckpt = std::make_unique<train::CheckpointManager>(train::CheckpointOptions{
-        cfg_.checkpoint_dir, cfg_.keep_checkpoints, fp.value()});
-  }
+  std::vector<Tensor> snapshot = params;
+  for (const auto& p : ref_.parameters()) snapshot.push_back(p);
+  const auto& mc = policy_->config();
+  train::Fingerprint fp;
+  fp.mix(mc.vocab).mix(mc.d_model).mix(mc.n_layers).mix(mc.n_heads)
+      .mix(mc.d_ff).mix(mc.max_seq);
+  fp.mix(cfg_.steps).mix(cfg_.pairs_per_step).mix(cfg_.beta).mix(cfg_.lr)
+      .mix(cfg_.clip_grad).mix(cfg_.seed);
+  train::Run run("dpo", {snapshot, &opt, &rng}, cfg_.steps, cfg_.run,
+                 cfg_.sentinel, fp.value());
 
   DpoStats stats;
-  if (ckpt && cfg_.resume) {
-    if (auto restored = ckpt->load_latest(ts)) {
-      stats.start_step = static_cast<int>(*restored);
-    }
-  }
-
-  train::DivergenceSentinel sentinel(cfg_.sentinel);
-  train::RollbackSlot last_good;
-  int rollbacks_left = 5;  // give up instead of thrashing forever
-  ts.step = stats.start_step;
-  last_good.capture(ts, 0);
-
+  stats.start_step = run.step();
   for (int step = stats.start_step; step < cfg_.steps; ++step) {
     obs::Span step_span("dpo.step");
     opt.zero_grad();
@@ -143,73 +120,47 @@ DpoStats DpoTrainer::train(const std::vector<PreferencePair>& pairs,
     Tensor loss =
         mul_scalar(loss_sum, 1.0f / static_cast<float>(cfg_.pairs_per_step));
     loss.backward();
-    if (fault::enabled() && fault::should_fire("nan_grad")) {
-      params[0].grad()[0] = std::numeric_limits<float>::quiet_NaN();
-    }
-    const double grad_norm = clip_grad_norm(params, cfg_.clip_grad);
+    const double grad_norm = run.clip(params, cfg_.clip_grad);
 
-    switch (sentinel.observe(loss.item(), grad_norm)) {
-      case train::SentinelAction::kRollback:
-        if (last_good.armed() && rollbacks_left > 0) {
-          --rollbacks_left;
-          const long back = last_good.restore(ts);
-          stats.loss.resize(last_good.progress_size());
-          stats.reward_acc.resize(last_good.progress_size());
-          if (!probe_win.empty()) {
-            stats.logp_win.resize(last_good.progress_size());
-            stats.logp_lose.resize(last_good.progress_size());
-          }
-          sentinel.notify_rollback();
-          step = static_cast<int>(back) - 1;  // ++ resumes at `back`
-          continue;
-        }
-        obs::log_error("dpo.diverged",
-                       {{"step", step}, {"loss", loss.item()}});
-        stats.interrupted = true;
-        step = cfg_.steps;  // abort the run
-        continue;
-      case train::SentinelAction::kSkip:
-        continue;  // drop the batch; no optimizer step
-      case train::SentinelAction::kProceed:
-        break;
-    }
-    opt.set_lr(cfg_.lr * sentinel.lr_scale());
-    opt.step();
-    ts.step = step + 1;
-
-    stats.loss.push_back(loss.item());
-    stats.reward_acc.push_back(acc / cfg_.pairs_per_step);
-    steps_c.add();
-    loss_h.record(loss.item());
-    obs::gauge("dpo.loss").set(loss.item());
-    obs::gauge("dpo.reward_acc").set(stats.reward_acc.back());
-    if (!probe_win.empty()) {
-      stats.logp_win.push_back(mean_logprob(probe_win));
-      stats.logp_lose.push_back(mean_logprob(probe_lose));
-    }
-    if (on_step) {
-      on_step(step, stats.loss.back());
-    } else if (step % 10 == 0 || step + 1 == cfg_.steps) {
-      obs::log_info("dpo.step", {{"step", step},
-                                 {"loss", stats.loss.back()},
-                                 {"reward_acc", stats.reward_acc.back()}});
-    }
-
-    const bool stopping = train::stop_requested();
-    const bool at_cadence =
-        cfg_.checkpoint_every > 0 && ts.step % cfg_.checkpoint_every == 0;
-    if (at_cadence || stopping || ts.step == static_cast<long>(cfg_.steps)) {
-      if (ckpt) {
-        try {
-          ckpt->save(ts);
-        } catch (const Error& e) {
-          obs::log_error("dpo.ckpt_failed", {{"error", e.what()}});
-        }
+    const auto verdict = run.judge(loss.item(), grad_norm);
+    if (verdict == train::Verdict::kRewind) {
+      const std::size_t keep = run.progress(0);
+      stats.loss.resize(keep);
+      stats.reward_acc.resize(keep);
+      if (!probe_win.empty()) {
+        stats.logp_win.resize(keep);
+        stats.logp_lose.resize(keep);
       }
-      last_good.capture(ts, stats.loss.size());
+      step = run.step() - 1;  // ++ resumes at the restored step
+      continue;
     }
-    if (stopping) {
-      obs::log_info("dpo.interrupted", {{"step", ts.step}});
+    if (verdict == train::Verdict::kAbort) {
+      stats.interrupted = true;
+      break;
+    }
+    if (verdict == train::Verdict::kStep) {
+      opt.set_lr(cfg_.lr * run.lr_scale());
+      opt.step();
+
+      stats.loss.push_back(loss.item());
+      stats.reward_acc.push_back(acc / cfg_.pairs_per_step);
+      steps_c.add();
+      loss_h.record(loss.item());
+      obs::gauge("dpo.loss").set(loss.item());
+      obs::gauge("dpo.reward_acc").set(stats.reward_acc.back());
+      if (!probe_win.empty()) {
+        stats.logp_win.push_back(mean_logprob(probe_win));
+        stats.logp_lose.push_back(mean_logprob(probe_lose));
+      }
+      if (on_step) {
+        on_step(step, stats.loss.back());
+      } else if (step % 10 == 0 || step + 1 == cfg_.steps) {
+        obs::log_info("dpo.step", {{"step", step},
+                                   {"loss", stats.loss.back()},
+                                   {"reward_acc", stats.reward_acc.back()}});
+      }
+    }
+    if (run.finish(step + 1, {stats.loss.size()})) {
       stats.interrupted = true;
       break;
     }

@@ -16,6 +16,7 @@
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
 #include "rl/reward_model.hpp"
+#include "train/run.hpp"
 #include "train/sentinel.hpp"
 
 namespace eva::rl {
@@ -32,13 +33,9 @@ struct DpoConfig {
   /// 0 disables the (costly) probe.
   int logprob_probe = 0;
 
-  // Fault tolerance (train/): empty checkpoint_dir disables snapshots.
-  // Snapshots cover policy + reference + optimizer + RNG at step
-  // granularity.
-  std::string checkpoint_dir;
-  int checkpoint_every = 20;   // steps between snapshots
-  int keep_checkpoints = 3;
-  bool resume = false;
+  // Fault tolerance (train/run.hpp): snapshots cover policy + reference
+  // + optimizer + RNG at step granularity.
+  train::RunConfig run{.checkpoint_every = 20};
   train::SentinelConfig sentinel;
 };
 

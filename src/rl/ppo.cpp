@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "tensor/optim.hpp"
-#include "train/checkpoint.hpp"
-#include "train/signal.hpp"
-#include "util/fault.hpp"
 
 namespace eva::rl {
 
@@ -221,70 +216,44 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
 
   // Snapshots also carry the frozen reference model: on resume the policy
   // has already moved, so pi_theta_ref cannot be re-derived from it.
-  train::TrainState ts;
-  ts.params = params;
-  for (const auto& p : ref_.parameters()) ts.params.push_back(p);
-  ts.opt = &opt;
-  ts.rng = &rng_;
-
-  std::unique_ptr<train::CheckpointManager> ckpt;
-  if (!cfg_.checkpoint_dir.empty()) {
-    const auto& mc = policy_->config();
-    train::Fingerprint fp;
-    fp.mix(mc.vocab).mix(mc.d_model).mix(mc.n_layers).mix(mc.n_heads)
-        .mix(mc.d_ff).mix(mc.max_seq);
-    fp.mix(cfg_.epochs).mix(cfg_.rollouts).mix(cfg_.ppo_epochs)
-        .mix(cfg_.minibatch).mix(cfg_.clip_eps).mix(cfg_.gamma).mix(cfg_.lam)
-        .mix(cfg_.vc).mix(cfg_.kl_beta).mix(cfg_.lr).mix(cfg_.seed);
-    ckpt = std::make_unique<train::CheckpointManager>(train::CheckpointOptions{
-        cfg_.checkpoint_dir, cfg_.keep_checkpoints, fp.value()});
-  }
+  std::vector<Tensor> snapshot = params;
+  for (const auto& p : ref_.parameters()) snapshot.push_back(p);
+  const auto& mc = policy_->config();
+  train::Fingerprint fp;
+  fp.mix(mc.vocab).mix(mc.d_model).mix(mc.n_layers).mix(mc.n_heads)
+      .mix(mc.d_ff).mix(mc.max_seq);
+  fp.mix(cfg_.epochs).mix(cfg_.rollouts).mix(cfg_.ppo_epochs)
+      .mix(cfg_.minibatch).mix(cfg_.clip_eps).mix(cfg_.gamma).mix(cfg_.lam)
+      .mix(cfg_.vc).mix(cfg_.kl_beta).mix(cfg_.lr).mix(cfg_.seed);
+  train::Run run("ppo", {snapshot, &opt, &rng_}, cfg_.epochs, cfg_.run,
+                 cfg_.sentinel, fp.value());
 
   PpoStats stats;
-  if (ckpt && cfg_.resume) {
-    if (auto restored = ckpt->load_latest(ts)) {
-      stats.start_epoch = static_cast<int>(*restored);
-    }
-  }
-
-  train::DivergenceSentinel sentinel(cfg_.sentinel);
-  train::RollbackSlot last_good;
-  int rollbacks_left = 5;  // give up instead of thrashing forever
-  struct Progress {
-    std::size_t mr = 0, pl = 0, vl = 0, tl = 0;
-  } mark;
-  auto capture = [&](long epochs_done) {
-    ts.step = epochs_done;
-    mark = {stats.mean_reward.size(), stats.policy_loss.size(),
-            stats.value_loss.size(), stats.total_loss.size()};
-    last_good.capture(ts, stats.total_loss.size());
-  };
-  capture(stats.start_epoch);
-
+  stats.start_epoch = run.step();
   std::vector<Rollout> rollouts;
   for (int epoch = stats.start_epoch; epoch < cfg_.epochs; ++epoch) {
     obs::Span epoch_span("ppo.epoch");
     collect_rollouts(rollouts);
-    if (rollouts.empty()) continue;
+    // An epoch without rollouts learns nothing, but still ends below.
+    if (!rollouts.empty()) {
+      double mean_r = 0;
+      for (const auto& r : rollouts) mean_r += r.seq_reward;
+      mean_r /= static_cast<double>(rollouts.size());
+      stats.mean_reward.push_back(mean_r);
+      obs::gauge("ppo.mean_reward").set(mean_r);
+      if (on_epoch) {
+        on_epoch(epoch, mean_r);
+      } else {
+        obs::log_info(
+            "ppo.epoch",
+            {{"epoch", epoch},
+             {"mean_reward", mean_r},
+             {"rollouts", static_cast<std::int64_t>(rollouts.size())},
+             {"validity_rate",
+              obs::gauge("ppo.rollout_validity_rate").value()}});
+      }
 
-    double mean_r = 0;
-    for (const auto& r : rollouts) mean_r += r.seq_reward;
-    mean_r /= static_cast<double>(rollouts.size());
-    stats.mean_reward.push_back(mean_r);
-    obs::gauge("ppo.mean_reward").set(mean_r);
-    if (on_epoch) {
-      on_epoch(epoch, mean_r);
-    } else {
-      obs::log_info(
-          "ppo.epoch",
-          {{"epoch", epoch},
-           {"mean_reward", mean_r},
-           {"rollouts", static_cast<std::int64_t>(rollouts.size())},
-           {"validity_rate", obs::gauge("ppo.rollout_validity_rate").value()}});
-    }
-
-    // Advantage normalization across the whole rollout batch.
-    {
+      // Advantage normalization across the whole rollout batch.
       double s = 0, s2 = 0;
       std::size_t n = 0;
       for (const auto& r : rollouts) {
@@ -304,8 +273,9 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
       }
     }
 
-    bool rolled_back = false;
-    for (int pe = 0; pe < cfg_.ppo_epochs && !rolled_back; ++pe) {
+    auto verdict = train::Verdict::kStep;
+    bool halted = false;  // a rewind or an abort ends the epoch early
+    for (int pe = 0; pe < cfg_.ppo_epochs && !halted; ++pe) {
       // Shuffle rollout order, then walk minibatches.
       std::vector<std::size_t> order(rollouts.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -357,33 +327,14 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
         // L_PPO = -L_policy + vc * L_value (Algorithm 1, line 8).
         Tensor loss = add(neg(l_policy), mul_scalar(l_value, cfg_.vc));
         loss.backward();
-        if (fault::enabled() && fault::should_fire("nan_grad")) {
-          params[0].grad()[0] = std::numeric_limits<float>::quiet_NaN();
-        }
-        const double grad_norm = clip_grad_norm(params, cfg_.clip_grad);
+        const double grad_norm = run.clip(params, cfg_.clip_grad);
 
-        const auto action = sentinel.observe(loss.item(), grad_norm);
-        if (action == train::SentinelAction::kRollback) {
-          if (last_good.armed() && rollbacks_left > 0) {
-            --rollbacks_left;
-            const long back = last_good.restore(ts);
-            stats.mean_reward.resize(mark.mr);
-            stats.policy_loss.resize(mark.pl);
-            stats.value_loss.resize(mark.vl);
-            stats.total_loss.resize(mark.tl);
-            sentinel.notify_rollback();
-            epoch = static_cast<int>(back) - 1;  // ++ resumes at `back`
-          } else {
-            obs::log_error("ppo.diverged",
-                           {{"epoch", epoch}, {"loss", loss.item()}});
-            stats.interrupted = true;
-            epoch = cfg_.epochs;  // abort the run
-          }
-          rolled_back = true;
-          break;
-        }
-        if (action == train::SentinelAction::kSkip) continue;
-        opt.set_lr(cfg_.lr * sentinel.lr_scale());
+        verdict = run.judge(loss.item(), grad_norm);
+        halted = verdict == train::Verdict::kRewind ||
+                 verdict == train::Verdict::kAbort;
+        if (halted) break;
+        if (verdict == train::Verdict::kSkip) continue;
+        opt.set_lr(cfg_.lr * run.lr_scale());
         opt.step();
 
         stats.policy_loss.push_back(l_policy.item());
@@ -393,25 +344,17 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
         obs::histogram("ppo.value_loss").record(l_value.item());
       }
     }
-    if (rolled_back) continue;
-
-    const long done = epoch + 1;
-    const bool stopping = train::stop_requested();
-    const bool at_cadence =
-        cfg_.checkpoint_every > 0 && done % cfg_.checkpoint_every == 0;
-    if (at_cadence || stopping || done == static_cast<long>(cfg_.epochs)) {
-      ts.step = done;
-      if (ckpt) {
-        try {
-          ckpt->save(ts);
-        } catch (const Error& e) {
-          obs::log_error("ppo.ckpt_failed", {{"error", e.what()}});
-        }
-      }
-      capture(done);
+    if (verdict == train::Verdict::kRewind) {
+      stats.mean_reward.resize(run.progress(0));
+      stats.policy_loss.resize(run.progress(1));
+      stats.value_loss.resize(run.progress(1));
+      stats.total_loss.resize(run.progress(1));
+      epoch = run.step() - 1;  // ++ resumes at the restored epoch
+      continue;
     }
-    if (stopping) {
-      obs::log_info("ppo.interrupted", {{"epoch", done}});
+    if (verdict == train::Verdict::kAbort ||
+        run.finish(epoch + 1,
+                   {stats.mean_reward.size(), stats.total_loss.size()})) {
       stats.interrupted = true;
       break;
     }

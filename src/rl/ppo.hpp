@@ -18,6 +18,7 @@
 #include "nn/transformer.hpp"
 #include "rl/reward_model.hpp"
 #include "surrogate/scorer.hpp"
+#include "train/run.hpp"
 #include "train/sentinel.hpp"
 
 namespace eva::rl {
@@ -58,13 +59,10 @@ struct PpoConfig {
   /// disables the dense term.
   float surrogate_dense_beta = 0.1f;
 
-  // Fault tolerance (train/): empty checkpoint_dir disables snapshots.
-  // Snapshots cover policy + value head + optimizer + RNG + the frozen
-  // reference model, at epoch granularity.
-  std::string checkpoint_dir;
-  int checkpoint_every = 5;    // epochs between snapshots
-  int keep_checkpoints = 3;
-  bool resume = false;
+  // Fault tolerance (train/run.hpp): snapshots cover policy + value head
+  // + optimizer + RNG + the frozen reference model, at epoch granularity
+  // (a run step is an epoch).
+  train::RunConfig run{.checkpoint_every = 5};
   train::SentinelConfig sentinel;
 };
 

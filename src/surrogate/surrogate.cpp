@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/optim.hpp"
-#include "train/checkpoint.hpp"
-#include "train/signal.hpp"
 #include "util/error.hpp"
 
 namespace eva::surrogate {
@@ -131,22 +128,11 @@ SurrogateTrainResult SurrogateModel::train(
   auto params = parameters();
   AdamW opt(params, {.lr = cfg.lr});
 
-  train::TrainState ts;
-  ts.params = params;
-  ts.opt = &opt;
-  ts.rng = &rng;
-
-  std::unique_ptr<train::CheckpointManager> ckpt;
-  if (!cfg.checkpoint_dir.empty()) {
-    ckpt = std::make_unique<train::CheckpointManager>(train::CheckpointOptions{
-        cfg.checkpoint_dir, cfg.keep_checkpoints, fingerprint()});
-  }
-  if (ckpt && cfg.resume) {
-    if (auto restored = ckpt->load_latest(ts)) {
-      res.start_step = static_cast<int>(*restored);
-    }
-  }
-
+  // No sentinel: its loss EMA gets small late in training, and the 10x
+  // spike rule would then skip real batches.
+  train::Run run("surrogate", {params, &opt, &rng}, cfg.steps, cfg.run,
+                 {.enabled = false}, fingerprint());
+  res.start_step = run.step();
   for (int step = res.start_step; step < cfg.steps; ++step) {
     opt.zero_grad();
     std::vector<const std::vector<int>*> batch;
@@ -161,23 +147,10 @@ SurrogateTrainResult SurrogateModel::train(
     Tensor logits = class_logits(batch);
     Tensor loss = cross_entropy(logits, labels);
     loss.backward();
-    clip_grad_norm(params, cfg.clip);
+    run.clip(params, cfg.clip);
     opt.step();
     res.losses.push_back(loss.item());
-
-    const long done = step + 1;
-    const bool stopping = train::stop_requested();
-    const bool at_cadence =
-        cfg.checkpoint_every > 0 && done % cfg.checkpoint_every == 0;
-    if (ckpt && (at_cadence || stopping || done == cfg.steps)) {
-      ts.step = done;
-      try {
-        ckpt->save(ts);
-      } catch (const Error& e) {
-        obs::log_error("surrogate.ckpt_failed", {{"error", e.what()}});
-      }
-    }
-    if (stopping) break;
+    if (run.finish(step + 1, {})) break;
   }
 
   res.class_accuracy = class_accuracy(examples);

@@ -13,9 +13,9 @@
 // Labels come from the reward-model pipeline (rl::label_dataset); the
 // Invalid rank is excluded here — surrogate callers already know
 // whether a sequence decodes, and the rule-based checker owns that
-// verdict. Training is plain minibatch cross-entropy with AdamW,
-// checkpointed through train::CheckpointManager with bitwise
-// kill-and-resume (same contract as pretrain/PPO/DPO).
+// verdict. Training is plain minibatch cross-entropy with AdamW, driven
+// by the train::Run runtime with bitwise kill-and-resume (same contract
+// as pretrain/PPO/DPO).
 //
 // This header stays independent of src/rl (eva_rl links eva_surrogate,
 // not the other way around): make_labeled() converts any range of
@@ -29,6 +29,7 @@
 
 #include "nn/transformer.hpp"
 #include "tensor/tensor.hpp"
+#include "train/run.hpp"
 #include "util/rng.hpp"
 
 namespace eva::surrogate {
@@ -77,11 +78,8 @@ struct SurrogateTrainConfig {
   float clip = 1.0f;
   std::uint64_t seed = 31;
 
-  // Fault tolerance (train/): empty checkpoint_dir disables snapshots.
-  std::string checkpoint_dir;
-  int checkpoint_every = 50;  // steps between snapshots
-  int keep_checkpoints = 3;
-  bool resume = false;
+  // Fault tolerance (train/run.hpp); the sentinel stays off here.
+  train::RunConfig run;
 };
 
 struct SurrogateTrainResult {
@@ -126,7 +124,7 @@ class SurrogateModel {
   [[nodiscard]] double score(const std::vector<int>& ids) const;
 
   /// Minibatch cross-entropy training with AdamW; checkpoints at
-  /// cfg.checkpoint_every-step cadence plus the final step. Fills the
+  /// cfg.run.checkpoint_every-step cadence plus the final step. Fills the
   /// result's accuracy metrics over `examples` and exports them as the
   /// surrogate.ranking_accuracy / surrogate.class_accuracy gauges.
   SurrogateTrainResult train(const std::vector<LabeledSeq>& examples,
@@ -145,7 +143,7 @@ class SurrogateModel {
 
   /// Restore the newest validating snapshot from `dir` into this model's
   /// parameters (no optimizer/RNG needed — inference-side load). Returns
-  /// false when no usable snapshot exists.
+  /// false when no usable snapshot exists; creates nothing.
   bool load_checkpoint(const std::string& dir);
 
  private:

@@ -66,6 +66,9 @@ class Reader {
     pos_ += n;
   }
 
+  /// Step over `n` bytes the caller has bounds-checked with remaining().
+  void skip(std::size_t n) { pos_ += n; }
+  [[nodiscard]] const char* here() const { return p_ + pos_; }
   [[nodiscard]] std::size_t remaining() const { return n_ - pos_; }
 
  private:
@@ -154,23 +157,11 @@ std::string serialize_state(const TrainState& state,
 
 }  // namespace
 
-CheckpointManager::CheckpointManager(CheckpointOptions opts)
-    : opts_(std::move(opts)) {
-  EVA_REQUIRE(!opts_.dir.empty(), "CheckpointManager needs a directory");
-  EVA_REQUIRE(opts_.keep_last >= 1, "keep_last must be >= 1");
-  std::error_code ec;
-  fs::create_directories(opts_.dir, ec);
-  if (ec) {
-    throw ConfigError("cannot create checkpoint directory " + opts_.dir +
-                      ": " + ec.message());
-  }
-}
-
-void CheckpointManager::save(const TrainState& state) {
-  static obs::Counter& saves = obs::counter("train.ckpt.saves");
+void write_snapshot(const std::string& path, const TrainState& state,
+                    std::uint64_t fingerprint) {
   static obs::Counter& failures = obs::counter("train.ckpt.write_failures");
 
-  std::string bytes = serialize_state(state, opts_.config_fingerprint);
+  std::string bytes = serialize_state(state, fingerprint);
   if (fault::enabled()) {
     if (fault::should_fire("ckpt_write")) {
       failures.add();
@@ -182,26 +173,14 @@ void CheckpointManager::save(const TrainState& state) {
       bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
     }
   }
-
-  const std::string name = snapshot_name(state.step);
-  const std::string path = opts_.dir + "/" + name;
   if (!atomic_write_file(path, bytes)) {
     failures.add();
     throw ConfigError("checkpoint write failed: " + path);
   }
-  if (!atomic_write_file(opts_.dir + "/latest", name + "\n")) {
-    failures.add();
-    throw ConfigError("checkpoint manifest write failed: " + opts_.dir +
-                      "/latest");
-  }
-  saves.add();
-  obs::log_info("train.ckpt.saved",
-                {{"path", path}, {"step", static_cast<std::int64_t>(state.step)}});
-  prune();
 }
 
-long CheckpointManager::load_file(const std::string& path,
-                                  TrainState& state) const {
+long read_snapshot(const std::string& path, TrainState& state,
+                   std::uint64_t fingerprint) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw ConfigError("cannot open checkpoint: " + path);
   std::stringstream ss;
@@ -222,26 +201,42 @@ long CheckpointManager::load_file(const std::string& path,
     throw ConfigError("implausible section count in checkpoint: " + path);
   }
 
-  bool saw_meta = false, saw_params = false;
-  long step = 0;
+  // Validate the whole container (sizes, checksums, no trailing bytes)
+  // before any section touches `state`.
+  struct Section {
+    std::uint32_t tag;
+    const char* data;
+    std::size_t size;
+  };
+  std::vector<Section> found;
   for (std::uint32_t s = 0; s < sections; ++s) {
     const auto tag = r.get<std::uint32_t>("section tag");
     const auto size = r.get<std::uint64_t>("section size");
     if (size > kMaxSectionBytes || size > r.remaining()) {
       throw ConfigError("checkpoint section overruns file: " + path);
     }
-    std::string payload(size, '\0');
-    r.take(payload.data(), size, "section payload");
+    const char* payload = r.here();
+    r.skip(size);
     const auto want_crc = r.get<std::uint32_t>("section crc");
-    if (crc32(payload.data(), payload.size()) != want_crc) {
+    if (crc32(payload, size) != want_crc) {
       throw ConfigError("checkpoint section checksum mismatch (tag " +
                         std::to_string(tag) + "): " + path);
     }
-    Reader sec(payload.data(), payload.size());
-    switch (tag) {
+    found.push_back({tag, payload, size});
+  }
+  if (r.remaining() != 0) {
+    throw ConfigError("trailing bytes after the last checkpoint section: " +
+                      path);
+  }
+
+  bool saw_meta = false, saw_params = false;
+  long step = 0;
+  for (const Section& section : found) {
+    Reader sec(section.data, section.size);
+    switch (section.tag) {
       case kSecMeta: {
         const auto fp = sec.get<std::uint64_t>("fingerprint");
-        if (opts_.config_fingerprint != 0 && fp != opts_.config_fingerprint) {
+        if (fingerprint != 0 && fp != fingerprint) {
           throw ConfigError("checkpoint config fingerprint mismatch: " + path);
         }
         step = static_cast<long>(sec.get<std::int64_t>("step"));
@@ -322,6 +317,37 @@ long CheckpointManager::load_file(const std::string& path,
   return step;
 }
 
+CheckpointManager::CheckpointManager(CheckpointOptions opts)
+    : opts_(std::move(opts)) {
+  EVA_REQUIRE(!opts_.dir.empty(), "CheckpointManager needs a directory");
+  EVA_REQUIRE(opts_.keep_last >= 1, "keep_last must be >= 1");
+}
+
+void CheckpointManager::save(const TrainState& state) {
+  static obs::Counter& saves = obs::counter("train.ckpt.saves");
+  static obs::Counter& failures = obs::counter("train.ckpt.write_failures");
+
+  std::error_code ec;
+  fs::create_directories(opts_.dir, ec);
+  if (ec) {
+    failures.add();
+    throw ConfigError("cannot create checkpoint directory " + opts_.dir +
+                      ": " + ec.message());
+  }
+  const std::string name = snapshot_name(state.step);
+  const std::string path = opts_.dir + "/" + name;
+  write_snapshot(path, state, opts_.config_fingerprint);
+  if (!atomic_write_file(opts_.dir + "/latest", name + "\n")) {
+    failures.add();
+    throw ConfigError("checkpoint manifest write failed: " + opts_.dir +
+                      "/latest");
+  }
+  saves.add();
+  obs::log_info("train.ckpt.saved",
+                {{"path", path}, {"step", static_cast<std::int64_t>(state.step)}});
+  prune();
+}
+
 std::optional<long> CheckpointManager::load_latest(TrainState& state) const {
   static obs::Counter& fallbacks = obs::counter("train.ckpt.fallbacks");
   static obs::Counter& corrupt = obs::counter("train.ckpt.corrupt");
@@ -346,7 +372,7 @@ std::optional<long> CheckpointManager::load_latest(TrainState& state) const {
   bool fell_back = false;
   for (const auto& path : candidates) {
     try {
-      const long step = load_file(path, state);
+      const long step = read_snapshot(path, state, opts_.config_fingerprint);
       if (fell_back) fallbacks.add();
       obs::log_info("train.ckpt.restored",
                     {{"path", path},
@@ -388,8 +414,7 @@ void CheckpointManager::prune() const {
   }
 }
 
-void RollbackSlot::capture(const TrainState& state,
-                           std::size_t progress_size) {
+void RollbackSlot::capture(const TrainState& state) {
   params_.clear();
   params_.reserve(state.params.size());
   for (const auto& p : state.params) {
@@ -399,7 +424,6 @@ void RollbackSlot::capture(const TrainState& state,
   opt_ = state.opt ? std::optional(state.opt->export_state()) : std::nullopt;
   rng_ = state.rng ? std::optional(state.rng->save_state()) : std::nullopt;
   step_ = state.step;
-  progress_size_ = progress_size;
   armed_ = true;
 }
 

@@ -4,21 +4,24 @@
 // A snapshot carries everything a trainer needs to continue bit-for-bit:
 // model parameters, AdamW optimizer moments + step count, RNG state, the
 // trainer step counter, and a config fingerprint that rejects resumes
-// against a different model/run configuration.
+// against a different model/run configuration. A params-only snapshot is
+// also the on-disk model format (`core::Eva::save_model`).
 //
 // On-disk format (little-endian, see checkpoint.cpp):
 //
 //   u32 magic "EVA2" | u32 version | u32 section_count
 //   per section: u32 tag | u64 payload_bytes | payload | u32 crc32(payload)
 //
-// Every write goes through the temp-file + fsync + atomic-rename helper
-// (util/io), then a `latest` manifest is updated the same way, and
-// snapshots beyond `keep_last` are pruned. Loading walks from the
-// manifest backwards through the retained files and returns the newest
-// snapshot whose checksums, shapes and fingerprint all validate — so a
-// torn or bit-flipped latest snapshot costs one checkpoint interval, not
-// the run. Fault sites: `ckpt_write` (injected write failure) and
-// `ckpt_bitflip` (corrupt one byte of the serialized snapshot).
+// write_snapshot / read_snapshot are the codec's only entry points. Every
+// write goes through the temp-file + fsync + atomic-rename helper
+// (util/io). The manager names snapshots by step, updates a `latest`
+// manifest the same way, and prunes snapshots beyond `keep_last`.
+// Loading walks from the manifest backwards through the retained files
+// and returns the newest snapshot whose checksums, shapes and fingerprint
+// all validate — so a torn or bit-flipped latest snapshot costs one
+// checkpoint interval, not the run. Fault sites: `ckpt_write` (injected
+// write failure) and `ckpt_bitflip` (corrupt one byte of the serialized
+// snapshot).
 #pragma once
 
 #include <optional>
@@ -68,6 +71,19 @@ struct TrainState {
   long step = 0;  // completed steps (resume continues at `step`)
 };
 
+/// Serialize `state` to `path` as one EVA2 snapshot (atomic). Throws
+/// eva::ConfigError on I/O failure.
+void write_snapshot(const std::string& path, const TrainState& state,
+                    std::uint64_t fingerprint);
+
+/// Restore one EVA2 snapshot into `state` (same layout as written) and
+/// return its step. A non-zero `fingerprint` must match the file's.
+/// Throws eva::ConfigError when the file fails validation (bad magic,
+/// CRC, fingerprint, shape, truncation or trailing bytes); container
+/// errors are caught before `state` is touched.
+long read_snapshot(const std::string& path, TrainState& state,
+                   std::uint64_t fingerprint);
+
 struct CheckpointOptions {
   std::string dir;
   int keep_last = 3;
@@ -76,23 +92,20 @@ struct CheckpointOptions {
 
 class CheckpointManager {
  public:
-  /// Creates `opts.dir` (recursively) if needed.
   explicit CheckpointManager(CheckpointOptions opts);
 
-  /// Serialize `state` to ckpt_<step>.eva2 (atomic), update the `latest`
-  /// manifest, and prune beyond keep_last. Throws eva::ConfigError on
-  /// I/O failure — callers treat that as non-fatal and keep training.
+  /// Write `state` to ckpt_<step>.eva2 (creating the directory if
+  /// needed), update the `latest` manifest, and prune beyond keep_last.
+  /// Throws eva::ConfigError on I/O failure — callers treat that as
+  /// non-fatal and keep training.
   void save(const TrainState& state);
 
   /// Restore the newest snapshot that validates end-to-end, falling
   /// back across retained files when the latest is corrupt (counted in
   /// `train.ckpt.fallbacks`). Returns the restored step count, or
-  /// nullopt when no usable snapshot exists.
+  /// nullopt when no usable snapshot exists (a missing or unreadable
+  /// directory included). Creates nothing.
   std::optional<long> load_latest(TrainState& state) const;
-
-  /// Restore one specific snapshot file. Throws eva::ConfigError when it
-  /// fails validation (bad magic/CRC/fingerprint/shape mismatch).
-  long load_file(const std::string& path, TrainState& state) const;
 
   /// Retained snapshot paths, newest step first.
   [[nodiscard]] std::vector<std::string> list_snapshots() const;
@@ -109,14 +122,10 @@ class CheckpointManager {
 /// state; restore() writes it back into the same tensors/optimizer/RNG.
 class RollbackSlot {
  public:
-  void capture(const TrainState& state, std::size_t progress_size = 0);
+  void capture(const TrainState& state);
   /// Restore into `state` (same layout as captured). Returns the step
   /// the snapshot was taken at.
   long restore(TrainState& state) const;
-  [[nodiscard]] bool armed() const { return armed_; }
-  /// Size of the trainer's progress vector at capture time, so rollback
-  /// can truncate per-step histories consistently.
-  [[nodiscard]] std::size_t progress_size() const { return progress_size_; }
 
  private:
   bool armed_ = false;
@@ -124,7 +133,6 @@ class RollbackSlot {
   std::optional<tensor::AdamW::State> opt_;
   std::optional<Rng::State> rng_;
   long step_ = 0;
-  std::size_t progress_size_ = 0;
 };
 
 }  // namespace eva::train

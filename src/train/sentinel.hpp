@@ -10,8 +10,8 @@
 //     (after warmup), trips the sentinel -> the trainer SKIPS the update
 //     and backs off its LR scale;
 //   * `rollback_after` consecutive trips escalate to a ROLLBACK -> the
-//     trainer restores the last-good snapshot (RollbackSlot / on-disk
-//     checkpoint) and continues from there;
+//     run (train/run.hpp) restores the in-memory last-good snapshot
+//     (RollbackSlot) and the trainer continues from there;
 //   * healthy steps decay the trip streak and let the LR scale recover.
 //
 // Every action is counted (`train.sentinel.trips`, `.skipped_batches`,

@@ -15,7 +15,7 @@
 //   EVA_FAULT=spice_dc:*                  every DC solve gives up
 //
 // Sites in use: io_write (util/io atomic writer), ckpt_write /
-// ckpt_bitflip (train/checkpoint), nan_grad (all three trainers),
+// ckpt_bitflip (train/checkpoint), nan_grad (train/run, every trainer),
 // spice_dc (spice/engine), fom_nan (spice/fom), reward_nan
 // (rl/reward_model), serve_accept / serve_slow_client / serve_conn_drop /
 // serve_partial_write / serve_stall / replica_crash (serve/server — the

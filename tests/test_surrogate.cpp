@@ -1,5 +1,6 @@
 // Learned FoM surrogate suite (DESIGN.md §15): trainer checkpoint
-// kill-and-resume (bitwise), SurrogateScorer batch-width invariance
+// kill-and-resume (bitwise), a checkpoint load that creates nothing,
+// SurrogateScorer batch-width invariance
 // across the three quant tiers, prefix scoring, the serving pre-filter's
 // keep-fraction boundary semantics (0 / 1 / NaN scores), the paired
 // on/off e2e contract (SPICE solves drop, best verified FoM survives),
@@ -9,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -115,27 +118,27 @@ TEST(Surrogate, CheckpointKillAndResumeIsBitwise) {
 
   SurrogateTrainConfig tcfg;
   tcfg.steps = 12;
-  tcfg.checkpoint_every = 6;
+  tcfg.run.checkpoint_every = 6;
   tcfg.seed = 23;
 
   // Uninterrupted run.
   Rng rng_a(22);
   SurrogateModel a(scfg, rng_a);
-  tcfg.checkpoint_dir = dir_a;
+  tcfg.run.checkpoint_dir = dir_a;
   a.train(examples, tcfg);
 
   // Killed at step 6, resumed in a freshly-initialized model (the
   // checkpoint restores params + optimizer + RNG, so init is irrelevant).
   Rng rng_b(22);
   SurrogateModel b(scfg, rng_b);
-  tcfg.checkpoint_dir = dir_b;
+  tcfg.run.checkpoint_dir = dir_b;
   tcfg.steps = 6;
   b.train(examples, tcfg);
 
   Rng rng_c(999);  // deliberately different init
   SurrogateModel c(scfg, rng_c);
   tcfg.steps = 12;
-  tcfg.resume = true;
+  tcfg.run.resume = true;
   const auto res = c.train(examples, tcfg);
   EXPECT_EQ(res.start_step, 6);
 
@@ -161,7 +164,7 @@ TEST(Surrogate, LoadCheckpointRestoresScores) {
   SurrogateModel trained(scfg, rng);
   SurrogateTrainConfig tcfg;
   tcfg.steps = 10;
-  tcfg.checkpoint_dir = dir;
+  tcfg.run.checkpoint_dir = dir;
   tcfg.seed = 33;
   trained.train(examples, tcfg);
 
@@ -174,6 +177,25 @@ TEST(Surrogate, LoadCheckpointRestoresScores) {
   Rng rng3(78);
   SurrogateModel other({.vocab = 20, .d_embed = 12, .d_hidden = 16}, rng3);
   EXPECT_FALSE(other.load_checkpoint(dir));
+}
+
+TEST(Surrogate, LoadCheckpointCreatesNothing) {
+  namespace fs = std::filesystem;
+  const fs::path root = ::testing::TempDir() + "sur_ckpt_readonly";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  Rng rng(35);
+  SurrogateModel model({.vocab = 20, .d_embed = 12, .d_hidden = 8}, rng);
+
+  // A missing directory loads nothing and is not created.
+  const fs::path missing = root / "missing";
+  EXPECT_FALSE(model.load_checkpoint(missing.string()));
+  EXPECT_FALSE(fs::exists(missing));
+  // A path under a regular file is unloadable, not an error.
+  const fs::path file = root / "file";
+  std::ofstream(file) << "not a directory";
+  EXPECT_FALSE(model.load_checkpoint((file / "ckpt").string()));
+  fs::remove_all(root);
 }
 
 // --- scorer ------------------------------------------------------------------

@@ -1,17 +1,15 @@
 // Unit tests for the autodiff tensor engine: forward values, gradient
-// checks against finite differences for every op, optimizers, serialization.
+// checks against finite differences for every op, optimizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -587,44 +585,6 @@ TEST(Optim, ClipGradNorm) {
   double post = 0;
   for (float g : a.grad()) post += static_cast<double>(g) * g;
   EXPECT_NEAR(std::sqrt(post), 1.0, 1e-4);
-}
-
-// --- serialize ---------------------------------------------------------------
-
-TEST(Serialize, SaveLoadRoundTrip) {
-  Rng rng(19);
-  std::vector<Tensor> params{Tensor::randn({3, 4}, rng, 1.0f),
-                             Tensor::randn({5}, rng, 1.0f)};
-  const std::string path = "/tmp/eva_test_ckpt.bin";
-  save_params(params, path);
-
-  std::vector<Tensor> loaded{Tensor::zeros({3, 4}, true),
-                             Tensor::zeros({5}, true)};
-  load_params(loaded, path);
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    for (std::size_t i = 0; i < params[p].numel(); ++i) {
-      EXPECT_FLOAT_EQ(loaded[p].data()[i], params[p].data()[i]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, LoadRejectsShapeMismatch) {
-  Rng rng(20);
-  std::vector<Tensor> params{Tensor::randn({2, 2}, rng, 1.0f)};
-  const std::string path = "/tmp/eva_test_ckpt2.bin";
-  save_params(params, path);
-  std::vector<Tensor> wrong{Tensor::zeros({4}, true)};
-  EXPECT_THROW(load_params(wrong, path), eva::ConfigError);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, CopyParams) {
-  std::vector<Tensor> src{Tensor::from({2}, {1, 2})};
-  std::vector<Tensor> dst{Tensor::zeros({2})};
-  copy_params(src, dst);
-  EXPECT_FLOAT_EQ(dst[0].data()[1], 2.0f);
-  EXPECT_EQ(count_params(src), 2u);
 }
 
 }  // namespace

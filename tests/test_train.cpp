@@ -1,12 +1,16 @@
-// Tests for the fault-tolerance runtime: deterministic fault injection,
-// atomic writes, hardened parameter loading, EVA2 checkpoints (roundtrip,
-// retention, corruption fallback), the divergence sentinel, graceful
-// stop + bit-compatible resume across all three trainers, and the SPICE
-// DC solve deadline.
+// Tests for the training runtime (train/run.hpp) that pretraining, PPO,
+// DPO and the surrogate trainer share: deterministic fault injection,
+// atomic writes, the hardened EVA2 snapshot codec (roundtrip and
+// corruption rejection), checkpoint retention and corruption fallback,
+// the divergence sentinel, sentinel recovery and sentinel-skipped steps
+// that still end like any other step, graceful stop + bit-compatible
+// resume, and the SPICE DC solve deadline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -25,7 +29,6 @@
 #include "spice/fom.hpp"
 #include "spice/sizing.hpp"
 #include "tensor/optim.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 #include "train/checkpoint.hpp"
 #include "train/sentinel.hpp"
@@ -133,7 +136,7 @@ TEST(AtomicWrite, InjectedFailureLeavesDestinationUntouched) {
   EXPECT_EQ(entries, 1u);
 }
 
-// -------------------------------------------------- hardened load_params
+// ------------------------------------------------ hardened EVA2 loading
 
 std::vector<Tensor> make_test_params(std::uint64_t seed) {
   Rng rng(seed);
@@ -143,29 +146,46 @@ std::vector<Tensor> make_test_params(std::uint64_t seed) {
   return out;
 }
 
-void expect_load_error(const std::string& path, std::vector<Tensor>& params,
+void expect_load_error(const std::string& path, std::vector<Tensor> params,
                        const std::string& needle) {
+  train::TrainState state{std::move(params)};
   try {
-    load_params(params, path);
-    FAIL() << "load_params did not throw for " << needle;
+    train::read_snapshot(path, state, 0);
+    FAIL() << "read_snapshot did not throw for " << needle;
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "got: " << e.what();
   }
 }
 
+/// Overwrite the params section's tensor count of a params-only
+/// snapshot and re-seal the section's CRC, so the loader gets past the
+/// checksum to the count check. Layout: 12-byte header, a 32-byte meta
+/// section, then the params section (tag, u64 size, payload, crc).
+std::string with_tensor_count(const std::string& bytes, std::uint32_t count) {
+  constexpr std::size_t kParams = 12 + 32;
+  std::uint64_t size = 0;
+  std::memcpy(&size, bytes.data() + kParams + 4, sizeof(size));
+  std::string out = bytes;
+  char* payload = out.data() + kParams + 12;
+  std::memcpy(payload, &count, sizeof(count));
+  const std::uint32_t crc = crc32(payload, size);
+  std::memcpy(payload + size, &crc, sizeof(crc));
+  return out;
+}
+
 TEST(LoadParams, RoundtripAndRejectsCorruption) {
-  Scratch sc("serialize");
-  const std::string path = sc.path("params.eva1");
-  auto params = make_test_params(31);
-  save_params(params, path);
+  Scratch sc("snapshot");
+  const std::string path = sc.path("params.eva2");
+  const auto params = make_test_params(31);
+  train::write_snapshot(path, {params}, 0);
 
   // Clean roundtrip first.
-  auto loaded = make_test_params(32);
-  load_params(loaded, path);
+  train::TrainState loaded{make_test_params(32)};
+  EXPECT_EQ(train::read_snapshot(path, loaded, 0), 0);
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto a = params[i].data();
-    auto b = loaded[i].data();
+    auto b = loaded.params[i].data();
     for (std::size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a[j], b[j]);
   }
 
@@ -173,34 +193,39 @@ TEST(LoadParams, RoundtripAndRejectsCorruption) {
 
   // Header truncated.
   ASSERT_TRUE(atomic_write_file(path, bytes.substr(0, 4)));
-  expect_load_error(path, loaded, "header truncated");
+  expect_load_error(path, make_test_params(32), "truncated reading version");
   // Bad magic.
   {
     std::string bad = bytes;
     bad[0] = 'X';
     ASSERT_TRUE(atomic_write_file(path, bad));
-    expect_load_error(path, loaded, "bad checkpoint magic");
+    expect_load_error(path, make_test_params(32), "bad checkpoint magic");
   }
   // Implausible tensor count.
-  {
-    std::string bad = bytes;
-    bad[4] = bad[5] = bad[6] = bad[7] = '\xFF';
-    ASSERT_TRUE(atomic_write_file(path, bad));
-    expect_load_error(path, loaded, "implausible tensor count");
-  }
-  // Truncated mid-shape and mid-payload.
-  ASSERT_TRUE(atomic_write_file(path, bytes.substr(0, 14)));
-  expect_load_error(path, loaded, "truncated in tensor shape");
-  ASSERT_TRUE(atomic_write_file(path, bytes.substr(0, bytes.size() - 3)));
-  expect_load_error(path, loaded, "payload truncated");
-  // Trailing garbage.
+  ASSERT_TRUE(atomic_write_file(path, with_tensor_count(bytes, 0xFFFFFFFFu)));
+  expect_load_error(path, make_test_params(32), "implausible tensor count");
+  // Truncated mid-payload.
+  ASSERT_TRUE(atomic_write_file(path, bytes.substr(0, bytes.size() - 9)));
+  expect_load_error(path, make_test_params(32), "section overruns file");
+  // Trailing bytes, rejected before any tensor is written.
   ASSERT_TRUE(atomic_write_file(path, bytes + "zz"));
-  expect_load_error(path, loaded, "trailing garbage");
+  {
+    train::TrainState untouched{make_test_params(32)};
+    EXPECT_THROW(train::read_snapshot(path, untouched, 0), ConfigError);
+    EXPECT_EQ(untouched.params[0].data()[0],
+              make_test_params(32)[0].data()[0]);
+  }
+  expect_load_error(path, make_test_params(32), "trailing bytes");
   // Count mismatch against the model.
   ASSERT_TRUE(atomic_write_file(path, bytes));
-  std::vector<Tensor> fewer;
-  fewer.push_back(make_test_params(33)[0]);
-  expect_load_error(path, fewer, "parameter count mismatch");
+  expect_load_error(path, {make_test_params(33)[0]},
+                    "parameter count mismatch");
+  // Shape mismatch against the model.
+  Rng rng(34);
+  expect_load_error(path,
+                    {Tensor::randn({4, 3}, rng, 1.0f, true),
+                     Tensor::randn({5}, rng, 1.0f, true)},
+                    "tensor shape mismatch");
 }
 
 // ------------------------------------------------------ EVA2 checkpoints
@@ -423,7 +448,7 @@ nn::PretrainConfig small_pretrain_cfg() {
   cfg.batch = 2;
   cfg.warmup = 4;
   cfg.log_every = 1;  // on_step fires every step (the kill hook needs it)
-  cfg.checkpoint_every = 8;
+  cfg.run.checkpoint_every = 8;
   return cfg;
 }
 
@@ -440,7 +465,7 @@ TEST(PretrainResilience, KillAndResumeMatchesUninterruptedRun) {
 
   // Killed run: stop mid-flight (like SIGTERM), final snapshot written.
   auto cfg_b = cfg;
-  cfg_b.checkpoint_dir = sc.dir.string();
+  cfg_b.run.checkpoint_dir = sc.dir.string();
   auto model_b = fx.fresh_model(7);
   const auto b = nn::pretrain(model_b, fx.corpus, cfg_b,
                               [](int step, double) {
@@ -452,7 +477,7 @@ TEST(PretrainResilience, KillAndResumeMatchesUninterruptedRun) {
 
   // Resumed run: fresh process state, weights come from the snapshot.
   auto cfg_c = cfg_b;
-  cfg_c.resume = true;
+  cfg_c.run.resume = true;
   auto model_c = fx.fresh_model(8);  // init is irrelevant, gets overwritten
   const auto c = nn::pretrain(model_c, fx.corpus, cfg_c);
   EXPECT_EQ(c.start_step, 12);
@@ -494,6 +519,80 @@ TEST(PretrainResilience, SentinelRecoversFromInjectedNanGradients) {
   EXPECT_GE(injections, 6u);
 }
 
+/// Snapshot file names in `dir`, oldest first.
+std::vector<std::string> snapshot_names(const fs::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("ckpt_", 0) == 0) out.push_back(name);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A step the sentinel skips still ends like any other step: the snapshot
+// rule, the last-good capture and the stop check all apply to it.
+
+TEST(PretrainResilience, SkippedLastStepStillWritesFinalSnapshot) {
+  Scratch sc("pretrain_skip_last");
+  const auto fx = PretrainFixture::make(702);
+  auto cfg = small_pretrain_cfg();
+  cfg.steps = 8;
+  cfg.run.checkpoint_every = 4;
+  cfg.run.checkpoint_dir = sc.dir.string();
+  fault::set_spec("nan_grad:8");  // the sentinel skips the last step
+  auto model = fx.fresh_model(10);
+  const auto r = nn::pretrain(model, fx.corpus, cfg);
+  fault::set_spec("");
+  EXPECT_FALSE(r.interrupted);
+  EXPECT_EQ(r.losses.size(), 7u);
+  EXPECT_EQ(r.end_step, 8);
+  EXPECT_EQ(snapshot_names(sc.dir),
+            (std::vector<std::string>{"ckpt_0000000004.eva2",
+                                      "ckpt_0000000008.eva2"}));
+
+  // Resuming the finished run has nothing left to do.
+  cfg.run.resume = true;
+  auto again = fx.fresh_model(11);
+  const auto c = nn::pretrain(again, fx.corpus, cfg);
+  EXPECT_EQ(c.start_step, 8);
+  EXPECT_TRUE(c.losses.empty());
+}
+
+TEST(PretrainResilience, StopDuringSkippedStepStopsThere) {
+  Scratch sc("pretrain_skip_stop");
+  const auto fx = PretrainFixture::make(703);
+  auto cfg = small_pretrain_cfg();
+  cfg.run.checkpoint_dir = sc.dir.string();
+  fault::set_spec("nan_grad:1");  // the sentinel skips step 0
+  train::request_stop();
+  auto model = fx.fresh_model(12);
+  const auto r = nn::pretrain(model, fx.corpus, cfg);
+  EXPECT_TRUE(r.interrupted);
+  EXPECT_TRUE(r.losses.empty()) << "ran a step after the stop";
+  EXPECT_EQ(r.end_step, 1);
+  EXPECT_EQ(snapshot_names(sc.dir),
+            std::vector<std::string>{"ckpt_0000000001.eva2"});
+}
+
+TEST(PretrainResilience, SkippedCadenceStepStillSnapshots) {
+  Scratch sc("pretrain_skip_cadence");
+  const auto fx = PretrainFixture::make(704);
+  auto cfg = small_pretrain_cfg();
+  cfg.steps = 12;
+  cfg.run.checkpoint_every = 4;
+  cfg.run.checkpoint_dir = sc.dir.string();
+  fault::set_spec("nan_grad:4");  // the sentinel skips step 3
+  auto model = fx.fresh_model(13);
+  const auto r = nn::pretrain(model, fx.corpus, cfg);
+  fault::set_spec("");
+  EXPECT_FALSE(r.interrupted);
+  EXPECT_EQ(snapshot_names(sc.dir),
+            (std::vector<std::string>{"ckpt_0000000004.eva2",
+                                      "ckpt_0000000008.eva2",
+                                      "ckpt_0000000012.eva2"}));
+}
+
 // ------------------------------------------------------ PPO / DPO resume
 
 struct RlFixture {
@@ -527,7 +626,7 @@ TEST(PpoResilience, KillAndResumeMatchesUninterruptedRun) {
   cfg.minibatch = 2;
   cfg.max_len = 48;
   cfg.batch_width = 2;
-  cfg.checkpoint_every = 1;
+  cfg.run.checkpoint_every = 1;
 
   auto run = [&](const rl::PpoConfig& c, std::uint64_t mseed,
                  const std::function<void(int, double)>& hook) {
@@ -546,7 +645,7 @@ TEST(PpoResilience, KillAndResumeMatchesUninterruptedRun) {
   ASSERT_EQ(a.mean_reward.size(), 4u);
 
   auto cfg_b = cfg;
-  cfg_b.checkpoint_dir = sc.dir.string();
+  cfg_b.run.checkpoint_dir = sc.dir.string();
   const auto b = run(cfg_b, 21, [](int epoch, double) {
     if (epoch == 1) train::request_stop();
   });
@@ -555,7 +654,7 @@ TEST(PpoResilience, KillAndResumeMatchesUninterruptedRun) {
   train::clear_stop();
 
   auto cfg_c = cfg_b;
-  cfg_c.resume = true;
+  cfg_c.run.resume = true;
   const auto c = run(cfg_c, 22, nullptr);  // different init: snapshot wins
   EXPECT_EQ(c.start_epoch, 2);
   ASSERT_EQ(c.mean_reward.size(), 2u);
@@ -587,7 +686,7 @@ TEST(DpoResilience, KillAndResumeMatchesUninterruptedRun) {
   rl::DpoConfig cfg;
   cfg.steps = 12;
   cfg.pairs_per_step = 2;
-  cfg.checkpoint_every = 4;
+  cfg.run.checkpoint_every = 4;
 
   auto run = [&](const rl::DpoConfig& c, std::uint64_t mseed,
                  const std::function<void(int, double)>& hook) {
@@ -600,7 +699,7 @@ TEST(DpoResilience, KillAndResumeMatchesUninterruptedRun) {
   ASSERT_EQ(a.loss.size(), 12u);
 
   auto cfg_b = cfg;
-  cfg_b.checkpoint_dir = sc.dir.string();
+  cfg_b.run.checkpoint_dir = sc.dir.string();
   const auto b = run(cfg_b, 31, [](int step, double) {
     if (step == 5) train::request_stop();
   });
@@ -609,13 +708,112 @@ TEST(DpoResilience, KillAndResumeMatchesUninterruptedRun) {
   train::clear_stop();
 
   auto cfg_c = cfg_b;
-  cfg_c.resume = true;
+  cfg_c.run.resume = true;
   const auto c = run(cfg_c, 32, nullptr);
   EXPECT_EQ(c.start_step, 6);
   ASSERT_EQ(c.loss.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(b.loss[i], a.loss[i]) << "step " << i;
     EXPECT_DOUBLE_EQ(c.loss[i], a.loss[i + 6]) << "step " << (i + 6);
+  }
+}
+
+std::vector<rl::PreferencePair> opamp_pairs(const RlFixture& fx) {
+  rl::LabelingConfig lcfg;
+  lcfg.target = circuit::CircuitType::OpAmp;
+  const auto labels = rl::label_dataset(fx.ds, fx.tok, lcfg);
+  Rng prng(13);
+  return rl::build_preference_pairs(labels.examples, 3, prng);
+}
+
+TEST(DpoResilience, SkippedLastStepStillWritesFinalSnapshot) {
+  Scratch sc("dpo_skip_last");
+  const auto fx = RlFixture::make(807);
+  const auto pairs = opamp_pairs(fx);
+  rl::DpoConfig cfg;
+  cfg.steps = 8;
+  cfg.pairs_per_step = 2;
+  cfg.run.checkpoint_every = 4;
+  cfg.run.checkpoint_dir = sc.dir.string();
+  fault::set_spec("nan_grad:8");  // the sentinel skips the last step
+  auto model = fx.fresh_model(33);
+  rl::DpoTrainer trainer(model, fx.tok, cfg);
+  const auto stats = trainer.train(pairs);
+  fault::set_spec("");
+  EXPECT_FALSE(stats.interrupted);
+  EXPECT_EQ(stats.loss.size(), 7u);
+  EXPECT_EQ(snapshot_names(sc.dir),
+            (std::vector<std::string>{"ckpt_0000000004.eva2",
+                                      "ckpt_0000000008.eva2"}));
+}
+
+TEST(DpoResilience, SentinelRecoversFromInjectedNanGradients) {
+  Scratch sc("dpo_nan");
+  const auto fx = RlFixture::make(808);
+  const auto pairs = opamp_pairs(fx);
+  rl::DpoConfig cfg;
+  cfg.steps = 12;
+  cfg.pairs_per_step = 2;
+  cfg.logprob_probe = 2;
+  cfg.run.checkpoint_every = 4;  // last-good at step 4
+  cfg.sentinel.rollback_after = 2;
+
+  // Steps 6 and 7 are poisoned: 6 is skipped, 7 rolls back to step 4,
+  // so the rewind must drop the entries of steps 4 and 5.
+  fault::set_spec("nan_grad:7,nan_grad:8");
+  auto model = fx.fresh_model(34);
+  rl::DpoTrainer trainer(model, fx.tok, cfg);
+  const auto stats = trainer.train(pairs);
+  const auto injections = fault::occurrences("nan_grad");
+  fault::set_spec("");
+
+  EXPECT_FALSE(stats.interrupted);
+  EXPECT_GE(injections, 8u);
+  ASSERT_EQ(stats.loss.size(), 12u);
+  ASSERT_EQ(stats.reward_acc.size(), 12u);
+  ASSERT_EQ(stats.logp_win.size(), 12u);
+  ASSERT_EQ(stats.logp_lose.size(), 12u);
+  for (const auto* v : {&stats.loss, &stats.reward_acc, &stats.logp_win,
+                        &stats.logp_lose}) {
+    for (double x : *v) EXPECT_TRUE(std::isfinite(x)) << x;
+  }
+}
+
+TEST(PpoResilience, SentinelRecoversFromInjectedNanGradients) {
+  Scratch sc("ppo_nan");
+  const auto fx = RlFixture::make(809);
+  rl::PpoConfig cfg;
+  cfg.epochs = 4;
+  cfg.rollouts = 4;
+  cfg.ppo_epochs = 1;
+  cfg.minibatch = 2;  // two updates per epoch
+  cfg.max_len = 48;
+  cfg.batch_width = 2;
+  cfg.run.checkpoint_every = 2;  // last-good after epoch 1
+  cfg.sentinel.rollback_after = 2;
+
+  // Both updates of epoch 3 are poisoned: the first is skipped, the
+  // second rolls back to epoch 2, so the rewind must drop the reward of
+  // epochs 2 and 3 and the losses of epoch 2.
+  fault::set_spec("nan_grad:7,nan_grad:8");
+  auto rm_model = fx.fresh_model(21);
+  Rng rm_rng(11);
+  rl::RewardModel rm(rm_model, fx.tok, rm_rng);
+  auto model = fx.fresh_model(23);
+  Rng ppo_rng(12);
+  rl::PpoTrainer trainer(model, fx.tok, rm, cfg, ppo_rng);
+  const auto stats = trainer.train();
+  const auto injections = fault::occurrences("nan_grad");
+  fault::set_spec("");
+
+  EXPECT_FALSE(stats.interrupted);
+  EXPECT_GE(injections, 8u);
+  ASSERT_EQ(stats.mean_reward.size(), 4u);
+  ASSERT_EQ(stats.policy_loss.size(), stats.total_loss.size());
+  ASSERT_EQ(stats.value_loss.size(), stats.total_loss.size());
+  for (const auto* v : {&stats.mean_reward, &stats.policy_loss,
+                        &stats.value_loss, &stats.total_loss}) {
+    for (double x : *v) EXPECT_TRUE(std::isfinite(x)) << x;
   }
 }
 

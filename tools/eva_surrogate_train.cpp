@@ -16,6 +16,9 @@
 //   --per-type N  synthesized topologies per circuit type (default 24)
 //   --seed N      dataset/model seed (default 17)
 //   --resume      resume from the newest checkpoint in --out
+//
+// A malformed or out-of-range --steps or --per-type (below 1) falls back
+// to its default (util/env.hpp).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +30,7 @@
 #include "nn/transformer.hpp"
 #include "rl/reward_model.hpp"
 #include "surrogate/surrogate.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -46,9 +50,9 @@ int main(int argc, char** argv) {
     if (arg == "--out" && has_val) {
       out_dir = argv[++i];
     } else if (arg == "--steps" && has_val) {
-      steps = std::atoi(argv[++i]);
+      steps = parse_int(argv[++i], steps, 1);
     } else if (arg == "--per-type" && has_val) {
-      per_type = std::atoi(argv[++i]);
+      per_type = parse_int(argv[++i], per_type, 1);
     } else if (arg == "--seed" && has_val) {
       seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--resume") {
@@ -94,8 +98,8 @@ int main(int argc, char** argv) {
     surrogate::SurrogateTrainConfig tcfg;
     tcfg.steps = steps;
     tcfg.seed = seed + 3;
-    tcfg.checkpoint_dir = out_dir;
-    tcfg.resume = resume;
+    tcfg.run.checkpoint_dir = out_dir;
+    tcfg.run.resume = resume;
     const auto res = model.train(examples, tcfg);
 
     std::printf("{\"steps\": %zu, \"start_step\": %d, \"examples\": %zu, "
