@@ -28,8 +28,6 @@
 #include "nn/transformer.hpp"
 #include "serve/service.hpp"
 #include "spice/engine.hpp"
-#include "surrogate/scorer.hpp"
-#include "surrogate/surrogate.hpp"
 #include "spice/fom.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
@@ -499,117 +497,6 @@ void BM_ServeThroughputF32(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeThroughputF32)
     ->Args({1, 0})->Args({1, 1})
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->UseManualTime()
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Surrogate pre-filter ROI on the serving path (DESIGN.md §15): the same
-// scanned request (weight seed 99 / request seed 1364 — 4 simulatable
-// topologies in the 8-candidate batch, so there is real SPICE work to
-// shed) through two services sharing weights, one with the learned FoM
-// pre-filter at keep = 0.25 and one without. Both run verify at
-// EVA_AC_POINTS-class fidelity (2001-point sweep) — the SPICE-bound
-// regime the filter targets; at the Mini-SPICE default 61 points decode
-// dominates and the filter's saving sits inside scheduler noise. Cold
-// cache on every request — warm requests memoize the evaluations and the
-// filter has nothing left to remove. Interleaved rounds as above: drift
-// hits both variants equally, so the on/off ordering within one
-// committed run is trustworthy.
-struct PairedSurrogateWindow {
-  double off_s = 0.0;
-  double on_s = 0.0;
-  std::int64_t items = 0;  // per variant
-  bool failed = false;
-};
-
-const PairedSurrogateWindow& paired_surrogate_window(int width) {
-  static std::map<int, PairedSurrogateWindow> windows;
-  const auto it = windows.find(width);
-  if (it != windows.end()) return it->second;
-  PairedSurrogateWindow w;
-
-  const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
-  const nn::ModelConfig cfg = nn::ModelConfig::bench_scale(tok.vocab_size());
-  Rng rng_off(99), rng_on(99);
-  nn::TransformerLM model_off(cfg, rng_off);
-  nn::TransformerLM model_on(cfg, rng_on);
-  serve::ServiceConfig scfg;
-  scfg.batch_width = width;
-  scfg.queue_max = 256;
-  scfg.sample.temperature = 0.9f;
-  scfg.sample.top_k = 12;
-  scfg.sample.max_len = 32;
-  // int8 on both sides (tier held equal; the comparison is the filter):
-  // the faster decode makes the verify stage a larger slice of the
-  // request, so the filter's saving clears within-window noise.
-  scfg.quant = tensor::QuantKind::kInt8;
-  scfg.sim.ac_points = 2001;
-  serve::GenerationService service_off(model_off, tok, scfg);
-  Rng head_rng(41);
-  surrogate::SurrogateModel head =
-      surrogate::SurrogateModel::from_lm(model_on, 32, head_rng);
-  scfg.surrogate = std::make_shared<surrogate::SurrogateScorer>(head);
-  scfg.surrogate_keep = 0.25;
-  serve::GenerationService service_on(model_on, tok, scfg);
-  service_off.start();
-  service_on.start();
-
-  const auto timed_request = [&](serve::GenerationService& service,
-                                 double& acc, bool count_items) {
-    service.cache().clear();  // cold: every candidate reaches the filter
-    serve::Request req;
-    req.n = 8;
-    req.seed = 1364;
-    req.temperature = 0.9f;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto resp = service.submit(req).response.get();
-    const auto t1 = std::chrono::steady_clock::now();
-    if (resp.status != serve::Status::kOk) {
-      w.failed = true;
-      return;
-    }
-    acc += std::chrono::duration<double>(t1 - t0).count();
-    if (count_items) w.items += static_cast<std::int64_t>(resp.items.size());
-  };
-
-  timed_request(service_off, w.off_s, false);
-  timed_request(service_on, w.on_s, false);
-  w.off_s = w.on_s = 0.0;
-  // ABBA within each round: first-order drift across the two calls of a
-  // round cancels too, not just drift across rounds.
-  constexpr int kRounds = 150;
-  for (int i = 0; i < kRounds && !w.failed; ++i) {
-    if (i % 2 == 0) {
-      timed_request(service_off, w.off_s, true);
-      timed_request(service_on, w.on_s, false);
-    } else {
-      timed_request(service_on, w.on_s, false);
-      timed_request(service_off, w.off_s, true);
-    }
-  }
-  service_off.drain();
-  service_on.drain();
-  return windows.emplace(width, w).first->second;
-}
-
-void BM_ServeThroughputSurrogate(benchmark::State& state) {
-  const PairedSurrogateWindow& w =
-      paired_surrogate_window(static_cast<int>(state.range(0)));
-  const bool on = state.range(1) != 0;
-  if (w.failed) {
-    state.SkipWithError("request not served");
-    return;
-  }
-  for (auto _ : state) {
-    state.SetIterationTime(on ? w.on_s : w.off_s);
-  }
-  state.SetItemsProcessed(w.items);
-  state.SetLabel(on ? "surrogate keep=0.25 cold-cache"
-                    : "surrogate off cold-cache");
-}
-BENCHMARK(BM_ServeThroughputSurrogate)
     ->Args({8, 0})->Args({8, 1})
     ->Args({16, 0})->Args({16, 1})
     ->UseManualTime()

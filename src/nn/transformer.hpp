@@ -43,12 +43,6 @@ class TransformerLM {
   [[nodiscard]] std::vector<tensor::Tensor> parameters() const;
   [[nodiscard]] std::size_t num_params() const;
 
-  /// Token-embedding table (V, C) — read-only view for auxiliary heads
-  /// that pool over token identity (the FoM surrogate seeds from it).
-  [[nodiscard]] const tensor::Tensor& token_embedding() const {
-    return tok_emb_;
-  }
-
   /// Training path. `tokens` is row-major (B,T); returns logits (B*T, V).
   /// Position indices run 0..T-1 per row.
   [[nodiscard]] tensor::Tensor forward(const std::vector<int>& tokens, int B,

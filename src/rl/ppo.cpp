@@ -65,87 +65,13 @@ void PpoTrainer::collect_rollouts(std::vector<Rollout>& out) {
         .set(static_cast<double>(valid) / static_cast<double>(samples.size()));
   }
 
-  // Surrogate pre-filter (DESIGN.md §15): score the whole batch once,
-  // keep the true reward-model pass (Mini-SPICE inside) for the top
-  // surrogate_keep fraction only. The rest take the surrogate score
-  // itself as the sequence reward — dense enough to learn from, three
-  // orders of magnitude cheaper than an AC sweep.
-  std::vector<float> sur_scores;
-  std::vector<char> spice_reward(samples.size(), 1);
-  if (cfg_.surrogate && !samples.empty()) {
-    static obs::Counter& sur_scored_c = obs::counter("ppo.surrogate.scored");
-    static obs::Counter& sur_spice_c =
-        obs::counter("ppo.surrogate.spice_rewards");
-    static obs::Counter& sur_skip_c =
-        obs::counter("ppo.surrogate.skipped_spice");
-    std::vector<const std::vector<int>*> ptrs;
-    ptrs.reserve(samples.size());
-    for (const auto& s : samples) ptrs.push_back(&s.ids);
-    sur_scores = cfg_.surrogate->score_batch(ptrs);
-    sur_scored_c.add(static_cast<std::int64_t>(samples.size()));
-
-    std::vector<std::size_t> order(samples.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                const bool fa = std::isfinite(sur_scores[a]);
-                const bool fb = std::isfinite(sur_scores[b]);
-                if (fa != fb) return fa;
-                if (fa && sur_scores[a] != sur_scores[b]) {
-                  return sur_scores[a] > sur_scores[b];
-                }
-                return a < b;
-              });
-    const double keep = cfg_.surrogate_keep;
-    std::size_t n_keep = samples.size();
-    if (keep <= 0.0) {
-      n_keep = 0;
-    } else if (keep < 1.0) {
-      n_keep = std::clamp<std::size_t>(
-          static_cast<std::size_t>(
-              std::ceil(keep * static_cast<double>(samples.size()))),
-          1, samples.size());
-    }
-    std::fill(spice_reward.begin(), spice_reward.end(), char{0});
-    for (std::size_t k = 0; k < n_keep; ++k) spice_reward[order[k]] = 1;
-    sur_spice_c.add(static_cast<std::int64_t>(n_keep));
-    sur_skip_c.add(static_cast<std::int64_t>(samples.size() - n_keep));
-  }
-
-  for (std::size_t si = 0; si < samples.size(); ++si) {
-    const auto& s = samples[si];
+  for (const auto& s : samples) {
     Rollout r;
     r.tokens = s.ids;
     if (s.hit_eos) r.tokens.push_back(nn::Tokenizer::kEos);
     r.n_actions = static_cast<int>(r.tokens.size()) - 1;
     if (r.n_actions < 1) continue;
-    if (spice_reward[si]) {
-      r.seq_reward = rm_->reward(s.ids);
-    } else {
-      // Filtered rollout: surrogate score stands in for the reward model.
-      // Undecodable sequences keep the reward model's -1 verdict (the
-      // rule-based check is free; only SPICE is expensive).
-      const float sc = sur_scores[si];
-      r.seq_reward = nn::ids_to_netlist(*tok_, s.ids).has_value()
-                         ? (std::isfinite(sc) ? static_cast<double>(sc) : 0.0)
-                         : -1.0;
-    }
-    if (cfg_.surrogate && cfg_.surrogate_dense_beta != 0.0f) {
-      // Potential-based shaping from prefix scores: phi(t) is the
-      // surrogate score of the first t+1 tokens, so the per-action term
-      // beta * (gamma * phi(t+1) - phi(t)) telescopes under gamma = 1
-      // and cannot change the optimal policy.
-      const auto phi = cfg_.surrogate->score_prefixes(r.tokens);
-      r.dense.resize(static_cast<std::size_t>(r.n_actions), 0.0f);
-      for (int t = 0; t < r.n_actions; ++t) {
-        const float p0 = phi[static_cast<std::size_t>(t)];
-        const float p1 = phi[static_cast<std::size_t>(t) + 1];
-        if (std::isfinite(p0) && std::isfinite(p1)) {
-          r.dense[static_cast<std::size_t>(t)] =
-              cfg_.surrogate_dense_beta * (cfg_.gamma * p1 - p0);
-        }
-      }
-    }
+    r.seq_reward = rm_->reward(s.ids);
 
     // NOTE: s.logprobs (one entry per action, EOS included — the
     // SampleResult invariant) are probabilities under the *sampling*
@@ -188,9 +114,6 @@ void PpoTrainer::compute_gae(Rollout& r) const {
                          r.ref_logp[static_cast<std::size_t>(t)]);
   }
   rew[static_cast<std::size_t>(K - 1)] += static_cast<float>(r.seq_reward);
-  // Dense surrogate shaping (potential-based; empty unless a surrogate
-  // is configured with a non-zero dense beta).
-  for (std::size_t t = 0; t < r.dense.size(); ++t) rew[t] += r.dense[t];
 
   r.advantages.assign(static_cast<std::size_t>(K), 0.0f);
   r.returns.assign(static_cast<std::size_t>(K), 0.0f);

@@ -17,7 +17,6 @@
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
 #include "rl/reward_model.hpp"
-#include "surrogate/scorer.hpp"
 #include "train/run.hpp"
 #include "train/sentinel.hpp"
 
@@ -42,22 +41,6 @@ struct PpoConfig {
   /// decoding").
   int batch_width = 8;
   std::uint64_t seed = 99;
-
-  /// Learned FoM surrogate (DESIGN.md §15). When set, every rollout gets
-  /// a surrogate score; only the top surrogate_keep fraction of each
-  /// epoch's batch runs the full reward model (Mini-SPICE inside), the
-  /// rest take the surrogate score itself as the sequence reward
-  /// (decodable sequences) or the standard -1 (undecodable). Null keeps
-  /// the reward-model-everywhere path bit-identical to before.
-  const surrogate::SurrogateScorer* surrogate = nullptr;
-  /// Fraction of rollouts that keep the true SPICE-backed reward
-  /// (ceil(keep * D), at least 1 while keep > 0; >= 1 or NaN keeps all).
-  float surrogate_keep = 0.25f;
-  /// Weight of the dense potential-based shaping reward derived from the
-  /// surrogate's prefix scores: rew[t] += beta * (gamma * phi(t+1) -
-  /// phi(t)). Potential-based shaping preserves the optimal policy; 0
-  /// disables the dense term.
-  float surrogate_dense_beta = 0.1f;
 
   // Fault tolerance (train/run.hpp): snapshots cover policy + value head
   // + optimizer + RNG + the frozen reference model, at epoch granularity
@@ -99,7 +82,6 @@ class PpoTrainer {
     std::vector<float> values;     // V(x_t) per action position
     std::vector<float> advantages;
     std::vector<float> returns;    // G_t
-    std::vector<float> dense;      // per-action shaping reward (may be empty)
   };
 
   void collect_rollouts(std::vector<Rollout>& out);

@@ -44,19 +44,6 @@ LabelingResult label_dataset(const data::Dataset& ds, const nn::Tokenizer& tok,
   std::vector<Pending> pending;
   std::vector<double> foms;
   for (const auto& e : ds.entries()) {
-    if (cfg.skip_unencodable) {
-      bool fits = true;
-      for (const auto& [kind, count] : e.netlist.kind_counts()) {
-        if (count > tok.limits()[static_cast<std::size_t>(kind)]) {
-          fits = false;
-          break;
-        }
-      }
-      if (!fits) {
-        ++out.skipped_unencodable;
-        continue;
-      }
-    }
     Pending p;
     const auto tour = circuit::encode_tour(e.netlist, rng);
     auto ids = tok.encode_tour(tour);

@@ -44,19 +44,12 @@ struct LabelingResult {
   std::vector<RankedExample> examples;
   double fom_threshold = 0.0;  // Otsu threshold over relevant FoMs
   int labeled_count = 0;       // paper metric: "# of labeled topology"
-  int skipped_unencodable = 0;  // entries outside the tokenizer's limits
 };
 
 struct LabelingConfig {
   circuit::CircuitType target = circuit::CircuitType::OpAmp;
   double invalid_fraction = 0.15;  // synthesized invalid examples
   std::uint64_t seed = 77;
-  /// Skip dataset entries whose device counts exceed the tokenizer's
-  /// limits instead of throwing. Off by default (a from_dataset tokenizer
-  /// always fits its own dataset, and an encode failure there is a bug);
-  /// labeling against a fixed serving vocabulary opts in — the surrogate
-  /// trainer must produce examples a serving head can represent.
-  bool skip_unencodable = false;
 };
 
 /// Label the dataset for a target circuit type: relevance from the type

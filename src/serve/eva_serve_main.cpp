@@ -10,13 +10,6 @@
 //   EVA_SERVE_IDLE_MS       per-connection idle read timeout
 //   EVA_SERVE_SLOW_MS       latency budget for the slow-request WARN log
 //   EVA_QUANT               inference weight tier: f32 (default) | bf16 | int8
-//   EVA_SURROGATE           1 = enable the learned FoM pre-filter
-//   EVA_SURROGATE_KEEP      fraction of cache misses that still run SPICE
-//                           (default 0.25)
-//   EVA_SURROGATE_CKPT      checkpoint dir for a trained surrogate head
-//                           (unset/unloadable = embedding-seeded fresh head)
-//   EVA_AC_POINTS           AC sweep resolution for verify-stage FoM
-//                           extraction (default 61; cost is linear)
 //   EVA_METRICS_FLUSH_SEC   periodic metrics export interval
 //   EVA_METRICS_FILE        metrics export target (obs layer)
 //   EVA_FAULT               fault injection spec (serve_accept, ...)
@@ -25,10 +18,7 @@
 // (util/env.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-
-#include <memory>
 
 #include "nn/config.hpp"
 #include "nn/tokenizer.hpp"
@@ -36,8 +26,6 @@
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "surrogate/scorer.hpp"
-#include "surrogate/surrogate.hpp"
 #include "train/signal.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
@@ -60,12 +48,7 @@ int main(int argc, char** argv) {
   serve::ServiceConfig cfg;
   cfg.queue_max =
       static_cast<std::size_t>(std::max(1, env_int("EVA_SERVE_QUEUE_MAX", 64)));
-  cfg.sim.ac_points =
-      std::max(2, env_int("EVA_AC_POINTS", cfg.sim.ac_points));
   cfg.slow_warn_ms = env_double("EVA_SERVE_SLOW_MS", cfg.slow_warn_ms, 0.0);
-  cfg.surrogate_keep =
-      env_double("EVA_SURROGATE_KEEP", cfg.surrogate_keep, 0.0);
-  // Before the surrogate scorer below, which is built at this tier.
   cfg.quant = tensor::quant_kind_from_env(cfg.quant);
 
   // Bench-scale model with fresh weights: the serving layer's contract is
@@ -78,25 +61,6 @@ int main(int argc, char** argv) {
   // quantized tier is selected (EVA_QUANT=int8|bf16; default f32 leaves
   // served output bit-identical to the unquantized path).
   nn::TransformerLM model(mcfg, rng);
-
-  if (env_int("EVA_SURROGATE", 0) != 0) {
-    // Seed the head from the LM's token embedding so even an untrained
-    // filter ranks by token-composition structure rather than noise; a
-    // trained checkpoint (EVA_SURROGATE_CKPT) replaces all of it.
-    surrogate::SurrogateModel head =
-        surrogate::SurrogateModel::from_lm(model, 32, rng);
-    if (const char* dir = std::getenv("EVA_SURROGATE_CKPT");
-        dir && *dir != '\0') {
-      if (!head.load_checkpoint(dir)) {
-        std::fprintf(stderr,
-                     "eva_serve: no loadable surrogate checkpoint in %s, "
-                     "serving with an untrained head\n",
-                     dir);
-      }
-    }
-    cfg.surrogate =
-        std::make_shared<surrogate::SurrogateScorer>(head, cfg.quant);
-  }
 
   try {
     serve::GenerationService service(model, tok, cfg);

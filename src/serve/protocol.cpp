@@ -303,10 +303,6 @@ std::string item_to_json(const Item& item, std::uint64_t request_id) {
   obs::json_number_into(out, item.fom);
   out += ", \"cached\": ";
   out += item.cached ? "true" : "false";
-  // Surrogate-filtered items skipped SPICE entirely: valid/fom above are
-  // unverified defaults, and clients must be able to tell.
-  out += ", \"surrogate\": ";
-  out += item.surrogate ? "true" : "false";
   out += "}";
   return out;
 }
@@ -338,8 +334,6 @@ std::string done_to_json(const Response& r) {
     obs::json_number_into(out, r.timeline.ms(Stage::kDecode));
     out += ", \"cache_ms\": ";
     obs::json_number_into(out, r.timeline.ms(Stage::kCache));
-    out += ", \"surrogate_ms\": ";
-    obs::json_number_into(out, r.timeline.ms(Stage::kSurrogate));
     out += ", \"verify_ms\": ";
     obs::json_number_into(out, r.timeline.ms(Stage::kVerify));
     out += "}";

@@ -80,17 +80,6 @@ GenerationService::GenerationService(nn::TransformerLM& model,
           tensor::quant_kind_name(cfg.quant))) {
   obs::log_info("serve.backend",
                 {{"quant", tensor::quant_kind_name(cfg_.quant)}});
-  if (cfg_.surrogate) {
-    const double acc = cfg_.surrogate->ranking_accuracy();
-    if (std::isfinite(acc)) {
-      obs::gauge("surrogate.ranking_accuracy").set(acc);
-    }
-    obs::log_info(
-        "serve.surrogate",
-        {{"keep_frac", cfg_.surrogate_keep},
-         {"quant", tensor::quant_kind_name(cfg_.surrogate->quant())},
-         {"ranking_accuracy", acc}});
-  }
 }
 
 GenerationService::~GenerationService() { drain(); }
@@ -279,10 +268,9 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
   tl.decode_steps = dstats.steps;
 
   // Verification is phased so the whole request can be batched: decode
-  // every candidate, look them all up in the cache, run the surrogate
-  // pre-filter (when configured) over the decoded set in one scoring
-  // pass, then fan the surviving Mini-SPICE evaluations across the
-  // thread pool instead of paying DC + AC serially per item.
+  // every candidate, look them all up in the cache, then fan the misses'
+  // Mini-SPICE evaluations across the thread pool instead of paying
+  // DC + AC serially per item.
   obs::Span verify_span("serve.request.verify", p.id);
   const std::size_t n_items = results.size();
   r.items.resize(n_items);
@@ -330,91 +318,26 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
     }
   });
 
-  // Surrogate pre-filter: score every decoded candidate in one batched
-  // pass, then keep only the top fraction of the unique misses for real
-  // SPICE work. Cached items keep their verified verdicts regardless.
-  std::vector<std::size_t> kept = misses;
-  if (cfg_.surrogate && !misses.empty()) {
-    static obs::Counter& scored_c = obs::counter("serve.surrogate.scored");
-    static obs::Counter& kept_c = obs::counter("serve.surrogate.kept");
-    static obs::Counter& skipped_c =
-        obs::counter("serve.surrogate.skipped_spice");
-    obs::Span surrogate_span("serve.request.surrogate", p.id);
-    timed_stage(tl, Stage::kSurrogate, [&] {
-      std::vector<const std::vector<int>*> seqs;
-      std::vector<std::size_t> scored_idx;
-      for (std::size_t i = 0; i < n_items; ++i) {
-        if (!r.items[i].decoded) continue;
-        seqs.push_back(&r.items[i].ids);
-        scored_idx.push_back(i);
-      }
-      const auto scores = cfg_.surrogate->score_batch(seqs);
-      scored_c.add(static_cast<std::int64_t>(seqs.size()));
-      for (std::size_t k = 0; k < scored_idx.size(); ++k) {
-        r.items[scored_idx[k]].surrogate_score = scores[k];
-      }
-      // Rank the unique misses by score, best first; non-finite scores
-      // sort last (a NaN-scoring surrogate degrades to keeping the
-      // request-order head, never crashes the comparator).
-      std::sort(kept.begin(), kept.end(), [&](std::size_t a, std::size_t b) {
-        const float sa = r.items[a].surrogate_score;
-        const float sb = r.items[b].surrogate_score;
-        const bool fa = std::isfinite(sa);
-        const bool fb = std::isfinite(sb);
-        if (fa != fb) return fa;
-        if (fa && sa != sb) return sa > sb;
-        return a < b;
-      });
-      const double keep = cfg_.surrogate_keep;
-      std::size_t n_keep = misses.size();
-      if (keep <= 0.0) {
-        n_keep = 0;
-      } else if (keep < 1.0) {
-        n_keep = std::clamp<std::size_t>(
-            static_cast<std::size_t>(
-                std::ceil(keep * static_cast<double>(misses.size()))),
-            1, misses.size());
-      }  // keep >= 1 or NaN: verify everything
-      kept.resize(n_keep);
-      std::vector<bool> is_kept(n_items, false);
-      for (const std::size_t i : kept) is_kept[i] = true;
-      std::int64_t skipped = 0;
-      for (const std::size_t i : misses) {
-        if (!is_kept[i]) {
-          r.items[i].surrogate = true;
-          ++skipped;
-        }
-      }
-      kept_c.add(static_cast<std::int64_t>(n_keep));
-      skipped_c.add(skipped);
-      // Restore request order so the verify fan-out and the cache
-      // inserts below stay deterministic.
-      std::sort(kept.begin(), kept.end());
-    });
-  }
-
-  // Batched verify: the surviving evaluations (DC operating point + AC
-  // sweep each) are independent per netlist, so they fan out across the
-  // thread pool; obs counters inside the SPICE engine are atomic.
-  if (!kept.empty()) {
-    std::vector<CachedEval> evals(kept.size());
+  // Batched verify: the evaluations (DC operating point + AC sweep each)
+  // are independent per netlist, so they fan out across the thread pool;
+  // obs counters inside the SPICE engine are atomic.
+  if (!misses.empty()) {
+    std::vector<CachedEval> evals(misses.size());
     timed_stage(tl, Stage::kVerify, [&] {
-      parallel_for(0, kept.size(), [&](std::size_t k) {
-        const circuit::Netlist& nl = *netlists[kept[k]];
+      parallel_for(0, misses.size(), [&](std::size_t k) {
+        const circuit::Netlist& nl = *netlists[misses[k]];
         CachedEval ev;
         ev.valid = spice::simulatable(nl);
-        if (ev.valid && cfg_.evaluate_fom) {
-          const auto perf =
-              spice::evaluate(nl, spice::default_sizing(nl), p.req.type,
-                              cfg_.sim);
+        if (ev.valid) {
+          const auto perf = spice::evaluate_default(nl, p.req.type);
           if (perf.ok && std::isfinite(perf.fom)) ev.fom = perf.fom;
         }
         evals[k] = ev;
       });
     });
     timed_stage(tl, Stage::kCache, [&] {
-      for (std::size_t k = 0; k < kept.size(); ++k) {
-        const std::size_t i = kept[k];
+      for (std::size_t k = 0; k < misses.size(); ++k) {
+        const std::size_t i = misses[k];
         cache_.put(keys[i], evals[k]);
         r.items[i].valid = evals[k].valid;
         r.items[i].fom = evals[k].fom;
@@ -422,19 +345,14 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
     });
   }
 
-  // Duplicates inherit their primary's outcome: a verified primary makes
-  // them cache hits (the insert above), a filtered primary filters them
-  // too — either way no extra SPICE runs.
+  // Duplicates inherit their primary's verdict as cache hits (the insert
+  // above), so no extra SPICE runs.
   for (std::size_t i = 0; i < n_items; ++i) {
     if (dup_of[i] == SIZE_MAX) continue;
     const Item& primary = r.items[dup_of[i]];
-    if (primary.surrogate) {
-      r.items[i].surrogate = true;
-    } else {
-      r.items[i].valid = primary.valid;
-      r.items[i].fom = primary.fom;
-      r.items[i].cached = true;
-    }
+    r.items[i].valid = primary.valid;
+    r.items[i].fom = primary.fom;
+    r.items[i].cached = true;
   }
   r.status = Status::kOk;
   return r;
@@ -479,7 +397,6 @@ void GenerationService::finish(Pending& p, Response&& r) {
          {"queue_ms", r.timeline.ms(Stage::kQueue)},
          {"decode_ms", r.timeline.ms(Stage::kDecode)},
          {"cache_ms", r.timeline.ms(Stage::kCache)},
-         {"surrogate_ms", r.timeline.ms(Stage::kSurrogate)},
          {"verify_ms", r.timeline.ms(Stage::kVerify)},
          {"tokens", r.timeline.tokens}});
   }

@@ -48,8 +48,6 @@
 #include "nn/transformer.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/timeline.hpp"
-#include "spice/engine.hpp"
-#include "surrogate/scorer.hpp"
 
 namespace eva::obs {
 class Counter;
@@ -94,14 +92,6 @@ struct Item {
   bool valid = false;     // simulatable (validity predicate)
   double fom = 0.0;       // figure of merit (0 when invalid)
   bool cached = false;    // evaluation came from the ResultCache
-  /// The surrogate pre-filter dropped this candidate: SPICE never ran,
-  /// so valid/fom are the unverified defaults (false/0). Clients use
-  /// this to tell "verified invalid" from "filtered out".
-  bool surrogate = false;
-  /// Pre-filter score (expected rank reward) when a scorer ran on this
-  /// item; 0 when the service has no surrogate or the item never
-  /// decoded.
-  float surrogate_score = 0.0f;
 };
 
 struct Response {
@@ -122,7 +112,6 @@ struct ServiceConfig {
   int max_n = 64;                  // per-request topology cap
   std::size_t cache_capacity = 4096;
   std::uint64_t seed = 7;          // service RNG stream
-  bool evaluate_fom = true;        // run SPICE FoM on valid topologies
   double retry_after_ms = 50.0;    // backpressure hint
   nn::SampleOptions sample;        // temperature is overridden per request
   /// Inference weight tier the service repacks the model into at
@@ -140,21 +129,6 @@ struct ServiceConfig {
   /// disables the budget check (deadline overruns still warn).
   /// eva_serve_main reads EVA_SERVE_SLOW_MS.
   double slow_warn_ms = 0.0;
-  /// Learned FoM surrogate pre-filter (DESIGN.md §15). When set, every
-  /// decoded candidate is scored in one batched pass and only the top
-  /// `surrogate_keep` fraction of cache misses runs Newton DC + the AC
-  /// sweep; the rest are answered unverified with Item::surrogate set.
-  /// Null (the default) keeps the verify-everything path.
-  std::shared_ptr<const surrogate::SurrogateScorer> surrogate;
-  /// Fraction of cache-miss candidates that survive the pre-filter
-  /// (ceil(keep * misses), at least 1 while keep > 0). <= 0 keeps none;
-  /// >= 1 (or NaN) keeps all. eva_serve_main reads EVA_SURROGATE_KEEP.
-  double surrogate_keep = 0.25;
-  /// Simulation options for the verify stage. sim.ac_points sets the AC
-  /// sweep resolution (cost is linear in points); EVA_AC_POINTS raises it
-  /// to model SPICE-bound verification, the regime the surrogate
-  /// pre-filter targets.
-  spice::SimOptions sim;
 };
 
 class GenerationService {

@@ -92,22 +92,6 @@ std::string stats_json(const GenerationService& svc) {
   out += ", \"size\": " + std::to_string(svc.cache().size());
   out += ", \"capacity\": " + std::to_string(svc.cache().capacity()) + "}";
 
-  // Learned FoM surrogate pre-filter (DESIGN.md §15): whether it is
-  // active, its keep fraction, the scored/kept/skipped counters, and
-  // the ranking accuracy of the loaded head (0 until one is measured).
-  out += ", \"surrogate\": {\"enabled\": ";
-  out += svc.config().surrogate ? "true" : "false";
-  out += ", \"keep_frac\": ";
-  obs::json_number_into(out, svc.config().surrogate_keep);
-  bool sfirst = false;
-  counter_field(out, "scored", "serve.surrogate.scored", &sfirst);
-  counter_field(out, "skipped_spice", "serve.surrogate.skipped_spice",
-                &sfirst);
-  counter_field(out, "kept", "serve.surrogate.kept", &sfirst);
-  out += ", \"ranking_accuracy\": ";
-  obs::json_number_into(out, obs::gauge("surrogate.ranking_accuracy").value());
-  out += "}";
-
   out += ", \"requests\": {";
   first = true;
   counter_field(out, "submitted", "serve.submitted", &first);

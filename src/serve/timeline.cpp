@@ -9,7 +9,6 @@ std::string_view stage_name(Stage s) {
     case Stage::kQueue: return "queue";
     case Stage::kDecode: return "decode";
     case Stage::kCache: return "cache";
-    case Stage::kSurrogate: return "surrogate";
     case Stage::kVerify: return "verify";
     case Stage::kWrite: return "write";
   }
@@ -23,14 +22,12 @@ void record_timeline_metrics(const RequestTimeline& t, bool all_stages) {
       &obs::sliding_histogram("serve.stage.queue_ms"),
       &obs::sliding_histogram("serve.stage.decode_ms"),
       &obs::sliding_histogram("serve.stage.cache_ms"),
-      &obs::sliding_histogram("serve.stage.surrogate_ms"),
       &obs::sliding_histogram("serve.stage.verify_ms"),
       &obs::sliding_histogram("serve.stage.write_ms"),
   };
   stage_h[static_cast<int>(Stage::kQueue)]->record(t.ms(Stage::kQueue));
   if (!all_stages) return;
-  for (const Stage s : {Stage::kDecode, Stage::kCache, Stage::kSurrogate,
-                        Stage::kVerify}) {
+  for (const Stage s : {Stage::kDecode, Stage::kCache, Stage::kVerify}) {
     stage_h[static_cast<int>(s)]->record(t.ms(s));
   }
   // kWrite is recorded by the TCP front end once the bytes are out; a

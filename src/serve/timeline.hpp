@@ -8,11 +8,7 @@
 //   queue      admission -> scheduler pickup
 //   decode     batched token generation + token->netlist decode + dump
 //   cache      ResultCache lookups/inserts (WL-canonical-hash memoization)
-//   surrogate  learned-FoM pre-filter: one batched scoring pass over the
-//              decoded candidates + keep-fraction selection (zero unless
-//              the service has a SurrogateScorer configured)
-//   verify     SPICE validity check + FoM evaluation (cache misses that
-//              survive the pre-filter only)
+//   verify     SPICE validity check + FoM evaluation (cache misses only)
 //   write      response serialization onto the client socket (recorded by
 //              the TCP front end after the terminator line is sent, so it
 //              reaches the metrics window but not the terminator itself)
@@ -34,11 +30,10 @@ enum class Stage : int {
   kQueue = 0,
   kDecode,
   kCache,
-  kSurrogate,
   kVerify,
   kWrite,
 };
-inline constexpr int kNumStages = 6;
+inline constexpr int kNumStages = 5;
 
 [[nodiscard]] std::string_view stage_name(Stage s);
 
@@ -53,9 +48,9 @@ struct RequestTimeline {
   }
   void add(Stage s, double ms) { stage_ms[static_cast<int>(s)] += ms; }
 
-  /// Sum of the service-side stages (queue/decode/cache/surrogate/verify
-  /// — the write stage happens after the response is assembled, on the
-  /// socket thread). For an ok response this tracks Response::latency_ms.
+  /// Sum of the service-side stages (queue/decode/cache/verify — the
+  /// write stage happens after the response is assembled, on the socket
+  /// thread). For an ok response this tracks Response::latency_ms.
   [[nodiscard]] double service_sum_ms() const {
     double total = 0.0;
     for (int s = 0; s < kNumStages; ++s) {

@@ -55,9 +55,7 @@ struct SimOptions {
   int max_dc_attempts = 16;
   /// Points in the log-spaced AC sweep FoM extraction runs (each point is
   /// one complex linear solve, so cost scales linearly). 61 resolves the
-  /// -3 dB and unity-gain crossings to ~1/6 decade; deployments standing
-  /// in for a commercial simulator raise it (EVA_AC_POINTS) to model
-  /// SPICE-bound verification cost.
+  /// -3 dB and unity-gain crossings to ~1/6 decade.
   int ac_points = 61;
 };
 

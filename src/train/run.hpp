@@ -1,5 +1,5 @@
-// The training-run runtime every trainer drives: pretraining, PPO, DPO
-// and the learned FoM surrogate.
+// The training-run runtime every trainer drives: pretraining, PPO and
+// DPO.
 //
 // A Run owns everything between a trainer's backward() and its next
 // step: the CheckpointManager and resume, the divergence sentinel, the

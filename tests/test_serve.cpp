@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
@@ -82,14 +83,11 @@ TEST(Service, DefaultConfigIgnoresEnvironment) {
   // initializer: a default ServiceConfig is the same in every process.
   ::setenv("EVA_QUANT", "int8", 1);
   ::setenv("EVA_SERVE_SLOW_MS", "250", 1);
-  ::setenv("EVA_SURROGATE_KEEP", "0.9", 1);
   const ServiceConfig cfg;
   ::unsetenv("EVA_QUANT");
   ::unsetenv("EVA_SERVE_SLOW_MS");
-  ::unsetenv("EVA_SURROGATE_KEEP");
   EXPECT_EQ(cfg.quant, tensor::QuantKind::kF32);
   EXPECT_EQ(cfg.slow_warn_ms, 0.0);
-  EXPECT_EQ(cfg.surrogate_keep, 0.25);
 }
 
 TEST(Service, FutureRoundTrip) {
@@ -207,6 +205,49 @@ TEST(Service, SeededResubmissionHitsCanonicalCache) {
       EXPECT_DOUBLE_EQ(second.items[i].fom, first.items[i].fom);
     }
   }
+}
+
+TEST(Service, ResponseIdenticalAcrossPoolWidths) {
+  // One seeded request on a cold cache must serve the same item lines
+  // whether the pool runs inline or fans decode and verify out over 8
+  // workers. This request decodes 8 topologies, 4 of them simulatable,
+  // so the verify fan-out has real SPICE work to split.
+  const auto serve_lines = [](std::size_t width) {
+    set_num_threads(width);
+    const nn::Tokenizer tok = small_tokenizer();
+    Rng rng(99);
+    nn::TransformerLM model(nn::ModelConfig::bench_scale(tok.vocab_size()),
+                            rng);
+    ServiceConfig cfg;
+    cfg.sample.temperature = 0.9f;
+    cfg.sample.top_k = 12;
+    cfg.sample.max_len = 32;
+    GenerationService service(model, tok, cfg);
+    service.start();
+    Request req;
+    req.n = 8;
+    req.seed = 1364;
+    req.temperature = 0.9f;
+    const Response r = service.submit(req).response.get();
+    EXPECT_EQ(r.status, Status::kOk);
+    std::vector<std::string> lines;
+    for (const Item& item : r.items) {
+      lines.push_back(item_to_json(item, r.timeline.request_id));
+    }
+    return lines;
+  };
+  const std::size_t saved = num_threads();
+  const auto inline_lines = serve_lines(1);
+  const auto pooled_lines = serve_lines(8);
+  set_num_threads(saved);
+  ASSERT_EQ(inline_lines.size(), 8u);
+  EXPECT_GE(std::count_if(inline_lines.begin(), inline_lines.end(),
+                          [](const std::string& line) {
+                            return line.find("\"valid\": true") !=
+                                   std::string::npos;
+                          }),
+            1);
+  EXPECT_EQ(pooled_lines, inline_lines);
 }
 
 TEST(Service, ConcurrentSubmitsFromPoolWorkers) {

@@ -517,8 +517,8 @@ TEST(Fom, OpAmpEvaluates) {
 }
 
 TEST(Fom, AcPointsScalesSweepNotVerdict) {
-  // The verification-fidelity knob (SimOptions::ac_points / EVA_AC_POINTS)
-  // changes AC sweep cost, not which circuits pass: a denser sweep must
+  // The verification-fidelity knob (SimOptions::ac_points) changes AC
+  // sweep cost, not which circuits pass: a denser sweep must
   // still evaluate ok with a gain within a whisker of the default, and
   // the floor of 2 points must not crash.
   Rng rng(5);

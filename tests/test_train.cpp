@@ -1,10 +1,11 @@
-// Tests for the training runtime (train/run.hpp) that pretraining, PPO,
-// DPO and the surrogate trainer share: deterministic fault injection,
-// atomic writes, the hardened EVA2 snapshot codec (roundtrip and
-// corruption rejection), checkpoint retention and corruption fallback,
-// the divergence sentinel, sentinel recovery and sentinel-skipped steps
-// that still end like any other step, graceful stop + bit-compatible
-// resume, and the SPICE DC solve deadline.
+// Tests for the training runtime (train/run.hpp) that pretraining, PPO
+// and DPO share: deterministic fault injection, atomic writes, the
+// hardened EVA2 snapshot codec (roundtrip and corruption rejection),
+// checkpoint retention and corruption fallback, loads that create
+// nothing, the divergence sentinel, sentinel recovery and
+// sentinel-skipped steps that still end like any other step, a
+// checkpoint directory that cannot be created, graceful stop +
+// bit-compatible resume, and the SPICE DC solve deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "nn/lm_trainer.hpp"
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
+#include "obs/log.hpp"
 #include "rl/dpo.hpp"
 #include "rl/ppo.hpp"
 #include "rl/reward_model.hpp"
@@ -377,6 +380,33 @@ TEST(Checkpoint, GarbageFileIsSkipped) {
   EXPECT_EQ(mgr.load_latest(ts_b).value_or(-1), 4);
 }
 
+// Loading is read-only: only save() creates the directory, so a missing
+// or unusable directory loads as "no snapshot" and leaves no trace.
+
+TEST(Checkpoint, LoadLatestFromMissingDirCreatesNothing) {
+  Scratch sc("ckpt_missing");
+  const fs::path missing = sc.dir / "missing";
+  TinyTrainSetup a(61);
+  auto ts = a.state(0);
+  train::CheckpointManager mgr({missing.string(), 3, 0});
+  EXPECT_FALSE(mgr.load_latest(ts).has_value());
+  EXPECT_FALSE(fs::exists(missing));
+}
+
+TEST(Checkpoint, LoadLatestUnderRegularFileReturnsNothing) {
+  Scratch sc("ckpt_under_file");
+  const fs::path file = sc.dir / "file";
+  std::ofstream(file) << "not a directory";
+  TinyTrainSetup a(62);
+  auto ts = a.state(0);
+  std::optional<long> restored;
+  EXPECT_NO_THROW({
+    train::CheckpointManager mgr({(file / "ckpt").string(), 3, 0});
+    restored = mgr.load_latest(ts);
+  });
+  EXPECT_FALSE(restored.has_value());
+}
+
 // --------------------------------------------------- divergence sentinel
 
 TEST(Sentinel, TripsOnNonFiniteAndEscalatesToRollback) {
@@ -591,6 +621,38 @@ TEST(PretrainResilience, SkippedCadenceStepStillSnapshots) {
             (std::vector<std::string>{"ckpt_0000000004.eva2",
                                       "ckpt_0000000008.eva2",
                                       "ckpt_0000000012.eva2"}));
+}
+
+// A checkpoint directory that cannot be created costs the snapshots, not
+// the run: each snapshot logs `pretrain.ckpt_failed` and training goes on.
+TEST(PretrainResilience, CheckpointDirUnderRegularFileCompletesEveryStep) {
+  Scratch sc("pretrain_ckpt_under_file");
+  const fs::path file = sc.dir / "file";
+  std::ofstream(file) << "not a directory";
+  const std::string log_path = sc.path("log.jsonl");
+  const auto fx = PretrainFixture::make(705);
+  auto cfg = small_pretrain_cfg();
+  cfg.steps = 8;
+  cfg.run.checkpoint_every = 4;
+  cfg.run.checkpoint_dir = (file / "ckpt").string();
+  auto model = fx.fresh_model(14);
+  obs::set_log_stderr(false);
+  obs::set_log_file(log_path);
+  const auto r = nn::pretrain(model, fx.corpus, cfg);
+  obs::set_log_file("");
+  obs::set_log_stderr(true);
+  EXPECT_FALSE(r.interrupted);
+  EXPECT_EQ(r.losses.size(), 8u);
+  EXPECT_EQ(r.end_step, 8);
+  // One failed snapshot at the cadence step 4, one at the last step 8.
+  const std::string log = slurp(log_path);
+  std::size_t failures = 0;
+  for (std::size_t at = log.find("pretrain.ckpt_failed");
+       at != std::string::npos;
+       at = log.find("pretrain.ckpt_failed", at + 1)) {
+    ++failures;
+  }
+  EXPECT_EQ(failures, 2u);
 }
 
 // ------------------------------------------------------ PPO / DPO resume

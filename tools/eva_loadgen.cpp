@@ -75,6 +75,8 @@ using Clock = std::chrono::steady_clock;
 
 using eva::env_double;
 using eva::env_int;
+using eva::parse_double;
+using eva::parse_int;
 
 struct Config {
   std::string host = "127.0.0.1";
@@ -90,8 +92,8 @@ struct Config {
                                    // = server default type
   double warm_frac = 0.5;    // fraction reusing the warm seed pool
   int warm_seeds = 8;        // pool size: smaller = warmer
-  int conns = env_int("EVA_LOADGEN_CONNS", 16);
-  int retry = env_int("EVA_LOADGEN_RETRY", 0);
+  int conns = env_int("EVA_LOADGEN_CONNS", 16, 1);
+  int retry = env_int("EVA_LOADGEN_RETRY", 0, 0);
   double retry_base_ms = 25.0;  // backoff base for --retry
   std::uint64_t seed = 1;    // arrival + mix RNG
   std::string out = [] {
@@ -189,7 +191,6 @@ struct Outcome {
   double server_ms = 0.0;   // terminator latency_ms
   double skew_ms = 0.0;     // scheduled -> actually sent (client-side lag)
   double queue_ms = 0.0, decode_ms = 0.0, cache_ms = 0.0, verify_ms = 0.0;
-  double surrogate_ms = 0.0;
   double tokens = 0.0;
   int items_valid = 0;
   int retries = 0;    // extra attempts this request consumed
@@ -293,7 +294,6 @@ void worker_loop(const Config& cfg, int widx, Dispatcher& disp,
           oc.has_stages = find_number(line, "queue_ms", &oc.queue_ms);
           find_number(line, "decode_ms", &oc.decode_ms);
           find_number(line, "cache_ms", &oc.cache_ms);
-          find_number(line, "surrogate_ms", &oc.surrogate_ms);
           find_number(line, "verify_ms", &oc.verify_ms);
           if (find_number(line, "tokens", &v)) oc.tokens = v;
           break;
@@ -381,19 +381,27 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--host") cfg.host = next();
-    else if (arg == "--port") cfg.port = std::atoi(next());
-    else if (arg == "--rate") cfg.rate = std::atof(next());
-    else if (arg == "--duration") cfg.duration_s = std::atof(next());
-    else if (arg == "--n") cfg.n = std::max(1, std::atoi(next()));
-    else if (arg == "--temperature") cfg.temperature = std::atof(next());
-    else if (arg == "--deadline-ms") cfg.deadline_ms = std::atof(next());
-    else if (arg == "--high-frac") cfg.high_frac = std::atof(next());
-    else if (arg == "--low-frac") cfg.low_frac = std::atof(next());
-    else if (arg == "--warm-frac") cfg.warm_frac = std::atof(next());
-    else if (arg == "--warm-seeds") cfg.warm_seeds = std::atoi(next());
-    else if (arg == "--conns") cfg.conns = std::max(1, std::atoi(next()));
-    else if (arg == "--retry") cfg.retry = std::max(0, std::atoi(next()));
-    else if (arg == "--retry-base-ms") cfg.retry_base_ms = std::atof(next());
+    else if (arg == "--port") cfg.port = parse_int(next(), cfg.port);
+    else if (arg == "--rate") cfg.rate = parse_double(next(), cfg.rate);
+    else if (arg == "--duration")
+      cfg.duration_s = parse_double(next(), cfg.duration_s);
+    else if (arg == "--n") cfg.n = parse_int(next(), cfg.n, 1);
+    else if (arg == "--temperature")
+      cfg.temperature = parse_double(next(), cfg.temperature);
+    else if (arg == "--deadline-ms")
+      cfg.deadline_ms = parse_double(next(), cfg.deadline_ms);
+    else if (arg == "--high-frac")
+      cfg.high_frac = parse_double(next(), cfg.high_frac);
+    else if (arg == "--low-frac")
+      cfg.low_frac = parse_double(next(), cfg.low_frac);
+    else if (arg == "--warm-frac")
+      cfg.warm_frac = parse_double(next(), cfg.warm_frac);
+    else if (arg == "--warm-seeds")
+      cfg.warm_seeds = parse_int(next(), cfg.warm_seeds);
+    else if (arg == "--conns") cfg.conns = parse_int(next(), cfg.conns, 1);
+    else if (arg == "--retry") cfg.retry = parse_int(next(), cfg.retry, 0);
+    else if (arg == "--retry-base-ms")
+      cfg.retry_base_ms = parse_double(next(), cfg.retry_base_ms);
     else if (arg == "--seed") cfg.seed = static_cast<std::uint64_t>(
         std::strtoull(next(), nullptr, 10));
     else if (arg == "--out") cfg.out = next();
@@ -480,8 +488,7 @@ int main(int argc, char** argv) {
 
   // Aggregate.
   std::vector<double> client_ms, server_ms, skew_ms;
-  std::vector<double> queue_ms, decode_ms, cache_ms, surrogate_ms, verify_ms,
-      sum_ms;
+  std::vector<double> queue_ms, decode_ms, cache_ms, verify_ms, sum_ms;
   std::size_t n_ok = 0, n_timeout = 0, n_rejected = 0, n_other = 0,
               n_transport = 0;
   long long n_retries = 0, n_malformed = 0;
@@ -505,10 +512,9 @@ int main(int argc, char** argv) {
         queue_ms.push_back(oc.queue_ms);
         decode_ms.push_back(oc.decode_ms);
         cache_ms.push_back(oc.cache_ms);
-        surrogate_ms.push_back(oc.surrogate_ms);
         verify_ms.push_back(oc.verify_ms);
         sum_ms.push_back(oc.queue_ms + oc.decode_ms + oc.cache_ms +
-                         oc.surrogate_ms + oc.verify_ms);
+                         oc.verify_ms);
       }
     } else if (oc.status == "timeout") {
       ++n_timeout;
@@ -568,8 +574,6 @@ int main(int argc, char** argv) {
   percentiles_json(f, "decode_ms", decode_ms);
   std::fprintf(f, ", ");
   percentiles_json(f, "cache_ms", cache_ms);
-  std::fprintf(f, ", ");
-  percentiles_json(f, "surrogate_ms", surrogate_ms);
   std::fprintf(f, ", ");
   percentiles_json(f, "verify_ms", verify_ms);
   std::fprintf(f, ", ");

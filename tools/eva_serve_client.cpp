@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "serve/backoff.hpp"
+#include "util/env.hpp"
 
 namespace {
 
@@ -129,13 +130,13 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = eva::parse_int(argv[++i], port);
     } else if (arg == "--repeat" && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[++i]));
+      repeat = eva::parse_int(argv[++i], repeat, 1);
     } else if (arg == "--retry" && i + 1 < argc) {
-      backoff.max_retries = std::max(0, std::atoi(argv[++i]));
+      backoff.max_retries = eva::parse_int(argv[++i], backoff.max_retries, 0);
     } else if (arg == "--retry-base-ms" && i + 1 < argc) {
-      backoff.base_ms = std::atof(argv[++i]);
+      backoff.base_ms = eva::parse_double(argv[++i], backoff.base_ms);
     } else if (arg == "--burst") {
       burst = true;
     } else {
