@@ -10,6 +10,7 @@
 // wall-clock time (UseRealTime), so work done by pool workers counts
 // against the elapsed time rather than the main thread's CPU time.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/optim.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
@@ -149,6 +151,55 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4 * 128);
 }
 BENCHMARK(BM_TransformerForwardBackward)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One pretraining step per iteration (forward, cross-entropy, backward,
+// AdamW) at batch 8, cycling through a fixed seeded set of sequence
+// lengths in the range of pretraining's padded batches (66-134 tokens on
+// the benchmark corpus). Unlike the fixed shape above, buffer sizes change
+// from step to step as they do in nn::pretrain; minflt_per_step counts
+// the page faults that costs. items_per_second == tokens/sec.
+void BM_TrainStepVaryingLength(benchmark::State& state) {
+  constexpr int kBatch = 8;
+  constexpr int kVocab = 200;
+  Rng rng(4);
+  nn::TransformerLM model(nn::ModelConfig::bench_scale(kVocab), rng);
+  tensor::AdamW opt(model.parameters(), {});
+  struct Batch {
+    int len;
+    std::vector<int> inputs, targets;
+  };
+  std::vector<Batch> cycle(16);
+  for (auto& b : cycle) {
+    b.len = rng.range(66, 134);
+    const auto n = static_cast<std::size_t>(kBatch * b.len);
+    for (std::size_t i = 0; i < n; ++i) {
+      b.inputs.push_back(rng.range(0, kVocab - 1));
+      b.targets.push_back(rng.range(0, kVocab - 1));
+    }
+  }
+  std::int64_t tokens = 0;
+  std::size_t next = 0;
+  rusage before{}, after{};
+  getrusage(RUSAGE_SELF, &before);
+  for (auto _ : state) {
+    const Batch& b = cycle[next++ % cycle.size()];
+    opt.zero_grad();
+    auto logits = model.forward(b.inputs, kBatch, b.len, true);
+    auto loss = tensor::cross_entropy(logits, b.targets);
+    loss.backward();
+    opt.step();
+    tokens += kBatch * b.len;
+    benchmark::DoNotOptimize(loss.item());
+  }
+  getrusage(RUSAGE_SELF, &after);
+  state.SetItemsProcessed(tokens);
+  state.counters["minflt_per_step"] =
+      static_cast<double>(after.ru_minflt - before.ru_minflt) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TrainStepVaryingLength)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "nn/sampler.hpp"
@@ -46,7 +47,10 @@ struct PpoConfig {
   // + optimizer + RNG + the frozen reference model, at epoch granularity
   // (a run step is an epoch).
   train::RunConfig run{.checkpoint_every = 5};
-  train::SentinelConfig sentinel;
+  // L_PPO is signed and near zero, so a loss above EMA x factor says
+  // nothing about divergence: only the non-finite guard stays on.
+  train::SentinelConfig sentinel{
+      .spike_factor = std::numeric_limits<double>::infinity()};
 };
 
 struct PpoStats {

@@ -1,16 +1,32 @@
 #include "tensor/tensor.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
+#include <new>
 #include <sstream>
 #include <unordered_set>
 
+#include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace eva::tensor {
 
 using detail::Node;
+using detail::Storage;
 
 // ---------------------------------------------------------------------------
 // Shape helpers
@@ -44,12 +60,131 @@ bool is_suffix(const Shape& suffix, const Shape& full) {
 }
 
 // ---------------------------------------------------------------------------
+// Storage cache (DESIGN.md §6 "Tensor storage")
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Smaller blocks come from the heap, which keeps them in its own bins.
+constexpr std::size_t kCachedMin = std::size_t{64} << 10;
+// A mapping starts with its length; the data follows 64-byte aligned.
+constexpr std::size_t kHeader = 64;
+
+/// Mapped blocks of kCachedMin bytes and up, kept after their buffer dies.
+/// A request takes the smallest cached block of at least its size and at
+/// most twice it, or maps a fresh one; live plus cached bytes never exceed
+/// the highest live total so far, and a fresh mapping unmaps the least
+/// recently released cached blocks to stay under it. Cached blocks and
+/// the unused tail of a live one are poisoned for ASan.
+class StorageCache {
+ public:
+  void* acquire(std::size_t bytes) {
+    std::lock_guard lock(mu_);
+    char* base = nullptr;
+    std::size_t len = 0;
+    auto it = cached_.lower_bound(bytes);
+    if (it != cached_.end() && it->first - bytes <= bytes) {
+      base = it->second.base;
+      len = it->first + kHeader;
+      cached_.erase(it);
+      stats_.cached_bytes -= len;
+      stats_.live_bytes += len;
+      reused_.add();
+    } else {
+      len = (bytes + kHeader + page_ - 1) / page_ * page_;
+      void* m = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (m == MAP_FAILED) throw std::bad_alloc();
+      base = static_cast<char*>(m);
+      std::memcpy(base, &len, sizeof len);
+      mapped_.add();
+      stats_.live_bytes += len;
+      stats_.peak_live_bytes =
+          std::max(stats_.peak_live_bytes, stats_.live_bytes);
+      while (stats_.live_bytes + stats_.cached_bytes >
+             stats_.peak_live_bytes) {
+        const auto victim = std::min_element(
+            cached_.begin(), cached_.end(), [](const auto& a, const auto& b) {
+              return a.second.released < b.second.released;
+            });
+        const std::size_t vlen = victim->first + kHeader;
+        ASAN_UNPOISON_MEMORY_REGION(victim->second.base, vlen);
+        ::munmap(victim->second.base, vlen);
+        stats_.cached_bytes -= vlen;
+        cached_.erase(victim);
+        unmapped_.add();
+      }
+    }
+    cached_mb_.set(static_cast<double>(stats_.cached_bytes) / (1 << 20));
+    char* p = base + kHeader;
+    ASAN_POISON_MEMORY_REGION(p, len - kHeader);
+    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+    return p;
+  }
+
+  void release(void* p) noexcept {
+    char* base = static_cast<char*>(p) - kHeader;
+    std::size_t len = 0;
+    std::memcpy(&len, base, sizeof len);
+    ASAN_POISON_MEMORY_REGION(p, len - kHeader);
+    std::lock_guard lock(mu_);
+    stats_.live_bytes -= len;
+    stats_.cached_bytes += len;
+    cached_.emplace(len - kHeader, Cached{base, ++releases_});
+    cached_mb_.set(static_cast<double>(stats_.cached_bytes) / (1 << 20));
+  }
+
+  StorageStats stats() {
+    std::lock_guard lock(mu_);
+    return stats_;
+  }
+
+ private:
+  const std::size_t page_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  struct Cached {
+    char* base;              // the mapping
+    std::uint64_t released;  // release order, for eviction
+  };
+  std::mutex mu_;
+  std::multimap<std::size_t, Cached> cached_;  // keyed by data capacity
+  std::uint64_t releases_ = 0;
+  StorageStats stats_;
+  obs::Counter& reused_ = obs::counter("tensor.storage.reused");
+  obs::Counter& mapped_ = obs::counter("tensor.storage.mapped");
+  obs::Counter& unmapped_ = obs::counter("tensor.storage.unmapped");
+  obs::Gauge& cached_mb_ = obs::gauge("tensor.storage.cached_mb");
+};
+
+StorageCache& storage_cache() {
+  // Leaked: tensors held by statics may die after static destructors run.
+  static auto* cache = new StorageCache();
+  return *cache;
+}
+
+}  // namespace
+
+void* detail::storage_acquire(std::size_t bytes) {
+  if (bytes < kCachedMin) return ::operator new(bytes);
+  return storage_cache().acquire(bytes);
+}
+
+void detail::storage_release(void* p, std::size_t bytes) noexcept {
+  if (bytes < kCachedMin) {
+    ::operator delete(p);
+  } else {
+    storage_cache().release(p);
+  }
+}
+
+StorageStats storage_stats() { return storage_cache().stats(); }
+
+// ---------------------------------------------------------------------------
 // Tensor basics
 // ---------------------------------------------------------------------------
 
 namespace {
 
-std::shared_ptr<Node> make_leaf(Shape shape, std::vector<float> data,
+std::shared_ptr<Node> make_leaf(Shape shape, Storage data,
                                 bool requires_grad) {
   EVA_ASSERT(shape_numel(shape) == data.size(), "data size / shape mismatch");
   auto n = std::make_shared<Node>();
@@ -76,23 +211,22 @@ std::shared_ptr<Node> make_result(Shape shape, const char* op,
 
 Tensor Tensor::zeros(Shape shape, bool requires_grad) {
   const std::size_t n = shape_numel(shape);
-  return Tensor{make_leaf(std::move(shape), std::vector<float>(n, 0.0f),
-                          requires_grad)};
+  return Tensor{make_leaf(std::move(shape), Storage(n, 0.0f), requires_grad)};
 }
 
 Tensor Tensor::full(Shape shape, float value, bool requires_grad) {
   const std::size_t n = shape_numel(shape);
-  return Tensor{make_leaf(std::move(shape), std::vector<float>(n, value),
-                          requires_grad)};
+  return Tensor{make_leaf(std::move(shape), Storage(n, value), requires_grad)};
 }
 
 Tensor Tensor::from(Shape shape, std::vector<float> data, bool requires_grad) {
-  return Tensor{make_leaf(std::move(shape), std::move(data), requires_grad)};
+  return Tensor{make_leaf(std::move(shape), Storage(data.begin(), data.end()),
+                          requires_grad)};
 }
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev, bool requires_grad) {
   const std::size_t n = shape_numel(shape);
-  std::vector<float> data(n);
+  Storage data(n);
   for (auto& v : data) v = static_cast<float>(rng.normal()) * stddev;
   return Tensor{make_leaf(std::move(shape), std::move(data), requires_grad)};
 }
@@ -157,7 +291,7 @@ void Tensor::zero_grad() {
 
 Tensor Tensor::detach() const {
   EVA_ASSERT(node_, "undefined tensor");
-  return from(node_->shape, node_->data, false);
+  return Tensor{make_leaf(node_->shape, node_->data, false)};
 }
 
 void Tensor::backward() {
@@ -895,8 +1029,8 @@ Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto out = make_result(xn->shape, "layernorm", {xn, gn, bn});
 
   // Cache normalized values and inverse stddevs for backward.
-  auto xhat = std::make_shared<std::vector<float>>(xn->numel());
-  auto istd = std::make_shared<std::vector<float>>(rows);
+  auto xhat = std::make_shared<Storage>(xn->numel());
+  auto istd = std::make_shared<Storage>(rows);
   const float* px = xn->data.data();
   const float* pg = gn->data.data();
   const float* pb = bn->data.data();
@@ -1012,7 +1146,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets,
   const auto V = static_cast<std::size_t>(ln->shape[1]);
   EVA_REQUIRE(targets.size() == N, "cross_entropy target count mismatch");
 
-  auto probs = std::make_shared<std::vector<float>>(ln->numel());
+  auto probs = std::make_shared<Storage>(ln->numel());
   std::vector<double> losses(N, 0.0);
   std::size_t valid = 0;
   const float* x = ln->data.data();
@@ -1090,7 +1224,7 @@ Tensor dropout(const Tensor& a, float p, Rng& rng, bool training) {
   EVA_REQUIRE(p < 1.0f, "dropout p must be < 1");
   auto an = a.node();
   EVA_ASSERT(an, "undefined operand");
-  auto keep = std::make_shared<std::vector<float>>(an->numel());
+  auto keep = std::make_shared<Storage>(an->numel());
   const float scale = 1.0f / (1.0f - p);
   for (auto& k : *keep) k = rng.chance(p) ? 0.0f : scale;
   auto out = make_result(an->shape, "dropout", {an});

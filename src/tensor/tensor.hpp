@@ -42,10 +42,37 @@ class Tensor;
 
 namespace detail {
 
+/// Tensor storage (DESIGN.md §6 "Tensor storage"): blocks of 64 KiB and
+/// up come from a process-wide cache of mapped blocks that outlives the
+/// tensors, so the next step reuses them instead of faulting fresh pages
+/// in; smaller blocks come from the heap. Thread-safe.
+[[nodiscard]] void* storage_acquire(std::size_t bytes);
+void storage_release(void* p, std::size_t bytes) noexcept;
+
+template <class T>
+struct StorageAllocator {
+  using value_type = T;
+  StorageAllocator() = default;
+  template <class U>
+  StorageAllocator(const StorageAllocator<U>&) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(storage_acquire(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    storage_release(p, n * sizeof(T));
+  }
+  friend bool operator==(const StorageAllocator&,
+                         const StorageAllocator&) noexcept {
+    return true;
+  }
+};
+
+using Storage = std::vector<float, StorageAllocator<float>>;
+
 /// Graph node: storage + tape entry. Not part of the public API.
 struct Node {
-  std::vector<float> data;
-  std::vector<float> grad;  // lazily allocated on first access
+  Storage data;
+  Storage grad;  // lazily allocated on first access
   Shape shape;
   bool requires_grad = false;
   const char* op = "leaf";
@@ -184,5 +211,17 @@ class Tensor {
 /// `training` is false or p == 0.
 [[nodiscard]] Tensor dropout(const Tensor& a, float p, Rng& rng,
                              bool training);
+
+// --- Storage cache ---------------------------------------------------------
+/// Bytes of the cached storage blocks (DESIGN.md §6 "Tensor storage"):
+/// held by live buffers, held by the cache, and the highest live total so
+/// far, which bounds the other two's sum. Block counts are the
+/// `tensor.storage.*` metrics.
+struct StorageStats {
+  std::size_t live_bytes = 0;
+  std::size_t cached_bytes = 0;
+  std::size_t peak_live_bytes = 0;
+};
+[[nodiscard]] StorageStats storage_stats();
 
 }  // namespace eva::tensor

@@ -29,6 +29,7 @@ constexpr std::uint32_t kSecMeta = 1;    // fingerprint + step
 constexpr std::uint32_t kSecParams = 2;  // tensor shapes + payloads
 constexpr std::uint32_t kSecOpt = 3;     // AdamW t + moments
 constexpr std::uint32_t kSecRng = 4;     // xoshiro state + BM cache
+constexpr std::uint32_t kSecSentinel = 5;  // LR scale, EMA, healthy, trips
 
 constexpr std::uint32_t kMaxSections = 16;
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 34;  // 16 GiB
@@ -111,6 +112,7 @@ std::string serialize_state(const TrainState& state,
   std::uint32_t sections = 2;  // meta + params always present
   sections += state.opt != nullptr;
   sections += state.rng != nullptr;
+  sections += state.sentinel != nullptr;
   put(out, kMagic);
   put(out, kVersion);
   put(out, sections);
@@ -151,6 +153,15 @@ std::string serialize_state(const TrainState& state,
     put(sec, st.cached);
     put(sec, static_cast<std::uint8_t>(st.has_cached));
     append_section(out, kSecRng, sec);
+  }
+  if (state.sentinel) {
+    const auto st = state.sentinel->save_state();
+    std::string sec;
+    put(sec, st.lr_scale);
+    put(sec, st.ema);
+    put(sec, static_cast<std::int64_t>(st.healthy_steps));
+    put(sec, static_cast<std::int32_t>(st.trips));
+    append_section(out, kSecSentinel, sec);
   }
   return out;
 }
@@ -303,6 +314,17 @@ long read_snapshot(const std::string& path, TrainState& state,
         st.cached = sec.get<double>("rng cached normal");
         st.has_cached = sec.get<std::uint8_t>("rng cache flag") != 0;
         state.rng->restore_state(st);
+        break;
+      }
+      case kSecSentinel: {
+        if (!state.sentinel) break;
+        DivergenceSentinel::State st;
+        st.lr_scale = sec.get<float>("sentinel lr scale");
+        st.ema = sec.get<double>("sentinel loss ema");
+        st.healthy_steps =
+            static_cast<long>(sec.get<std::int64_t>("sentinel healthy steps"));
+        st.trips = sec.get<std::int32_t>("sentinel trip streak");
+        state.sentinel->restore_state(st);
         break;
       }
       default:

@@ -3,9 +3,10 @@
 //
 // A snapshot carries everything a trainer needs to continue bit-for-bit:
 // model parameters, AdamW optimizer moments + step count, RNG state, the
-// trainer step counter, and a config fingerprint that rejects resumes
-// against a different model/run configuration. A params-only snapshot is
-// also the on-disk model format (`core::Eva::save_model`).
+// divergence sentinel's state, the trainer step counter, and a config
+// fingerprint that rejects resumes against a different model/run
+// configuration. A params-only snapshot is also the on-disk model format
+// (`core::Eva::save_model`).
 //
 // On-disk format (little-endian, see checkpoint.cpp):
 //
@@ -30,6 +31,7 @@
 
 #include "tensor/optim.hpp"
 #include "tensor/tensor.hpp"
+#include "train/sentinel.hpp"
 #include "util/rng.hpp"
 
 namespace eva::train {
@@ -62,13 +64,15 @@ class Fingerprint {
 };
 
 /// Everything one snapshot covers. `params` are aliases of the live
-/// training tensors (cheap shared handles); `opt` and `rng` are optional
-/// — sections are only written/required for the pieces supplied.
+/// training tensors (cheap shared handles); `opt`, `rng` and `sentinel`
+/// are optional — sections are only written for the pieces supplied, and
+/// a piece whose section a file lacks keeps its current state.
 struct TrainState {
   std::vector<tensor::Tensor> params;
   tensor::AdamW* opt = nullptr;
   Rng* rng = nullptr;
   long step = 0;  // completed steps (resume continues at `step`)
+  DivergenceSentinel* sentinel = nullptr;
 };
 
 /// Serialize `state` to `path` as one EVA2 snapshot (atomic). Throws
@@ -120,6 +124,7 @@ class CheckpointManager {
 /// Deep in-memory copy of a TrainState, for divergence-sentinel rollback
 /// without a round trip through disk. capture() snapshots the live
 /// state; restore() writes it back into the same tensors/optimizer/RNG.
+/// The sentinel is left alone: a rollback keeps its LR backoff.
 class RollbackSlot {
  public:
   void capture(const TrainState& state);

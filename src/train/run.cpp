@@ -17,6 +17,7 @@ Run::Run(std::string name, TrainState state, int steps, const RunConfig& cfg,
       steps_(steps),
       checkpoint_every_(cfg.checkpoint_every),
       sentinel_(sentinel) {
+  state_.sentinel = &sentinel_;
   if (!cfg.checkpoint_dir.empty()) {
     ckpt_.emplace(CheckpointOptions{cfg.checkpoint_dir, cfg.keep_checkpoints,
                                     fingerprint});

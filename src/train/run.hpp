@@ -55,6 +55,9 @@ class Run {
   /// Restores the newest snapshot when `cfg.resume` is set.
   Run(std::string name, TrainState state, int steps, const RunConfig& cfg,
       const SentinelConfig& sentinel, std::uint64_t fingerprint);
+  // state_ points at sentinel_, so a copy would judge with the original's.
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
 
   /// Completed steps: the first step to run after construction (0, or
   /// the restored step on resume), the step a kRewind continues from,

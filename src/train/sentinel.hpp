@@ -54,6 +54,24 @@ class DivergenceSentinel {
   [[nodiscard]] float lr_scale() const { return lr_scale_; }
   [[nodiscard]] int consecutive_trips() const { return trips_; }
 
+  /// Everything observe() has learned, for snapshots: a resumed run
+  /// judges its next step as the run that never stopped would.
+  struct State {
+    float lr_scale = 1.0f;
+    double ema = 0.0;
+    long healthy_steps = 0;
+    int trips = 0;
+  };
+  [[nodiscard]] State save_state() const {
+    return {lr_scale_, ema_, healthy_steps_, trips_};
+  }
+  void restore_state(const State& s) {
+    lr_scale_ = s.lr_scale;
+    ema_ = s.ema;
+    healthy_steps_ = s.healthy_steps;
+    trips_ = s.trips;
+  }
+
  private:
   SentinelConfig cfg_;
   double ema_ = 0.0;

@@ -1,16 +1,20 @@
 // Unit tests for the autodiff tensor engine: forward values, gradient
-// checks against finite differences for every op, optimizers.
+// checks against finite differences for every op, optimizers, and the
+// storage cache that keeps large buffers from one step to the next.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
 #include "tensor/tensor.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -573,6 +577,139 @@ TEST(Optim, AdamWFitsLinearRegression) {
   }
   EXPECT_NEAR(w.data()[0], 2.0f, 0.05f);
   EXPECT_NEAR(b.data()[0], 1.0f, 0.05f);
+}
+
+// ------------------------------------------------------------ storage cache
+
+// 256 KiB of floats: well above the 64 KiB the cache starts at.
+constexpr int kBig = 64 * 1024;
+
+std::int64_t storage_blocks(const std::string& what) {
+  return obs::counter("tensor.storage." + what).value();
+}
+
+void expect_under_peak(const char* where) {
+  const StorageStats s = storage_stats();
+  EXPECT_LE(s.live_bytes + s.cached_bytes, s.peak_live_bytes) << where;
+}
+
+TEST(TensorStorage, ReusedBlockReadsAsZeros) {
+  const float* garbage_at = nullptr;
+  {
+    const Tensor garbage = Tensor::full({kBig}, -7.0f);
+    garbage_at = garbage.data().data();
+  }
+  const std::int64_t reused0 = storage_blocks("reused");
+  const Tensor z = Tensor::zeros({kBig});
+  EXPECT_EQ(z.data().data(), garbage_at);
+  EXPECT_EQ(storage_blocks("reused"), reused0 + 1);
+  for (float v : z.data()) ASSERT_EQ(v, 0.0f);
+
+  // A gradient buffer, allocated on first access, reads as zeros too.
+  Tensor p = Tensor::full({kBig}, 1.0f, true);
+  { const Tensor garbage = Tensor::full({kBig}, 3.0f); }
+  for (float g : p.grad()) ASSERT_EQ(g, 0.0f);
+}
+
+/// One training step of a small attention-like graph at sequence length
+/// T: embedding, layernorm, causal attention, MLP with dropout, output
+/// projection, cross-entropy, backward and AdamW. Checks the cache bound
+/// after forward, after backward and after the graph dies.
+struct MiniModel {
+  static constexpr int kB = 8, kC = 64, kV = 96;
+  Rng rng{17};
+  std::vector<Tensor> params{
+      Tensor::randn({kV, kC}, rng, 0.1f), Tensor::full({kC}, 1.0f, true),
+      Tensor::zeros({kC}, true), Tensor::randn({kC, 4 * kC}, rng, 0.1f),
+      Tensor::randn({4 * kC, kV}, rng, 0.1f)};
+  AdamW opt{params, {}};
+
+  void step(int T) {
+    std::vector<int> tokens(static_cast<std::size_t>(kB * T));
+    for (auto& t : tokens) t = static_cast<int>(rng.index(kV));
+    {
+      opt.zero_grad();
+      Tensor x = embedding(params[0], tokens, kB, T);
+      Tensor h = layernorm(x, params[1], params[2]);
+      Tensor att = causal_softmax(matmul(h, transpose_last(h)), T);
+      h = add(x, matmul(att, h));
+      h = dropout(gelu(matmul(h, params[3])), 0.1f, rng, true);
+      Tensor logits = reshape(matmul(h, params[4]), {kB * T, kV});
+      Tensor loss = cross_entropy(logits, tokens);
+      expect_under_peak("after forward");
+      loss.backward();
+      expect_under_peak("after backward");
+      opt.step();
+    }
+    expect_under_peak("after the graph died");
+  }
+};
+
+TEST(TensorStorage, LivePlusCachedStaysUnderPeakLiveTotal) {
+  MiniModel m;
+  const std::int64_t reused0 = storage_blocks("reused");
+  for (int T : {40, 96, 64, 128, 48, 112, 80, 128, 32, 100}) m.step(T);
+  EXPECT_GT(storage_blocks("reused"), reused0);
+}
+
+TEST(TensorStorage, SecondIdenticalStepMapsNoBlock) {
+  MiniModel m;
+  m.step(96);
+  const std::int64_t mapped = storage_blocks("mapped");
+  const std::int64_t reused = storage_blocks("reused");
+  m.step(96);
+  EXPECT_EQ(storage_blocks("mapped"), mapped);
+  EXPECT_GT(storage_blocks("reused"), reused);
+}
+
+TEST(TensorStorage, TensorsFreedOnPoolWorkers) {
+  eva::set_num_threads(4);
+  const std::size_t live0 = storage_stats().live_bytes;
+  std::vector<Tensor> ts(32);
+  for (int round = 0; round < 4; ++round) {
+    const auto value = [round](std::size_t i) {
+      return static_cast<float>(round * 100 + static_cast<int>(i));
+    };
+    eva::parallel_for(0, ts.size(), [&](std::size_t i) {
+      ts[i] = Tensor::full({kBig + static_cast<int>(i % 5) * 4096}, value(i));
+    });
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      for (float v : ts[i].data()) ASSERT_EQ(v, value(i));
+    }
+    eva::parallel_for(0, ts.size(), [&](std::size_t i) { ts[i] = Tensor(); });
+    expect_under_peak("after a round");
+  }
+  EXPECT_EQ(storage_stats().live_bytes, live0);
+  eva::set_num_threads(0);
+}
+
+TEST(TensorStorageDeathTest, DeadAndTailReadsAreReported) {
+#if defined(__SANITIZE_ADDRESS__)
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const float* dead = nullptr;
+  {
+    const Tensor t = Tensor::full({kBig}, 1.0f);
+    dead = t.data().data();
+  }
+  EXPECT_DEATH(
+      {
+        const volatile float v = dead[0];
+        (void)v;
+      },
+      "use-after-poison");
+  // The block is page-rounded: the bytes past the tensor's end are
+  // poisoned too.
+  const Tensor live = Tensor::full({kBig}, 1.0f);
+  const float* end = live.data().data() + live.numel();
+  EXPECT_DEATH(
+      {
+        const volatile float v = end[0];
+        (void)v;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
 }
 
 TEST(Optim, ClipGradNorm) {

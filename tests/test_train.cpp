@@ -2,7 +2,8 @@
 // and DPO share: deterministic fault injection, atomic writes, the
 // hardened EVA2 snapshot codec (roundtrip and corruption rejection),
 // checkpoint retention and corruption fallback, loads that create
-// nothing, the divergence sentinel, sentinel recovery and
+// nothing, the divergence sentinel and its state in snapshots, a PPO run
+// that must not trip it, sentinel recovery and
 // sentinel-skipped steps that still end like any other step, a
 // checkpoint directory that cannot be created, graceful stop +
 // bit-compatible resume, and the SPICE DC solve deadline.
@@ -25,6 +26,7 @@
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "rl/dpo.hpp"
 #include "rl/ppo.hpp"
 #include "rl/reward_model.hpp"
@@ -407,6 +409,42 @@ TEST(Checkpoint, LoadLatestUnderRegularFileReturnsNothing) {
   EXPECT_FALSE(restored.has_value());
 }
 
+TEST(Checkpoint, SentinelStateRoundtrips) {
+  Scratch sc("ckpt_sentinel");
+  TinyTrainSetup a(63);
+  train::SentinelConfig scfg;
+  scfg.warmup_steps = 0;
+  train::DivergenceSentinel tripped(scfg);
+  EXPECT_EQ(tripped.observe(2.0, 1.0), train::SentinelAction::kProceed);
+  EXPECT_EQ(tripped.observe(std::nan(""), 1.0), train::SentinelAction::kSkip);
+  auto ts = a.state(4);
+  ts.sentinel = &tripped;
+  const std::string path = sc.path("s.eva2");
+  train::write_snapshot(path, ts, 0);
+
+  train::DivergenceSentinel fresh(scfg);
+  auto loaded = a.state(0);
+  loaded.sentinel = &fresh;
+  EXPECT_EQ(train::read_snapshot(path, loaded, 0), 4);
+  const auto want = tripped.save_state();
+  const auto got = fresh.save_state();
+  EXPECT_EQ(got.lr_scale, want.lr_scale);
+  EXPECT_EQ(got.ema, want.ema);
+  EXPECT_EQ(got.healthy_steps, want.healthy_steps);
+  EXPECT_EQ(got.trips, want.trips);
+
+  // A snapshot without the section (a params-only model file) leaves the
+  // sentinel as it was.
+  const std::string bare = sc.path("bare.eva2");
+  train::write_snapshot(bare, a.state(4), 0);
+  train::DivergenceSentinel untouched(scfg);
+  auto again = a.state(0);
+  again.sentinel = &untouched;
+  EXPECT_EQ(train::read_snapshot(bare, again, 0), 4);
+  EXPECT_EQ(untouched.lr_scale(), 1.0f);
+  EXPECT_EQ(untouched.consecutive_trips(), 0);
+}
+
 // --------------------------------------------------- divergence sentinel
 
 TEST(Sentinel, TripsOnNonFiniteAndEscalatesToRollback) {
@@ -547,6 +585,53 @@ TEST(PretrainResilience, SentinelRecoversFromInjectedNanGradients) {
   EXPECT_TRUE(std::isfinite(r.final_val_loss));
   // Both injected faults were consumed.
   EXPECT_GE(injections, 6u);
+}
+
+// The sentinel's state rides in the snapshot: a run that tripped before
+// it stopped resumes with the same LR backoff, loss EMA and warmup count,
+// so its LR schedule matches the run that never stopped.
+TEST(PretrainResilience, ResumeRestoresTheSentinel) {
+  Scratch sc("pretrain_resume_sentinel");
+  const auto fx = PretrainFixture::make(706);
+  auto cfg = small_pretrain_cfg();
+  cfg.steps = 12;
+  cfg.run.checkpoint_every = 1;
+
+  // Reference: the fault trips the sentinel at step 2 (skipped, LR scale
+  // halved), and the run goes on to the end.
+  fault::set_spec("nan_grad:3");
+  auto model_a = fx.fresh_model(15);
+  const auto a = nn::pretrain(model_a, fx.corpus, cfg);
+  ASSERT_EQ(a.losses.size(), 11u);
+
+  // Same run, stopped after step 6 with the LR scale still recovering.
+  auto cfg_b = cfg;
+  cfg_b.run.checkpoint_dir = sc.dir.string();
+  fault::set_spec("nan_grad:3");
+  auto model_b = fx.fresh_model(15);
+  const auto b = nn::pretrain(model_b, fx.corpus, cfg_b,
+                              [](int step, double) {
+                                if (step == 6) train::request_stop();
+                              });
+  EXPECT_TRUE(b.interrupted);
+  ASSERT_EQ(b.losses.size(), 6u);
+  train::clear_stop();
+
+  // Resumed with the fault cleared: the snapshot alone carries the trip.
+  fault::set_spec("");
+  auto cfg_c = cfg_b;
+  cfg_c.run.resume = true;
+  auto model_c = fx.fresh_model(16);
+  const auto c = nn::pretrain(model_c, fx.corpus, cfg_c);
+  EXPECT_EQ(c.start_step, 7);
+  ASSERT_EQ(c.losses.size(), 5u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(b.losses[i], a.losses[i]) << "loss " << i;
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(c.losses[i], a.losses[i + 6]) << "loss " << (i + 6);
+  }
+  EXPECT_EQ(c.final_val_loss, a.final_val_loss);
 }
 
 /// Snapshot file names in `dir`, oldest first.
@@ -733,6 +818,41 @@ TEST(PpoResilience, KillAndResumeMatchesUninterruptedRun) {
   for (std::size_t i = 0; i < c.total_loss.size(); ++i) {
     EXPECT_DOUBLE_EQ(c.total_loss[i],
                      a.total_loss[b.total_loss.size() + i]);
+  }
+}
+
+// L_PPO (-L_policy + vc * L_value) is signed and near zero, so the loss
+// spike rule would fire on healthy updates: this run once tripped it 6
+// times (one rollback, LR scale 0.05), and since a rollback lands on the
+// last capture, its losses then depended on the snapshot cadence.
+TEST(PpoResilience, OrdinaryUpdatesDoNotTripTheSentinel) {
+  Scratch sc("ppo_no_spike");
+  const auto fx = RlFixture::make(800);
+  rl::PpoConfig cfg;
+  cfg.epochs = 5;
+  cfg.rollouts = 8;
+  cfg.ppo_epochs = 2;
+  cfg.minibatch = 2;
+
+  auto run = [&](int checkpoint_every) {
+    auto c = cfg;
+    c.run.checkpoint_every = checkpoint_every;
+    auto rm_model = fx.fresh_model(21);
+    Rng rm_rng(11);
+    rl::RewardModel rm(rm_model, fx.tok, rm_rng);
+    auto model = fx.fresh_model(21);
+    Rng ppo_rng(12);
+    rl::PpoTrainer trainer(model, fx.tok, rm, c, ppo_rng);
+    return trainer.train();
+  };
+  obs::Counter& trips = obs::counter("train.sentinel.trips");
+  const std::int64_t trips0 = trips.value();
+  const auto every5 = run(5);
+  const auto every1 = run(1);
+  EXPECT_EQ(trips.value() - trips0, 0);
+  ASSERT_EQ(every5.total_loss.size(), every1.total_loss.size());
+  for (std::size_t i = 0; i < every5.total_loss.size(); ++i) {
+    EXPECT_EQ(every5.total_loss[i], every1.total_loss[i]) << "update " << i;
   }
 }
 
