@@ -195,6 +195,23 @@ Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
     net_node[i] = num_nodes_++;
   }
 
+  // Net of every device pin, in one pass over the nets (the first net
+  // wins, as Netlist::net_of); -1 while unconnected.
+  std::vector<std::array<int, 4>> pin_net(nl.devices().size(),
+                                          {-1, -1, -1, -1});
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    for (const auto& p : nets[i]) {
+      if (p.is_io()) continue;
+      EVA_REQUIRE(p.device < nl.num_devices(),
+                  "simulator requires pins of existing devices");
+      const auto d = static_cast<std::size_t>(p.device);
+      EVA_REQUIRE(p.pin >= 0 && p.pin < pin_count(nl.devices()[d].kind),
+                  "simulator requires pins of existing devices");
+      int& net = pin_net[d][static_cast<std::size_t>(p.pin)];
+      if (net < 0) net = static_cast<int>(i);
+    }
+  }
+
   // Bias plan: forced DC value per IO pin (priority order within a net:
   // VDD > CLK > VB > VIN; IREF and VOUT are not voltage-forced).
   auto forced_voltage = [&](const circuit::Net& net) -> std::optional<double> {
@@ -274,17 +291,18 @@ Simulator::Simulator(const Netlist& nl, const Sizing& sizing, SimOptions opts)
   devs_.reserve(nl.devices().size());
   for (int d = 0; d < nl.num_devices(); ++d) {
     const Device& dev = nl.devices()[static_cast<std::size_t>(d)];
+    const auto& dev_nets = pin_net[static_cast<std::size_t>(d)];
     DeviceCtx ctx;
     ctx.kind = dev.kind;
     ctx.size = sizing.value[static_cast<std::size_t>(d)];
     for (int p = 0; p < pin_count(dev.kind); ++p) {
-      const auto net = nl.net_of(circuit::dev_ref(d, p));
-      EVA_REQUIRE(net.has_value(), "simulator requires all pins connected");
-      ctx.n[p] = net_node[static_cast<std::size_t>(*net)];
+      const int net = dev_nets[static_cast<std::size_t>(p)];
+      EVA_REQUIRE(net >= 0, "simulator requires all pins connected");
+      ctx.n[p] = net_node[static_cast<std::size_t>(net)];
     }
     if (dev.kind == DeviceKind::Nmos || dev.kind == DeviceKind::Pmos) {
-      const auto gnet = nl.net_of(circuit::dev_ref(d, circuit::mos::G));
-      for (const auto& p : nets[static_cast<std::size_t>(*gnet)]) {
+      const int gnet = dev_nets[circuit::mos::G];
+      for (const auto& p : nets[static_cast<std::size_t>(gnet)]) {
         if (p.is_io() && (p.io == IoPin::Clk1 || p.io == IoPin::Clk2)) {
           ctx.clk_gate = true;
           ctx.clk_is_phase1 = p.io == IoPin::Clk1;
@@ -599,6 +617,9 @@ void Simulator::stamp_small_signal(DenseMatrix<double>& g,
 
 std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
                                          int points) const {
+  static obs::Counter& pivot_splits = obs::counter("spice.ac_pivot_splits");
+
+  obs::Span span("spice.ac_sweep");
   EVA_ASSERT(dc_converged_, "ac_sweep requires a converged DC solve");
   EVA_REQUIRE(points >= 2 && f_hi > f_lo && f_lo > 0, "bad AC sweep range");
   const auto K = static_cast<std::size_t>(num_nodes_);
@@ -615,10 +636,10 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
   std::vector<double> drive(total, 0.0);
   for (std::size_t s = 0; s < vsrcs_.size(); ++s) drive[K + s] = vsrcs_[s].ac;
 
-  SplitMatrix a(total);
-  SplitVector x(total);
+  LaneMatrix a(total);
+  LaneVector x(total);
   // Admittance yr + j*yi between nodes na and nb (either may be ground).
-  const auto stamp_y = [&](int na, int nb, double yr, double yi) {
+  const auto stamp_y = [&](int na, int nb, Lanes yr, Lanes yi) {
     const auto add = [&](int r, int col, double sign) {
       const std::size_t i = static_cast<std::size_t>(r) * total +
                             static_cast<std::size_t>(col);
@@ -633,34 +654,41 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
     }
   };
 
-  std::vector<AcPoint> sweep;
-  sweep.reserve(static_cast<std::size_t>(points));
-  for (int pt = 0; pt < points; ++pt) {
-    const double f = f_lo * std::pow(f_hi / f_lo,
-                                     static_cast<double>(pt) /
-                                         static_cast<double>(points - 1));
-    const double w = 2.0 * 3.141592653589793 * f;
-    std::copy(g.data().begin(), g.data().end(), a.re.begin());
-    std::transform(c.data().begin(), c.data().end(), a.im.begin(),
-                   [w](double cap) { return w * cap; });
+  // Lane l of a batch solves point first + l; the lanes past the last
+  // point of a short last batch repeat it.
+  std::vector<AcPoint> sweep(static_cast<std::size_t>(points));
+  for (std::size_t first = 0; first < sweep.size(); first += kLanes) {
+    Lanes w{};
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::size_t pt = std::min(first + l, sweep.size() - 1);
+      const double f = f_lo * std::pow(f_hi / f_lo,
+                                       static_cast<double>(pt) /
+                                           static_cast<double>(points - 1));
+      sweep[pt].freq_hz = f;
+      w[l] = 2.0 * 3.141592653589793 * f;
+    }
+    for (std::size_t i = 0; i < total * total; ++i) {
+      a.re[i] = splat(g.data()[i]);
+      a.im[i] = w * c.data()[i];
+    }
     for (const DeviceCtx* d : inductors) {
       // 1/(R + jwL) = (R - jwL) / (R^2 + (wL)^2)
-      const double wl = w * d->size;
-      const double den = kIndDcRes * kIndDcRes + wl * wl;
+      const Lanes wl = w * d->size;
+      const Lanes den = kIndDcRes * kIndDcRes + wl * wl;
       stamp_y(d->n[0], d->n[1], kIndDcRes / den, -wl / den);
     }
-    std::copy(drive.begin(), drive.end(), x.re.begin());
-    std::fill(x.im.begin(), x.im.end(), 0.0);
-
-    AcPoint apt;
-    apt.freq_hz = f;
-    if (lu_solve_split(a, x) && out >= 0) {
-      apt.h = {x.re[static_cast<std::size_t>(out)],
-               x.im[static_cast<std::size_t>(out)]};
-    } else {
-      apt.h = {0.0, 0.0};
+    for (std::size_t i = 0; i < total; ++i) {
+      x.re[i] = splat(drive[i]);
+      x.im[i] = Lanes{};
     }
-    sweep.push_back(apt);
+
+    const LaneSolve solved = lu_solve_lanes(a, x);
+    if (solved.pivots_split) pivot_splits.add();
+    if (out < 0) continue;
+    const auto o = static_cast<std::size_t>(out);
+    for (std::size_t l = 0; l < kLanes && first + l < sweep.size(); ++l) {
+      if (solved.ok[l] != 0) sweep[first + l].h = {x.re[o][l], x.im[o][l]};
+    }
   }
   return sweep;
 }

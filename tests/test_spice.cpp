@@ -3,10 +3,13 @@
 // simulatability oracle over generated topologies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include "circuit/classify.hpp"
+#include "circuit/validity.hpp"
 #include "data/builder.hpp"
 #include "data/generators.hpp"
 #include "spice/engine.hpp"
@@ -66,18 +69,113 @@ TEST(Mna, DetectsSingular) {
   EXPECT_FALSE(lu_solve(a, b));
 }
 
-TEST(Mna, ComplexSolve) {
-  // (2j) x = 4 -> x = -2j
-  SplitMatrix a(1);
-  a.im[0] = 2.0;
-  SplitVector b(1);
-  b.re[0] = 4.0;
-  ASSERT_TRUE(lu_solve_split(a, b));
-  EXPECT_NEAR(b.re[0], 0.0, 1e-12);
-  EXPECT_NEAR(b.im[0], -2.0, 1e-12);
+// --- scalar split-plane reference -------------------------------------------
+
+/// x + jy = (a + jb) / (c + jd) by Smith's method, the scalar form of the
+/// divide lu_solve_lanes does in every lane.
+void complex_divide(double a, double b, double c, double d, double& x,
+                    double& y) {
+  if (std::abs(c) < std::abs(d)) {
+    const double ratio = c / d;
+    const double denom = c * ratio + d;
+    x = (a * ratio + b) / denom;
+    y = (b * ratio - a) / denom;
+  } else {
+    const double ratio = d / c;
+    const double denom = d * ratio + c;
+    x = (b * ratio + a) / denom;
+    y = (b - a * ratio) / denom;
+  }
 }
 
-// --- split-plane complex LU against the std::complex oracle -----------------
+/// Complex square matrix as two row-major planes, real and imaginary.
+struct SplitMatrix {
+  explicit SplitMatrix(std::size_t size = 0)
+      : n(size), re(size * size, 0.0), im(size * size, 0.0), cols(size) {}
+  std::size_t n;
+  std::vector<double> re, im;
+  std::vector<std::size_t> cols;  // lu_solve_split's scratch
+};
+
+/// Complex vector as two planes, real and imaginary.
+struct SplitVector {
+  explicit SplitVector(std::size_t size = 0) : re(size, 0.0), im(size, 0.0) {}
+  std::vector<double> re, im;
+};
+
+/// The scalar reference for lu_solve_lanes: complex A x = b in place by
+/// lu_solve's LU in explicit real arithmetic. The pivot is the largest
+/// squared magnitude, singular when |p|^2 < 1e-36; row updates visit only
+/// the columns where the pivot row is nonzero and skip rows whose
+/// multiplier is exactly zero. Every lane of lu_solve_lanes must do these
+/// operations in this order.
+bool lu_solve_split(SplitMatrix& a, SplitVector& b) {
+  const std::size_t n = a.n;
+  double* ar = a.re.data();
+  double* ai = a.im.data();
+  double* br = b.re.data();
+  double* bi = b.im.data();
+  const auto norm2 = [&](std::size_t r, std::size_t c) {
+    return ar[r * n + c] * ar[r * n + c] + ai[r * n + c] * ai[r * n + c];
+  };
+
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    double best = norm2(col, col);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double m = norm2(r, col);
+      if (m > best) {
+        best = m;
+        pivot = r;
+      }
+    }
+    if (best < 1e-36) return false;
+    if (pivot != col) {
+      std::swap_ranges(ar + col * n, ar + col * n + n, ar + pivot * n);
+      std::swap_ranges(ai + col * n, ai + col * n + n, ai + pivot * n);
+      std::swap(br[col], br[pivot]);
+      std::swap(bi[col], bi[pivot]);
+    }
+    const double* pr = ar + col * n;
+    const double* pi = ai + col * n;
+    double inv_re = 0.0, inv_im = 0.0;
+    complex_divide(1.0, 0.0, pr[col], pi[col], inv_re, inv_im);
+    std::size_t nnz = 0;  // pivot-row nonzeros right of the pivot
+    for (std::size_t c = col + 1; c < n; ++c) {
+      if (pr[c] != 0.0 || pi[c] != 0.0) a.cols[nnz++] = c;
+    }
+    for (std::size_t r = col + 1; r < n; ++r) {
+      double* rr = ar + r * n;
+      double* ri = ai + r * n;
+      const double fr = rr[col] * inv_re - ri[col] * inv_im;
+      const double fi = rr[col] * inv_im + ri[col] * inv_re;
+      if (fr == 0.0 && fi == 0.0) continue;
+      rr[col] = 0.0;
+      ri[col] = 0.0;
+      for (std::size_t k = 0; k < nnz; ++k) {
+        const std::size_t c = a.cols[k];
+        rr[c] -= fr * pr[c] - fi * pi[c];
+        ri[c] -= fr * pi[c] + fi * pr[c];
+      }
+      br[r] -= fr * br[col] - fi * bi[col];
+      bi[r] -= fr * bi[col] + fi * br[col];
+    }
+  }
+  for (std::size_t r = n; r-- > 0;) {
+    const double* rr = ar + r * n;
+    const double* ri = ai + r * n;
+    double acc_re = br[r];
+    double acc_im = bi[r];
+    for (std::size_t c = r + 1; c < n; ++c) {
+      acc_re -= rr[c] * br[c] - ri[c] * bi[c];
+      acc_im -= rr[c] * bi[c] + ri[c] * br[c];
+    }
+    complex_divide(acc_re, acc_im, rr[r], ri[r], br[r], bi[r]);
+  }
+  return true;
+}
+
+// --- lane solver -------------------------------------------------------------
 
 using cd = std::complex<double>;
 
@@ -87,45 +185,105 @@ struct ComplexSystem {
   std::vector<cd> a, b;
 };
 
-/// Solves `sys` with lu_solve<std::complex<double>> (the oracle) and with
-/// lu_solve_split. `rel_err` is the largest solution difference over the
-/// oracle's largest component, when both solved.
-struct SplitVsOracle {
-  bool oracle_ok = false, split_ok = false;
-  double rel_err = 0.0;
+/// One lu_solve_lanes call on kLanes systems of one size, system l in
+/// lane l: per lane, whether it solved, its solution and the matrix the
+/// solve left (its upper triangle is the U factor).
+struct LaneResult {
+  std::vector<bool> ok;
+  std::vector<std::vector<cd>> x, a;
+  bool pivots_split = false;
 };
 
-SplitVsOracle solve_both(const ComplexSystem& sys) {
-  const std::size_t n = sys.n;
-  DenseMatrix<cd> dense(n);
-  SplitMatrix split(n);
-  for (std::size_t i = 0; i < n * n; ++i) {
-    dense.at(i / n, i % n) = sys.a[i];
-    split.re[i] = sys.a[i].real();
-    split.im[i] = sys.a[i].imag();
-  }
-  std::vector<cd> x = sys.b;
-  SplitVector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    y.re[i] = sys.b[i].real();
-    y.im[i] = sys.b[i].imag();
-  }
-  SplitVsOracle r;
-  r.oracle_ok = lu_solve(dense, x);
-  r.split_ok = lu_solve_split(split, y);
-  if (r.oracle_ok && r.split_ok) {
-    double diff = 0.0, scale = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      diff = std::max(diff, std::abs(x[i] - cd{y.re[i], y.im[i]}));
-      scale = std::max(scale, std::abs(x[i]));
+LaneResult solve_lanes(const std::vector<ComplexSystem>& systems) {
+  EXPECT_EQ(systems.size(), kLanes);
+  const std::size_t n = systems.front().n;
+  LaneMatrix a(n);
+  LaneVector b(n);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const ComplexSystem& sys = systems.at(l);
+    EXPECT_EQ(sys.n, n);
+    for (std::size_t i = 0; i < n * n; ++i) {
+      a.re[i][l] = sys.a[i].real();
+      a.im[i][l] = sys.a[i].imag();
     }
-    r.rel_err = diff / scale;
+    for (std::size_t i = 0; i < n; ++i) {
+      b.re[i][l] = sys.b[i].real();
+      b.im[i][l] = sys.b[i].imag();
+    }
+  }
+  const LaneSolve solved = lu_solve_lanes(a, b);
+  LaneResult r;
+  r.pivots_split = solved.pivots_split;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    r.ok.push_back(solved.ok[l] != 0);
+    r.x.emplace_back();
+    for (std::size_t i = 0; i < n; ++i) {
+      r.x[l].push_back({b.re[i][l], b.im[i][l]});
+    }
+    r.a.emplace_back();
+    for (std::size_t i = 0; i < n * n; ++i) {
+      r.a[l].push_back({a.re[i][l], a.im[i][l]});
+    }
   }
   return r;
 }
 
+TEST(Mna, ComplexSolve) {
+  // (2j) x = 4 -> x = -2j, in every lane.
+  const ComplexSystem sys{1, {cd{0.0, 2.0}}, {cd{4.0, 0.0}}};
+  const auto r = solve_lanes(std::vector<ComplexSystem>(kLanes, sys));
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ASSERT_TRUE(r.ok[l]) << "lane " << l;
+    EXPECT_NEAR(r.x[l][0].real(), 0.0, 1e-12) << "lane " << l;
+    EXPECT_NEAR(r.x[l][0].imag(), -2.0, 1e-12) << "lane " << l;
+  }
+}
+
+// --- lane solver against the std::complex oracle ---------------------------
+
+/// Solves each system with lu_solve<std::complex<double>> (the oracle), and
+/// all of them at once with lu_solve_lanes, system l in lane l. `rel_err`
+/// is the largest solution difference over the oracle's largest component,
+/// when both solved.
+struct LaneVsOracle {
+  bool oracle_ok = false, lane_ok = false;
+  double rel_err = 0.0;
+};
+
+std::vector<LaneVsOracle> solve_both(
+    const std::vector<ComplexSystem>& systems) {
+  const LaneResult lanes = solve_lanes(systems);
+  std::vector<LaneVsOracle> out;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const ComplexSystem& sys = systems[l];
+    const std::size_t n = sys.n;
+    DenseMatrix<cd> dense(n);
+    for (std::size_t i = 0; i < n * n; ++i) dense.at(i / n, i % n) = sys.a[i];
+    std::vector<cd> x = sys.b;
+    LaneVsOracle r;
+    r.oracle_ok = lu_solve(dense, x);
+    r.lane_ok = lanes.ok[l];
+    if (r.oracle_ok && r.lane_ok) {
+      double diff = 0.0, scale = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        diff = std::max(diff, std::abs(x[i] - lanes.x[l][i]));
+        scale = std::max(scale, std::abs(x[i]));
+      }
+      r.rel_err = diff / scale;
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
 cd random_complex(Rng& rng) {
   return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+}
+
+std::vector<std::size_t> identity_perm(std::size_t n) {
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  return perm;
 }
 
 /// A well-conditioned system whose dominant entry in row i sits in column
@@ -158,69 +316,99 @@ TEST(Mna, SplitSolveMatchesComplexOracle) {
   Rng rng(11);
   for (std::size_t n = 1; n <= 16; ++n) {
     for (int trial = 0; trial < 20; ++trial) {
-      std::vector<std::size_t> perm(n);
-      for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-      if (trial % 2 == 1) rng.shuffle(perm);
-      const bool sparse = trial % 4 >= 2;
-      const auto r = solve_both(permuted_dominant(rng, n, perm, sparse));
-      ASSERT_TRUE(r.oracle_ok) << "n=" << n << " trial " << trial;
-      ASSERT_TRUE(r.split_ok) << "n=" << n << " trial " << trial;
-      EXPECT_LE(r.rel_err, 1e-12) << "n=" << n << " trial " << trial;
+      // Odd trials give every lane its own row permutation.
+      std::vector<ComplexSystem> batch;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        auto perm = identity_perm(n);
+        if (trial % 2 == 1) rng.shuffle(perm);
+        batch.push_back(permuted_dominant(rng, n, perm, trial % 4 >= 2));
+      }
+      const auto rs = solve_both(batch);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const std::string at = "n=" + std::to_string(n) + " trial " +
+                               std::to_string(trial) + " lane " +
+                               std::to_string(l);
+        ASSERT_TRUE(rs[l].oracle_ok) << at;
+        ASSERT_TRUE(rs[l].lane_ok) << at;
+        EXPECT_LE(rs[l].rel_err, 1e-12) << at;
+      }
     }
   }
 }
 
 TEST(Mna, SplitSolvePivotsOnZeroDiagonal) {
-  // Dominant entries on the cyclic superdiagonal, an exactly zero diagonal:
-  // every column needs a row swap before it can be eliminated.
+  // Dominant entries on a cyclic superdiagonal, an exactly zero diagonal:
+  // every column needs a row swap before it can be eliminated. Lane l
+  // shifts by 1 + l % (n - 1), so the lanes swap different rows.
   Rng rng(12);
   for (std::size_t n = 2; n <= 16; ++n) {
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i) perm[i] = (i + 1) % n;
-    auto sys = permuted_dominant(rng, n, perm, n % 2 == 1);
-    for (std::size_t i = 0; i < n; ++i) sys.a[i * n + i] = 0.0;
-    const auto r = solve_both(sys);
-    ASSERT_TRUE(r.oracle_ok) << "n=" << n;
-    ASSERT_TRUE(r.split_ok) << "n=" << n;
-    EXPECT_LE(r.rel_err, 1e-12) << "n=" << n;
+    std::vector<ComplexSystem> batch;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::size_t shift = 1 + l % (n - 1);
+      std::vector<std::size_t> perm(n);
+      for (std::size_t i = 0; i < n; ++i) perm[i] = (i + shift) % n;
+      auto sys = permuted_dominant(rng, n, perm, n % 2 == 1);
+      for (std::size_t i = 0; i < n; ++i) sys.a[i * n + i] = 0.0;
+      batch.push_back(sys);
+    }
+    const auto rs = solve_both(batch);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ASSERT_TRUE(rs[l].oracle_ok) << "n=" << n << " lane " << l;
+      ASSERT_TRUE(rs[l].lane_ok) << "n=" << n << " lane " << l;
+      EXPECT_LE(rs[l].rel_err, 1e-12) << "n=" << n << " lane " << l;
+    }
   }
   // [0 1; 1 0] x = [2; 3] -> x = [3; 2], as Mna.PivotsOnZeroDiagonal.
-  SplitMatrix a(2);
-  a.re[1] = 1.0;
-  a.re[2] = 1.0;
-  SplitVector b(2);
-  b.re = {2.0, 3.0};
-  ASSERT_TRUE(lu_solve_split(a, b));
-  EXPECT_NEAR(b.re[0], 3.0, 1e-12);
-  EXPECT_NEAR(b.re[1], 2.0, 1e-12);
+  const ComplexSystem swap{2, {0.0, 1.0, 1.0, 0.0}, {2.0, 3.0}};
+  const auto r = solve_lanes(std::vector<ComplexSystem>(kLanes, swap));
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ASSERT_TRUE(r.ok[l]) << "lane " << l;
+    EXPECT_NEAR(r.x[l][0].real(), 3.0, 1e-12) << "lane " << l;
+    EXPECT_NEAR(r.x[l][1].real(), 2.0, 1e-12) << "lane " << l;
+  }
 }
 
 TEST(Mna, SplitSolveAgreesOnSingularVerdict) {
+  // Each batch holds one case in lane `bad` and solvable systems in the
+  // other lanes: every lane must agree with the oracle's verdict.
   Rng rng(13);
-  const auto expect_verdict = [](const ComplexSystem& sys, bool solvable,
-                                 const std::string& what) {
-    const auto r = solve_both(sys);
-    EXPECT_EQ(r.oracle_ok, solvable) << what;
-    EXPECT_EQ(r.split_ok, r.oracle_ok) << what;
+  std::size_t bad = 0;
+  const auto expect_verdict = [&](std::size_t n, const ComplexSystem& sys,
+                                  bool solvable, const std::string& what) {
+    std::vector<ComplexSystem> batch;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      auto perm = identity_perm(n);
+      rng.shuffle(perm);
+      batch.push_back(l == bad ? sys : permuted_dominant(rng, n, perm));
+    }
+    const auto rs = solve_both(batch);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      EXPECT_EQ(rs[l].oracle_ok, l == bad ? solvable : true)
+          << what << " lane " << l;
+      EXPECT_EQ(rs[l].lane_ok, rs[l].oracle_ok) << what << " lane " << l;
+      if (l != bad) {
+        EXPECT_LE(rs[l].rel_err, 1e-12) << what << " lane " << l;
+      }
+    }
+    bad = (bad + 1) % kLanes;
   };
   for (std::size_t n = 1; n <= 16; ++n) {
     const std::string tag = " n=" + std::to_string(n);
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    std::vector<std::size_t> perm = identity_perm(n);
     rng.shuffle(perm);
     const std::size_t k = perm[0];
 
     auto zero_col = permuted_dominant(rng, n, perm);
     for (std::size_t r = 0; r < n; ++r) zero_col.a[r * n + k] = 0.0;
-    expect_verdict(zero_col, false, "zero column" + tag);
+    expect_verdict(n, zero_col, false, "zero column" + tag);
 
     auto zero_row = permuted_dominant(rng, n, perm);
     for (std::size_t c = 0; c < n; ++c) zero_row.a[k * n + c] = 0.0;
-    expect_verdict(zero_row, false, "zero row" + tag);
+    expect_verdict(n, zero_row, false, "zero row" + tag);
 
     auto tiny = permuted_dominant(rng, n, perm);
     for (auto& z : tiny.a) z *= 1e-20 / (2.0 * static_cast<double>(n) + 2.0);
-    expect_verdict(tiny, false, "all entries below the threshold" + tag);
+    expect_verdict(n, tiny, false, "all entries below the threshold" + tag);
 
     // Row-permuted upper triangle: elimination is exact, so the last pivot
     // is exactly the chosen magnitude, on either side of 1e-18.
@@ -234,10 +422,144 @@ TEST(Mna, SplitSolveAgreesOnSingularVerdict) {
         tri.a[perm[r] * n + r] =
             std::polar(r + 1 == n ? last : 1.0, rng.uniform(0.0, 6.283));
       }
-      expect_verdict(tri, last > 1e-18,
+      expect_verdict(n, tri, last > 1e-18,
                      "last pivot " + std::to_string(last) + tag);
     }
   }
+}
+
+// --- lane solver against the scalar reference, bit for bit -------------------
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+bool same_bits(cd x, cd y) {
+  return same_bits(x.real(), y.real()) && same_bits(x.imag(), y.imag());
+}
+
+/// Solves each system alone with lu_solve_split and all of them with
+/// lu_solve_lanes: every lane's verdict, solution and U factor must equal
+/// the scalar solve's, bit for bit (so a zero keeps its sign); a singular
+/// lane must hold zeros. Half the zero parts of the inputs are made -0, so
+/// that a lane updated where the scalar solve skips shows as a flipped
+/// zero sign.
+void expect_lanes_match_scalar(std::vector<ComplexSystem> batch,
+                               const std::string& what) {
+  Rng signs(std::hash<std::string>{}(what));
+  const auto sign_zero = [&](double v) {
+    return v == 0.0 && signs.index(2) == 1 ? -0.0 : v;
+  };
+  for (auto& sys : batch) {
+    for (auto& z : sys.a) z = {sign_zero(z.real()), sign_zero(z.imag())};
+  }
+  const LaneResult lanes = solve_lanes(batch);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const ComplexSystem& sys = batch[l];
+    const std::size_t n = sys.n;
+    SplitMatrix a(n);
+    SplitVector b(n);
+    for (std::size_t i = 0; i < n * n; ++i) {
+      a.re[i] = sys.a[i].real();
+      a.im[i] = sys.a[i].imag();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      b.re[i] = sys.b[i].real();
+      b.im[i] = sys.b[i].imag();
+    }
+    const bool ok = lu_solve_split(a, b);
+    ASSERT_EQ(lanes.ok[l], ok) << what << " lane " << l;
+    for (std::size_t i = 0; i < n; ++i) {
+      const cd want = ok ? cd{b.re[i], b.im[i]} : cd{};
+      const cd got = lanes.x[l][i];
+      EXPECT_TRUE(ok ? same_bits(got, want) : got == want)
+          << what << " lane " << l << " x[" << i << "] = " << got
+          << ", scalar " << want;
+    }
+    if (!ok) continue;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = r; c < n; ++c) {
+        const cd want{a.re[r * n + c], a.im[r * n + c]};
+        const cd got = lanes.a[l][r * n + c];
+        EXPECT_TRUE(same_bits(got, want))
+            << what << " lane " << l << " U(" << r << ", " << c
+            << ") = " << got << ", scalar " << want;
+      }
+    }
+  }
+}
+
+/// kLanes MNA-like systems A = G + j w_l C with one sparsity pattern:
+/// a sweep's batch. `kill` zeroes one entry of G in lane 0 only, so that
+/// lane's pattern departs from the others.
+std::vector<ComplexSystem> mna_batch(Rng& rng, std::size_t n, bool kill) {
+  const auto perm = identity_perm(n);
+  ComplexSystem base = permuted_dominant(rng, n, perm, true);
+  if (kill && n > 1) base.a[1] = random_complex(rng);
+  std::vector<ComplexSystem> batch;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ComplexSystem sys = base;
+    const double w = std::pow(10.0, static_cast<double>(l));
+    for (auto& z : sys.a) z = {z.real(), w * z.imag()};
+    batch.push_back(sys);
+  }
+  if (kill && n > 1) batch[0].a[1] = 0.0;
+  return batch;
+}
+
+TEST(Mna, LaneSolveMatchesScalarBitwise) {
+  Rng rng(14);
+  for (std::size_t n = 1; n <= 16; ++n) {
+    const std::string tag = " n=" + std::to_string(n);
+    for (int trial = 0; trial < 8; ++trial) {
+      // Dense and sparse, with the lanes' rows shuffled alike or apart.
+      std::vector<ComplexSystem> batch;
+      auto shared = identity_perm(n);
+      rng.shuffle(shared);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        auto perm = shared;
+        if (trial % 2 == 1) rng.shuffle(perm);
+        batch.push_back(permuted_dominant(rng, n, perm, trial % 4 >= 2));
+      }
+      expect_lanes_match_scalar(batch, "random trial " +
+                                           std::to_string(trial) + tag);
+    }
+    expect_lanes_match_scalar(mna_batch(rng, n, false), "sweep-like" + tag);
+    expect_lanes_match_scalar(mna_batch(rng, n, true),
+                              "sweep-like, lane 0 sparser" + tag);
+
+    // One singular lane (a zero column) among solvable ones.
+    for (std::size_t bad = 0; bad < kLanes; ++bad) {
+      std::vector<ComplexSystem> batch;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        auto perm = identity_perm(n);
+        rng.shuffle(perm);
+        auto sys = permuted_dominant(rng, n, perm, l % 2 == 1);
+        if (l == bad) {
+          for (std::size_t r = 0; r < n; ++r) sys.a[r * n + perm[n - 1]] = 0.0;
+        }
+        batch.push_back(sys);
+      }
+      expect_lanes_match_scalar(batch,
+                                "singular lane " + std::to_string(bad) + tag);
+    }
+  }
+}
+
+TEST(Mna, LaneSolveReportsDivergentPivots) {
+  Rng rng(15);
+  const std::size_t n = 6;
+  std::vector<ComplexSystem> alike, apart;
+  auto perm = identity_perm(n);
+  rng.shuffle(perm);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    alike.push_back(permuted_dominant(rng, n, perm));
+    std::vector<std::size_t> shifted(n);
+    for (std::size_t i = 0; i < n; ++i) shifted[i] = (i + l) % n;
+    apart.push_back(permuted_dominant(rng, n, shifted));
+  }
+  EXPECT_FALSE(solve_lanes(alike).pivots_split);
+  EXPECT_TRUE(solve_lanes(apart).pivots_split);
 }
 
 // --- sizing -----------------------------------------------------------------
@@ -501,6 +823,49 @@ TEST(Ac, CommonSourceHasGain) {
   EXPECT_LT(std::abs(sweep.back().h), std::abs(sweep.front().h));
 }
 
+TEST(Ac, SweepPointMatchesSameFrequencyAlone) {
+  // A sweep solves its points kLanes at a time, point i in lane i % kLanes,
+  // with a short last batch. Every point must be bitwise the point that a
+  // two-point sweep starting at its frequency solves in lane 0.
+  std::vector<int> counts;
+  for (const std::size_t c : {std::size_t{2}, kLanes - 1, kLanes, kLanes + 1,
+                              std::size_t{61}}) {
+    if (c >= 2) counts.push_back(static_cast<int>(c));
+  }
+  Rng rng(21);
+  for (int t = 0; t < eva::circuit::kNumCircuitTypes; ++t) {
+    const auto type = static_cast<CircuitType>(t);
+    if (type == CircuitType::PowerConverter) continue;  // no AC sweep
+    int checked = 0;
+    for (int attempt = 0; attempt < 20 && checked < 2; ++attempt) {
+      const Netlist nl = eva::data::generate(type, rng);
+      if (!structurally_valid(nl)) continue;
+      std::vector<double> unit(nl.devices().size());
+      for (double& u : unit) u = rng.uniform(0.0, 1.0);
+      const Sizing sizing =
+          checked == 0 ? default_sizing(nl) : sizing_from_unit(nl, unit);
+      Simulator sim(nl, sizing);
+      if (!sim.solve_dc()) continue;
+      ++checked;
+      for (const int points : counts) {
+        const auto sweep = sim.ac_sweep(1.0, 1e10, points);
+        ASSERT_EQ(sweep.size(), static_cast<std::size_t>(points));
+        for (std::size_t i = 0; i < sweep.size(); ++i) {
+          const double f = sweep[i].freq_hz;
+          const AcPoint alone = sim.ac_sweep(f, 2.0 * f, 2).front();
+          EXPECT_TRUE(same_bits(alone.freq_hz, f) &&
+                      same_bits(alone.h.real(), sweep[i].h.real()) &&
+                      same_bits(alone.h.imag(), sweep[i].h.imag()))
+              << type_name(type) << " sizing " << checked
+              << " points " << points << " point " << i << ": "
+              << sweep[i].h << " vs " << alone.h;
+        }
+      }
+    }
+    EXPECT_EQ(checked, 2) << type_name(type);
+  }
+}
+
 // --- FoM ------------------------------------------------------------------------
 
 TEST(Fom, OpAmpEvaluates) {
@@ -623,6 +988,26 @@ TEST(Simulatable, AcceptsGeneratedTopologies) {
     ok += simulatable(nl);
   }
   EXPECT_GE(ok, n * 3 / 5);
+}
+
+TEST(Simulatable, MalformedPinsThrowError) {
+  NetBuilder b;
+  b.rails();
+  b.io("out", IoPin::Vout1);
+  b.two(DeviceKind::Resistor, "VDD", "out");
+  b.two(DeviceKind::Resistor, "out", "VSS");
+  const Netlist good = b.take();
+  const Sizing sz = default_sizing(good);
+  Netlist dangling = good;
+  dangling.disconnect(dev_ref(1, two::N));
+  EXPECT_THROW(Simulator(dangling, sz), eva::Error);
+  // Netlist::connect checks neither the device nor the pin index.
+  Netlist no_device = good;
+  no_device.connect(0, dev_ref(2, 0));
+  EXPECT_THROW(Simulator(no_device, sz), eva::Error);
+  Netlist no_pin = good;
+  no_pin.connect(0, dev_ref(0, 2));
+  EXPECT_THROW(Simulator(no_pin, sz), eva::Error);
 }
 
 TEST(Simulatable, RejectsStructurallyInvalid) {
