@@ -92,11 +92,11 @@ void BM_GemmTN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->UseRealTime();
 
-// Quantized inference GEMM (weight-only int8/bf16, fused bias epilogue)
-// at the batched-decode shape: n rows of activations against a
+// Quantized inference GEMM (weight-only int8, fused bias epilogue) at
+// the batched-decode shape: n rows of activations against a
 // (256, 768)-ish weight. items_per_second == FLOP/s of the equivalent
 // f32 GEMM, so these read directly against BM_GemmNN.
-void bm_qgemm(benchmark::State& state, tensor::QuantKind kind) {
+void BM_QGemmInt8(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kIn = 192;
   constexpr std::size_t kOut = 768;
@@ -106,7 +106,8 @@ void bm_qgemm(benchmark::State& state, tensor::QuantKind kind) {
   auto x = tensor::Tensor::randn({static_cast<int>(n), static_cast<int>(kIn)},
                                  rng, 1.0f, false);
   auto b = tensor::Tensor::randn({static_cast<int>(kOut)}, rng, 1.0f, false);
-  const auto qw = tensor::QuantMatrix::quantize(kind, w.data().data(), kIn, kOut);
+  const auto qw = tensor::QuantMatrix::quantize(tensor::QuantKind::kInt8,
+                                                w.data().data(), kIn, kOut);
   std::vector<float> y(n * kOut, 0.0f);
   for (auto _ : state) {
     tensor::qgemm(x.data().data(), qw, b.data().data(), y.data(), n,
@@ -116,14 +117,7 @@ void bm_qgemm(benchmark::State& state, tensor::QuantKind kind) {
   state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
                           static_cast<std::int64_t>(kIn * kOut));
 }
-void BM_QGemmInt8(benchmark::State& state) {
-  bm_qgemm(state, tensor::QuantKind::kInt8);
-}
 BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
-void BM_QGemmBf16(benchmark::State& state) {
-  bm_qgemm(state, tensor::QuantKind::kBf16);
-}
-BENCHMARK(BM_QGemmBf16)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_TensorMatmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -16,8 +16,8 @@
 //    is single-sequence decode.
 //
 // The inference path can additionally run on weight-quantized kernels:
-// set_inference_quant(kBf16 | kInt8) repacks every block linear and the
-// LM head into tensor::QuantMatrix form and the per-step linears route
+// set_inference_quant(kInt8) repacks every block linear and the LM
+// head into tensor::QuantMatrix form and the per-step linears route
 // through tensor::qgemm with fused dequant+bias+GELU epilogues.
 // Training always reads the f32 tensors — repacked copies are
 // derived state, invalidated and rebuilt by load_from() and by calling

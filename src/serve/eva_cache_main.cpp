@@ -5,12 +5,11 @@
 //
 // Environment:
 //   EVA_CACHE_PORT      listen port (default 7190; 0 = ephemeral)
-//   EVA_CACHE_ENTRIES   LRU entry bound (default 4096)
+//   EVA_CACHE_ENTRIES   LRU entry bound (default 4096; min 1)
 //   EVA_SERVE_IDLE_MS   per-connection idle read timeout
 //
-// Malformed or out-of-range values fall back to the defaults
-// (util/env.hpp).
-#include <algorithm>
+// Malformed or out-of-range values, and values below the minimum, fall
+// back to the defaults (util/env.hpp).
 #include <cstdio>
 #include <string>
 
@@ -28,8 +27,8 @@ int main(int argc, char** argv) {
 
   serve::SidecarConfig cfg;
   cfg.port = env_int("EVA_CACHE_PORT", 7190);
-  cfg.max_entries = static_cast<std::size_t>(
-      std::max(1, env_int("EVA_CACHE_ENTRIES", 4096)));
+  cfg.max_entries =
+      static_cast<std::size_t>(env_int("EVA_CACHE_ENTRIES", 4096, 1));
   cfg.idle_ms = env_double("EVA_SERVE_IDLE_MS", 0.0, 0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];

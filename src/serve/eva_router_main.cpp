@@ -2,26 +2,26 @@
 //
 // Binds the router's TCP listener, consistent-hashes generation requests
 // across the configured replica backends with health-checked failover,
-// retry/backoff, optional hedging, load shedding, and an optional shared
-// cache sidecar, and runs until SIGTERM/SIGINT.
+// retry/backoff, load shedding, and an optional shared cache sidecar,
+// and runs until SIGTERM/SIGINT.
 //
 // Environment:
 //   EVA_ROUTER_PORT          listen port (default 7070; 0 = ephemeral)
 //   EVA_ROUTER_BACKENDS      comma-separated replica host:port list
 //                            (required unless --backends is given)
 //   EVA_ROUTER_CACHE         cache sidecar host:port ("" = no shared cache)
-//   EVA_ROUTER_HEALTH_MS     health-probe interval (default 250)
-//   EVA_ROUTER_TIMEOUT_MS    per-attempt replica budget (default 5000)
-//   EVA_ROUTER_MAX_ATTEMPTS  dispatch attempts per request (default 4)
-//   EVA_ROUTER_HEDGE_MS      hedge delay for high-priority requests
-//                            (default off; >= 0 enables)
-//   EVA_ROUTER_MAX_INFLIGHT  shed above this many in-flight requests (256)
+//   EVA_ROUTER_HEALTH_MS     health-probe interval (default 250; min 1)
+//   EVA_ROUTER_TIMEOUT_MS    per-attempt replica budget (default 5000;
+//                            min 1)
+//   EVA_ROUTER_MAX_ATTEMPTS  dispatch attempts per request (default 4;
+//                            min 1)
+//   EVA_ROUTER_MAX_INFLIGHT  shed above this many in-flight requests
+//                            (default 256; min 1)
 //   EVA_SERVE_IDLE_MS        per-connection idle read timeout
 //   EVA_METRICS_FILE         metrics export target (obs layer)
 //
-// Malformed or out-of-range values fall back to the defaults
-// (util/env.hpp).
-#include <algorithm>
+// Malformed or out-of-range values, and values below the minimum, fall
+// back to the defaults (util/env.hpp).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,21 +51,17 @@ int main(int argc, char** argv) {
   cfg.port = env_int("EVA_ROUTER_PORT", 7070);
   std::string backends = env_str("EVA_ROUTER_BACKENDS", "");
   cfg.cache_addr = env_str("EVA_ROUTER_CACHE", "");
-  cfg.health_interval_ms = env_double("EVA_ROUTER_HEALTH_MS", 250.0);
-  cfg.replica_timeout_ms = env_double("EVA_ROUTER_TIMEOUT_MS", 5000.0);
-  cfg.max_attempts = env_int("EVA_ROUTER_MAX_ATTEMPTS", 4);
-  cfg.hedge_delay_ms = env_double("EVA_ROUTER_HEDGE_MS", -1.0);
-  cfg.max_inflight = static_cast<std::size_t>(
-      std::max(1, env_int("EVA_ROUTER_MAX_INFLIGHT", 256)));
+  cfg.health_interval_ms = env_double("EVA_ROUTER_HEALTH_MS", 250.0, 1.0);
+  cfg.replica_timeout_ms = env_double("EVA_ROUTER_TIMEOUT_MS", 5000.0, 1.0);
+  cfg.max_attempts = env_int("EVA_ROUTER_MAX_ATTEMPTS", 4, 1);
+  cfg.max_inflight =
+      static_cast<std::size_t>(env_int("EVA_ROUTER_MAX_INFLIGHT", 256, 1));
   cfg.idle_ms = env_double("EVA_SERVE_IDLE_MS", 0.0, 0.0);
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") cfg.port = parse_int(argv[i + 1], cfg.port);
     if (arg == "--backends") backends = argv[i + 1];
     if (arg == "--cache") cfg.cache_addr = argv[i + 1];
-    if (arg == "--hedge-ms") {
-      cfg.hedge_delay_ms = parse_double(argv[i + 1], cfg.hedge_delay_ms);
-    }
   }
   cfg.backends = serve::parse_backend_list(backends);
 

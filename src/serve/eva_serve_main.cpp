@@ -6,17 +6,16 @@
 //
 // Environment:
 //   EVA_SERVE_PORT          listen port (default 7077; 0 = ephemeral)
-//   EVA_SERVE_QUEUE_MAX     admission queue bound (default 64)
+//   EVA_SERVE_QUEUE_MAX     admission queue bound (default 64; min 1)
 //   EVA_SERVE_IDLE_MS       per-connection idle read timeout
 //   EVA_SERVE_SLOW_MS       latency budget for the slow-request WARN log
-//   EVA_QUANT               inference weight tier: f32 (default) | bf16 | int8
+//   EVA_QUANT               inference weight tier: f32 (default) | int8
 //   EVA_METRICS_FLUSH_SEC   periodic metrics export interval
 //   EVA_METRICS_FILE        metrics export target (obs layer)
 //   EVA_FAULT               fault injection spec (serve_accept, ...)
 //
-// Malformed or out-of-range values fall back to the defaults
-// (util/env.hpp).
-#include <algorithm>
+// Malformed or out-of-range values, and values below the minimum, fall
+// back to the defaults (util/env.hpp).
 #include <cstdio>
 #include <string>
 
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig cfg;
   cfg.queue_max =
-      static_cast<std::size_t>(std::max(1, env_int("EVA_SERVE_QUEUE_MAX", 64)));
+      static_cast<std::size_t>(env_int("EVA_SERVE_QUEUE_MAX", 64, 1));
   cfg.slow_warn_ms = env_double("EVA_SERVE_SLOW_MS", cfg.slow_warn_ms, 0.0);
   cfg.quant = tensor::quant_kind_from_env(cfg.quant);
 
@@ -57,8 +56,8 @@ int main(int argc, char** argv) {
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
   Rng rng(1234);
   const nn::ModelConfig mcfg = nn::ModelConfig::bench_scale(tok.vocab_size());
-  // Non-const: GenerationService repacks the inference weights when a
-  // quantized tier is selected (EVA_QUANT=int8|bf16; default f32 leaves
+  // Non-const: GenerationService repacks the inference weights when the
+  // quantized tier is selected (EVA_QUANT=int8; default f32 leaves
   // served output bit-identical to the unquantized path).
   nn::TransformerLM model(mcfg, rng);
 

@@ -38,6 +38,10 @@ LineServer::LineServer(std::string tier, std::string bind_addr, int port,
 LineServer::~LineServer() { stop(); }
 
 int LineServer::start(Accept accept) {
+  if (requested_port_ < 0 || requested_port_ > 65535) {
+    throw ConfigError(tier_ + ": port out of range 0-65535: " +
+                      std::to_string(requested_port_));
+  }
   net::ignore_sigpipe();
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

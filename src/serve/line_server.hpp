@@ -58,7 +58,8 @@ class LineServer {
   LineServer& operator=(const LineServer&) = delete;
 
   /// Bind + listen + start the acceptor. Returns the bound port. Throws
-  /// eva::ConfigError when the socket cannot be bound.
+  /// eva::ConfigError when the port lies outside 0-65535 or the socket
+  /// cannot be bound.
   int start(Accept accept);
 
   /// Block until stop() begins or SIGTERM/SIGINT arrives (train/signal),

@@ -49,6 +49,7 @@ bool send_line(int fd, std::string_view line, int timeout_ms) {
 
 int connect_with_deadline(const std::string& host, int port,
                           double timeout_ms) {
+  if (port < 0 || port > 65535) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));

@@ -30,7 +30,8 @@ void ignore_sigpipe();
                              int timeout_ms = -1);
 
 /// Connect to host:port with a bounded wait (non-blocking connect +
-/// poll). Returns the connected fd (blocking mode restored) or -1.
+/// poll). Returns the connected fd (blocking mode restored) or -1; a
+/// port outside 0-65535 is -1 without a connect.
 [[nodiscard]] int connect_with_deadline(const std::string& host, int port,
                                         double timeout_ms);
 

@@ -322,10 +322,9 @@ std::string done_to_json(const Response& r) {
     obs::json_number_into(out, r.retry_after_ms);
   }
   // Stage attribution travels on every scheduled terminator (ok: all
-  // stages; timeout/cancelled: the queue wait that consumed the budget).
+  // stages; timeout: the queue wait that consumed the budget).
   // Rejected/shutdown never entered the queue — no stages to report.
-  if (r.status == Status::kOk || r.status == Status::kTimeout ||
-      r.status == Status::kCancelled) {
+  if (r.status == Status::kOk || r.status == Status::kTimeout) {
     out += ", \"tokens\": ";
     obs::json_number_into(out, r.timeline.tokens);
     out += ", \"stages\": {\"queue_ms\": ";

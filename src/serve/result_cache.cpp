@@ -1,42 +1,24 @@
 #include "serve/result_cache.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 
 namespace eva::serve {
 
-namespace {
-
-std::size_t clamp_shards(std::size_t shards) {
-  std::size_t p = 1;
-  while (p * 2 <= shards && p < 64) p *= 2;
-  return p;
-}
-
-}  // namespace
-
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  const std::size_t n = clamp_shards(shards == 0 ? 1 : shards);
-  shard_mask_ = n - 1;
-  per_shard_ = (capacity + n - 1) / n;
-  if (per_shard_ == 0) per_shard_ = 1;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ResultCache::ResultCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 std::optional<CachedEval> ResultCache::get(std::uint64_t key) {
   static obs::Counter& hits = obs::counter("serve.cache_hits");
   static obs::Counter& misses = obs::counter("serve.cache_misses");
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
     misses.add();
     return std::nullopt;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   hits.add();
   return it->second->second;
 }
@@ -44,46 +26,32 @@ std::optional<CachedEval> ResultCache::get(std::uint64_t key) {
 void ResultCache::put(std::uint64_t key, const CachedEval& value) {
   static obs::Counter& evictions = obs::counter("serve.cache_evictions");
   static obs::Gauge& size_g = obs::gauge("serve.cache_size");
-  std::size_t resident = 0;
-  {
-    Shard& s = shard_for(key);
-    std::lock_guard<std::mutex> lk(s.mu);
-    const auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      it->second->second = value;
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-      return;
-    }
-    if (s.lru.size() >= per_shard_) {
-      s.index.erase(s.lru.back().first);
-      s.lru.pop_back();
-      evictions.add();
-    }
-    s.lru.emplace_front(key, value);
-    s.index.emplace(key, s.lru.begin());
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    it->second->second = value;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
   }
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    resident += sh->lru.size();
+  if (lru_.size() >= capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    evictions.add();
   }
-  size_g.set(static_cast<double>(resident));
+  lru_.emplace_front(key, value);
+  index_.emplace(key, lru_.begin());
+  size_g.set(static_cast<double>(lru_.size()));
 }
 
 std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    total += sh->lru.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return lru_.size();
 }
 
 void ResultCache::clear() {
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->lru.clear();
-    sh->index.clear();
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  lru_.clear();
+  index_.clear();
   obs::gauge("serve.cache_size").set(0.0);
 }
 

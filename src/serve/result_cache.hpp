@@ -9,18 +9,17 @@
 // and net ordering — so an isomorphic resubmission is a hit by
 // construction, not by luck.
 //
-// Sharded to keep connection handlers and the scheduler from contending
-// on one mutex; each shard is an independent bounded LRU. Hit/miss/
-// eviction counts surface as serve.cache_* metrics.
+// One bounded LRU behind one mutex: only the scheduler thread reads and
+// fills it, and connection handlers only read size() for stats, so
+// there is nothing to shard. Hit/miss/eviction counts surface as
+// serve.cache_* metrics.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 namespace eva::serve {
 
@@ -31,26 +30,22 @@ struct CachedEval {
   double fom = 0.0;    // figure of merit under default sizing (0 if !valid)
 };
 
-/// Sharded, bounded LRU map from canonical-topology key to CachedEval.
-/// All methods are thread-safe; distinct keys on distinct shards never
-/// contend.
+/// Bounded LRU map from canonical-topology key to CachedEval. All methods
+/// are thread-safe.
 class ResultCache {
  public:
-  /// `capacity` entries total, split evenly across `shards` (rounded up
-  /// to at least one entry per shard). Shard count is clamped to a power
-  /// of two in [1, 64].
-  explicit ResultCache(std::size_t capacity, std::size_t shards = 8);
+  /// Holds up to `capacity` entries (at least one).
+  explicit ResultCache(std::size_t capacity);
 
   /// Look up a key; a hit refreshes its LRU position. Counts
   /// serve.cache_hits / serve.cache_misses.
   [[nodiscard]] std::optional<CachedEval> get(std::uint64_t key);
 
   /// Insert or overwrite a key (moves it to most-recent). Evicts the
-  /// least-recently-used entry of the shard when full
-  /// (serve.cache_evictions).
+  /// least-recently-used entry when full (serve.cache_evictions).
   void put(std::uint64_t key, const CachedEval& value);
 
-  /// Entries currently resident (sums all shards).
+  /// Entries currently resident.
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -72,25 +67,13 @@ class ResultCache {
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    // Front = most recently used.
-    std::list<std::pair<std::uint64_t, CachedEval>> lru;
-    std::unordered_map<
-        std::uint64_t,
-        std::list<std::pair<std::uint64_t, CachedEval>>::iterator>
-        index;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) {
-    // High bits: key_for has already mixed them well.
-    return *shards_[(key >> 56) & shard_mask_];
-  }
-
   std::size_t capacity_;
-  std::size_t per_shard_;
-  std::uint64_t shard_mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  // Front = most recently used.
+  std::list<std::pair<std::uint64_t, CachedEval>> lru_;
+  std::unordered_map<std::uint64_t,
+                     std::list<std::pair<std::uint64_t, CachedEval>>::iterator>
+      index_;
 };
 
 }  // namespace eva::serve

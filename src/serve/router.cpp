@@ -1,10 +1,8 @@
 #include "serve/router.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 
@@ -221,41 +219,11 @@ const char* CircuitBreaker::state_name() const {
 /// complete, relayable payload; everything else is retryable (the client
 /// has seen none of it).
 struct Router::ForwardOutcome {
-  enum class Kind { kOk, kReject, kTransport, kTimeout, kCancelled, kSkipped };
-  Kind kind = Kind::kSkipped;
+  enum class Kind { kOk, kReject, kTransport, kTimeout };
+  Kind kind = Kind::kTransport;
   std::string payload;  // full multi-line response, each line '\n'-terminated
   double retry_after_ms = 0.0;
   std::string error;
-};
-
-/// Hedging cancel handle: cancel() shuts the armed socket down so the
-/// loser's blocked read returns immediately. arm/disarm bracket the fd's
-/// lifetime so a cancel never touches a closed (possibly reused) fd.
-struct Router::CancelToken {
-  std::mutex m;
-  int fd = -1;
-  bool cancelled = false;
-
-  /// Returns false when cancel() already happened (don't bother sending).
-  bool arm(int f) {
-    std::lock_guard<std::mutex> lk(m);
-    if (cancelled) return false;
-    fd = f;
-    return true;
-  }
-  void disarm() {
-    std::lock_guard<std::mutex> lk(m);
-    fd = -1;
-  }
-  void cancel() {
-    std::lock_guard<std::mutex> lk(m);
-    cancelled = true;
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  }
-  bool is_cancelled() {
-    std::lock_guard<std::mutex> lk(m);
-    return cancelled;
-  }
 };
 
 Router::Router(RouterConfig cfg)
@@ -412,8 +380,6 @@ bool Router::answer(int fd, const std::string& line,
 
 std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) {
   static obs::Counter& retries = obs::counter("router.retries");
-  static obs::Counter& hedges = obs::counter("router.hedges");
-  static obs::Counter& hedge_wins = obs::counter("router.hedge_wins");
   static obs::Counter& cache_hits = obs::counter("router.cache_hits");
   static obs::Counter& cache_misses = obs::counter("router.cache_misses");
   static obs::Counter& cache_fills = obs::counter("router.cache_fills");
@@ -436,128 +402,29 @@ std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) 
       static_cast<int>(req.type), req.seed, spread_.fetch_add(1));
   const std::vector<std::size_t> pref = ring_->preference(rk);
 
-  const auto complete = [](const ForwardOutcome& o) {
-    return o.kind == ForwardOutcome::Kind::kOk ||
-           o.kind == ForwardOutcome::Kind::kReject;
-  };
-  const auto try_replica = [&](std::size_t idx,
-                               CancelToken* tok) -> ForwardOutcome {
-    Replica& r = *replicas_[idx];
-    if (!r.breaker.allow(Clock::now())) {
-      ForwardOutcome o;
-      o.kind = ForwardOutcome::Kind::kSkipped;
-      o.error = "breaker open: " + r.addr;
-      return o;
-    }
-    ForwardOutcome o = forward_once(r, line, cfg_.replica_timeout_ms, tok);
-    switch (o.kind) {
-      case ForwardOutcome::Kind::kOk:
-      case ForwardOutcome::Kind::kReject:
-        note_success(r);
-        break;
-      case ForwardOutcome::Kind::kTransport:
-      case ForwardOutcome::Kind::kTimeout:
-        note_failure(r);
-        break;
-      case ForwardOutcome::Kind::kCancelled:
-      case ForwardOutcome::Kind::kSkipped:
-        break;  // says nothing about the replica's health
-    }
-    return o;
-  };
-  const auto finalize = [&](ForwardOutcome& o) -> std::string {
-    if (o.kind == ForwardOutcome::Kind::kOk && cacheable) {
-      cache_fills.add();
-      cache_put(key, o.payload);
-    }
-    return std::move(o.payload);
-  };
-
   ForwardOutcome last;
   last.error = "no replica available";
-  std::size_t cursor = 0;
   int attempt = 0;
-
-  // Hedged first wave: a high-priority request whose primary is slow is
-  // duplicated to the next ring replica after hedge_delay_ms; the first
-  // complete response wins and the loser's socket is shut down. Only
-  // worth it when the primary's breaker is closed — otherwise the
-  // sequential path below fails over immediately anyway.
-  if (req.priority == Priority::kHigh && cfg_.hedge_delay_ms >= 0.0 &&
-      pref.size() >= 2 &&
-      replicas_[pref[0]]->breaker.state() == CircuitBreaker::State::kClosed) {
-    struct Shared {
-      std::mutex m;
-      std::condition_variable cv;
-      bool done0 = false, done1 = false;
-      ForwardOutcome o0, o1;
-    } sh;
-    CancelToken t0, t1;
-    bool launched1 = false;
-    std::thread th0([&] {
-      ForwardOutcome o = try_replica(pref[0], &t0);
-      std::lock_guard<std::mutex> lk(sh.m);
-      sh.o0 = std::move(o);
-      sh.done0 = true;
-      sh.cv.notify_all();
-    });
-    std::thread th1;
-    {
-      std::unique_lock<std::mutex> lk(sh.m);
-      sh.cv.wait_for(lk, ms_duration(cfg_.hedge_delay_ms),
-                     [&] { return sh.done0; });
-      if (!sh.done0) {
-        hedges.add();
-        launched1 = true;
-        th1 = std::thread([&] {
-          ForwardOutcome o = try_replica(pref[1], &t1);
-          std::lock_guard<std::mutex> lk2(sh.m);
-          sh.o1 = std::move(o);
-          sh.done1 = true;
-          sh.cv.notify_all();
-        });
-        sh.cv.wait(lk, [&] { return sh.done0 || sh.done1; });
-      }
-      // First finisher with a complete response cancels the other leg;
-      // a failed first finisher waits for the second instead.
-      const bool o0_first = sh.done0;
-      if (complete(o0_first ? sh.o0 : sh.o1)) {
-        (o0_first ? t1 : t0).cancel();
-      } else if (launched1) {
-        sh.cv.wait(lk, [&] { return sh.done0 && sh.done1; });
-        if (complete(sh.o0) || complete(sh.o1)) {
-          (complete(sh.o0) ? t1 : t0).cancel();
-        }
-      }
-    }
-    th0.join();
-    if (th1.joinable()) th1.join();
-
-    if (complete(sh.o0)) return finalize(sh.o0);
-    if (launched1 && complete(sh.o1)) {
-      hedge_wins.add();
-      return finalize(sh.o1);
-    }
-    // Both legs failed: keep whichever error is most informative and
-    // continue down the ring with the remaining attempt budget.
-    last = sh.o0.kind == ForwardOutcome::Kind::kSkipped ? sh.o1
-                                                        : std::move(sh.o0);
-    attempt = launched1 ? 2 : 1;
-    cursor = launched1 ? 2 : 1;
-  }
-
   while (attempt < cfg_.max_attempts) {
-    const std::size_t idx = pref[cursor % pref.size()];
-    ++cursor;
-    ForwardOutcome o = try_replica(idx, nullptr);
-    if (o.kind == ForwardOutcome::Kind::kSkipped) {
+    Replica& r = *replicas_[pref[static_cast<std::size_t>(attempt) %
+                                 pref.size()]];
+    ++attempt;
+    if (!r.breaker.allow(Clock::now())) {
       // Breaker open: move on without burning backoff time — when the
       // whole fleet is open this degrades to an immediate clean error.
-      ++attempt;
       continue;
     }
-    ++attempt;
-    if (complete(o)) return finalize(o);
+    ForwardOutcome o = forward_once(r, line, cfg_.replica_timeout_ms);
+    if (o.kind == ForwardOutcome::Kind::kOk ||
+        o.kind == ForwardOutcome::Kind::kReject) {
+      note_success(r);
+      if (o.kind == ForwardOutcome::Kind::kOk && cacheable) {
+        cache_fills.add();
+        cache_put(key, o.payload);
+      }
+      return std::move(o.payload);
+    }
+    note_failure(r);
     last = std::move(o);
     if (attempt < cfg_.max_attempts) {
       retries.add();
@@ -576,20 +443,13 @@ std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) 
 
 Router::ForwardOutcome Router::forward_once(Replica& r,
                                             const std::string& line,
-                                            double timeout_ms,
-                                            CancelToken* cancel) {
+                                            double timeout_ms) {
   ForwardOutcome out;
-  out.kind = ForwardOutcome::Kind::kTransport;
   const auto deadline = Clock::now() + ms_duration(timeout_ms);
   const int fd = net::connect_with_deadline(
       r.host, r.port, std::min(timeout_ms, 1000.0));
   if (fd < 0) {
     out.error = "connect failed: " + r.addr;
-    return out;
-  }
-  if (cancel && !cancel->arm(fd)) {
-    ::close(fd);
-    out.kind = ForwardOutcome::Kind::kCancelled;
     return out;
   }
   if (!net::send_line(fd, line)) {
@@ -640,13 +500,6 @@ Router::ForwardOutcome Router::forward_once(Replica& r,
       }
     }
   }
-  if (cancel) {
-    cancel->disarm();
-    if (cancel->is_cancelled()) {
-      out = ForwardOutcome{};
-      out.kind = ForwardOutcome::Kind::kCancelled;
-    }
-  }
   if (out.kind != ForwardOutcome::Kind::kOk &&
       out.kind != ForwardOutcome::Kind::kReject) {
     out.payload.clear();  // partial responses never leave the router
@@ -671,8 +524,6 @@ std::string Router::stats_json() const {
   emit_counter("requests", "router.requests");
   emit_counter("shed", "router.shed");
   emit_counter("retries", "router.retries");
-  emit_counter("hedges", "router.hedges");
-  emit_counter("hedge_wins", "router.hedge_wins");
   emit_counter("breaker_trips", "router.breaker_trips");
   emit_counter("breaker_recoveries", "router.breaker_recoveries");
   emit_counter("cache_hits", "router.cache_hits");

@@ -14,16 +14,14 @@
 //  * Circuit breaker per replica: `threshold` consecutive failures trip
 //    it open; after cooldown_ms one half-open trial is allowed, whose
 //    success closes it (router.breaker_trips / _recoveries counters).
-//  * Failover + retry: connect/IO/timeout failures walk the hash ring's
-//    preference order under a bounded attempt budget with exponential
-//    backoff + deterministic jitter (serve/backoff.hpp). Whole-response
-//    buffering means a replica dying mid-response is invisible to the
-//    client: it either gets the complete response from a survivor or a
-//    clean terminator — never a torn line.
-//  * Hedging: a high-priority request whose primary has not answered
-//    within hedge_delay_ms is dispatched again to the next replica on
-//    the ring; the first complete response wins and the loser is
-//    cancelled by shutting down its socket (router.hedges / _wins).
+//  * Failover + retry: each request walks the hash ring's preference
+//    order once, one replica at a time on the connection handler's own
+//    thread, under a bounded attempt budget with exponential backoff +
+//    deterministic jitter (serve/backoff.hpp). connect/IO/timeout
+//    failures move on to the next replica. Whole-response buffering
+//    means a replica dying mid-response is invisible to the client: it
+//    either gets the complete response from a survivor or a clean
+//    terminator — never a torn line.
 //  * Load shedding: above max_inflight client requests the router
 //    answers {"status":"rejected","retry_after_ms":...} immediately —
 //    fleet overload surfaces as clean backpressure before queues grow.
@@ -129,7 +127,6 @@ struct RouterConfig {
   BackoffPolicy backoff{/*max_retries=*/3, /*base_ms=*/5.0, /*max_ms=*/100.0};
   int breaker_threshold = 3;          // consecutive failures -> open
   double breaker_cooldown_ms = 1000.0;
-  double hedge_delay_ms = -1.0;       // <0 disables hedging (EVA_ROUTER_HEDGE_MS)
   std::size_t max_inflight = 256;     // shed above (EVA_ROUTER_MAX_INFLIGHT)
   double shed_retry_after_ms = 50.0;
   double idle_ms = 0.0;               // client-side idle read timeout; 0 = off
@@ -184,7 +181,6 @@ class Router {
 
   /// One buffered replica exchange (see router.cpp).
   struct ForwardOutcome;
-  struct CancelToken;
 
   void health_loop();
   /// Answer one parsed client line on `fd`; false hangs up.
@@ -195,8 +191,7 @@ class Router {
                                      const std::string& line);
   [[nodiscard]] ForwardOutcome forward_once(Replica& r,
                                             const std::string& line,
-                                            double timeout_ms,
-                                            CancelToken* cancel);
+                                            double timeout_ms);
   void note_success(Replica& r);
   void note_failure(Replica& r);
   [[nodiscard]] bool probe(Replica& r);

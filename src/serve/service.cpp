@@ -23,7 +23,6 @@ std::string_view status_name(Status s) {
     case Status::kOk: return "ok";
     case Status::kTimeout: return "timeout";
     case Status::kRejected: return "rejected";
-    case Status::kCancelled: return "cancelled";
     case Status::kShutdown: return "shutdown";
   }
   return "unknown";
@@ -140,22 +139,10 @@ GenerationService::Ticket GenerationService::submit(Request req) {
       return t;
     }
     queues_[pr].push_back(p);
-    queued_ids_[p->id] = p;
     depth_g.set(static_cast<double>(depth_locked()));
   }
   cv_.notify_one();
   return t;
-}
-
-bool GenerationService::cancel(std::uint64_t id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto it = queued_ids_.find(id);
-  if (it == queued_ids_.end()) return false;
-  if (auto p = it->second.lock()) {
-    p->cancelled.store(true);
-    return true;
-  }
-  return false;
 }
 
 void GenerationService::start() {
@@ -202,7 +189,6 @@ double GenerationService::uptime_s() const {
 void GenerationService::run() {
   static obs::Gauge& depth_g = obs::gauge("serve.queue_depth");
   static obs::Counter& timeouts = obs::counter("serve.timeouts");
-  static obs::Counter& cancels = obs::counter("serve.cancelled");
   Rng service_rng(cfg_.seed);
   for (;;) {
     std::shared_ptr<Pending> p;
@@ -221,7 +207,6 @@ void GenerationService::run() {
           break;
         }
       }
-      queued_ids_.erase(p->id);
       depth_g.set(static_cast<double>(depth_locked()));
     }
     // Queue wait ends at pickup, whatever the terminal status — a
@@ -230,11 +215,7 @@ void GenerationService::run() {
     p->timeline.add(Stage::kQueue,
                     ms_between(p->admitted, std::chrono::steady_clock::now()));
     Response r;
-    if (p->cancelled.load()) {
-      r.status = Status::kCancelled;
-      cancels.add();
-    } else if (p->has_deadline &&
-               std::chrono::steady_clock::now() > p->deadline) {
+    if (p->has_deadline && std::chrono::steady_clock::now() > p->deadline) {
       r.status = Status::kTimeout;
       timeouts.add();
     } else {

@@ -16,15 +16,14 @@
 //    a level);
 //  * per-request deadlines — a request whose deadline passes while it is
 //    still queued resolves to Status::kTimeout without doing any work;
-//  * cancellation by ticket id;
 //  * graceful drain — drain() (or a SIGTERM via train/signal, which the
 //    scheduler polls) stops admission but completes every request
 //    already admitted before the scheduler exits.
 //
 // Instrumentation: serve.queue_depth gauge, serve.latency_ms histogram
 // (p50/p99 in the metrics export), serve.{submitted,completed,rejected,
-// timeouts,cancelled} counters, serve.request spans, and the
-// serve.cache_* family from ResultCache.
+// timeouts} counters, serve.request spans, and the serve.cache_* family
+// from ResultCache.
 #pragma once
 
 #include <atomic>
@@ -37,7 +36,6 @@
 #include <mutex>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <array>
@@ -64,7 +62,6 @@ enum class Status {
   kOk,         // decoded + evaluated, items populated
   kTimeout,    // deadline passed before the scheduler reached the request
   kRejected,   // queue full at submit time; retry after retry_after_ms
-  kCancelled,  // cancel(id) won the race against the scheduler
   kShutdown,   // submitted after drain()/SIGTERM — never admitted
 };
 
@@ -117,8 +114,8 @@ struct ServiceConfig {
   /// Inference weight tier the service repacks the model into at
   /// construction. Defaults to f32 — bit-identical tokens/logprobs to the
   /// pre-quantization serving path — so existing deployments see no
-  /// silent output change. Opt into the reduced-precision tiers by
-  /// setting this field (eva_serve_main reads EVA_QUANT=int8|bf16):
+  /// silent output change. Opt into the int8 tier by setting this field
+  /// (eva_serve_main reads EVA_QUANT=int8):
   /// decode throughput is weight-bandwidth-bound and the tolerance
   /// contract (DESIGN.md "Kernel backends & quantized inference") covers
   /// the FoM pipeline downstream.
@@ -156,10 +153,6 @@ class GenerationService {
   /// with kRejected (queue full) / kShutdown (service draining).
   [[nodiscard]] Ticket submit(Request req);
 
-  /// Best-effort cancellation of a queued request. Returns true when the
-  /// request was still queued (its future resolves to kCancelled).
-  bool cancel(std::uint64_t id);
-
   /// Start the scheduler thread. Requests submitted before start() queue
   /// up and are processed in priority order once it runs.
   void start();
@@ -187,7 +180,6 @@ class GenerationService {
     std::chrono::steady_clock::time_point admitted;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline;
-    std::atomic<bool> cancelled{false};
     RequestTimeline timeline;  // request_id set at submit, stages filled
                                // as the request flows through the stages
   };
@@ -207,7 +199,6 @@ class GenerationService {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Pending>> queues_[kNumPriorities];
-  std::unordered_map<std::uint64_t, std::weak_ptr<Pending>> queued_ids_;
   std::uint64_t next_id_ = 1;
   bool draining_ = false;
   bool started_ = false;

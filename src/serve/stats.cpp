@@ -98,7 +98,6 @@ std::string stats_json(const GenerationService& svc) {
   counter_field(out, "completed", "serve.completed", &first);
   counter_field(out, "rejected", "serve.rejected", &first);
   counter_field(out, "timeouts", "serve.timeouts", &first);
-  counter_field(out, "cancelled", "serve.cancelled", &first);
   counter_field(out, "deadline_exceeded", "serve.deadline_exceeded", &first);
   out += "}";
 

@@ -3,6 +3,7 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -187,20 +188,16 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
 }
 
 // ---------------------------------------------------------------------------
-// Quantized inference family (weight-only bf16/int8)
+// Quantized inference family (weight-only int8)
 // ---------------------------------------------------------------------------
 //
-// On AVX-512 VNNI + BF16 hardware these kernels run reduced-precision
-// multiplies natively: int8 quantizes each activation row to u8 (zero
-// point 128) and accumulates exact int32 dot products with vpdpbusd
-// (4 MACs/lane/instruction); bf16 rounds the activation row to bf16
-// pairs and drives vdpbf16ps (2 MACs/lane/instruction). Both read the
-// K-grouped packed payloads built at quantize() time. Elsewhere a
-// portable body decodes weight panels and reuses the f32 micro-kernel;
-// for int8 it first replaces each activation row with its u8 round trip
-// (same quantization rule), so int8 is W8A8 on every build. bf16 keeps
-// f32 activations there (results differ across platforms, within the
-// same documented tolerance vs f32).
+// On AVX-512 VNNI hardware the kernel multiplies natively in int8: it
+// quantizes each activation row to u8 (zero point 128) and accumulates
+// exact int32 dot products with vpdpbusd (4 MACs/lane/instruction),
+// reading the K-grouped packed payload built at quantize() time.
+// Elsewhere a portable body decodes weight panels and reuses the f32
+// micro-kernel on each activation row's u8 round trip (same
+// quantization rule), so int8 is W8A8 on every build.
 //
 // Determinism contract shared by every path: the work a given output
 // element (row r, column j) sees — activation quantization of row r,
@@ -210,8 +207,7 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
 // kernel whose per-row instruction sequence is identical, which is what
 // keeps sampled tokens width-invariant.
 
-#if defined(__AVX512F__) && defined(__AVX512BW__) && \
-    defined(__AVX512VNNI__) && defined(__AVX512BF16__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VNNI__)
 #define EVA_QKERNELS_AVX512 1
 #include <immintrin.h>
 #endif
@@ -248,18 +244,31 @@ inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
   return amax / 127.0f;
 }
 
-/// f32-accumulator epilogue of the portable body. `wscale` is null
-/// except for int8, where the raw x.q dot still needs the per-column
-/// rescale.
+/// f32-accumulator epilogue of the portable body: the raw x.q dot still
+/// needs the per-column rescale.
 __attribute__((noinline)) void store_strip_f32(const float* acc, const float* wscale,
                             const float* bias, Epilogue ep, float* y,
                             std::size_t nr) {
   const bool add_bias = ep != Epilogue::kNone && bias != nullptr;
   for (std::size_t j = 0; j < nr; ++j) {
-    float v = wscale != nullptr ? wscale[j] * acc[j] : acc[j];
+    float v = wscale[j] * acc[j];
     if (add_bias) v += bias[j];
     if (ep == Epilogue::kBiasGelu) v = gelu_approx(v);
     y[j] = v;
+  }
+}
+
+/// Portable body: decode one kc x nr weight panel to raw f32 codes
+/// (leading dimension kNr) so the register-tiled micro-kernel can run
+/// unmodified on top; the int8 per-column rescale happens once in the
+/// epilogue.
+void decode_panel(const QuantMatrix& W, std::size_t kb, std::size_t kc,
+                  std::size_t nb, std::size_t nr, float* panel) {
+  const std::size_t N = W.cols;
+  for (std::size_t k = 0; k < kc; ++k) {
+    const std::int8_t* src = W.q8.data() + (kb + k) * N + nb;
+    float* dst = panel + k * kNr;
+    for (std::size_t j = 0; j < nr; ++j) dst[j] = static_cast<float>(src[j]);
   }
 }
 
@@ -347,52 +356,6 @@ __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float asc
   }
 }
 
-/// f32-accumulator epilogue (bf16 path), vectorized like the int8 one.
-/// `wscale` is unused on this platform (no fallback rescale) but kept
-/// for signature parity with the portable build.
-__attribute__((noinline)) void store_strip_f32(const float* acc, const float* wscale,
-                            const float* bias, Epilogue ep, float* y,
-                            std::size_t nr) {
-  const bool add_bias = ep != Epilogue::kNone && bias != nullptr;
-  std::size_t j = 0;
-  for (; j + 16 <= nr; j += 16) {
-    __m512 v = _mm512_load_ps(acc + j);
-    if (wscale != nullptr) v = _mm512_mul_ps(_mm512_loadu_ps(wscale + j), v);
-    if (add_bias) v = _mm512_add_ps(v, _mm512_loadu_ps(bias + j));
-    _mm512_storeu_ps(y + j, v);
-  }
-  for (; j < nr; ++j) {
-    float v = wscale != nullptr ? wscale[j] * acc[j] : acc[j];
-    if (add_bias) v += bias[j];
-    y[j] = v;
-  }
-  if (ep == Epilogue::kBiasGelu) {
-    for (j = 0; j < nr; ++j) y[j] = gelu_approx(y[j]);
-  }
-}
-
-/// Round one activation row to packed bf16 pairs (low half = even k),
-/// padding to kp pairs with zero. vcvtneps2bf16 is the same round-to-
-/// nearest-even as f32_to_bf16 (the scalar tail); the 16-lane split
-/// depends only on K, preserving width-invariance.
-inline void convert_row_bf16(const float* x, std::size_t K, std::size_t kp,
-                             std::uint32_t* xb) {
-  std::size_t k = 0;
-  for (; k + 16 <= K; k += 16) {
-    const __m256bh bh = _mm512_cvtneps_pbh(_mm512_loadu_ps(x + k));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(xb + k / 2),
-                        reinterpret_cast<__m256i>(bh));
-  }
-  const std::size_t full = K / 2;
-  for (std::size_t p = k / 2; p < full; ++p) {
-    xb[p] = static_cast<std::uint32_t>(f32_to_bf16(x[2 * p])) |
-            (static_cast<std::uint32_t>(f32_to_bf16(x[2 * p + 1])) << 16);
-  }
-  std::size_t p = full;
-  if (K % 2 != 0) xb[p++] = f32_to_bf16(x[K - 1]);
-  for (; p < kp; ++p) xb[p] = 0;
-}
-
 /// MR rows x 32 cols of int32 accumulators over all K groups. `wp` is
 /// the packed q8p base offset to the strip ([kg][Np][4] layout, 64-byte
 /// aligned loads yield 16 cols x 4 K-steps); `wstride` = Np*4 bytes.
@@ -421,62 +384,6 @@ inline void qtile_i8(const std::uint8_t* xu, std::size_t xstride,
   }
 }
 
-/// MR rows x 32 cols of f32 accumulators via vdpbf16ps. `wp` is the
-/// packed bf16p strip base in uint16 units ([kp][Np][2] layout);
-/// `wstride` = Np*2 uint16s.
-template <int MR>
-inline void qtile_bf16(const std::uint32_t* xb, std::size_t xstride,
-                       std::size_t kp, const std::uint16_t* wp,
-                       std::size_t wstride, float* acc) {
-  __m512 a[MR][2];
-  for (int r = 0; r < MR; ++r) {
-    a[r][0] = _mm512_setzero_ps();
-    a[r][1] = _mm512_setzero_ps();
-  }
-  for (std::size_t p = 0; p < kp; ++p) {
-    const __m512i w0 = _mm512_load_si512(wp + p * wstride);
-    const __m512i w1 = _mm512_load_si512(wp + p * wstride + 32);
-    for (int r = 0; r < MR; ++r) {
-      const __m512i av =
-          _mm512_set1_epi32(static_cast<int>(xb[r * xstride + p]));
-      a[r][0] = _mm512_dpbf16_ps(a[r][0], reinterpret_cast<__m512bh>(av),
-                                 reinterpret_cast<__m512bh>(w0));
-      a[r][1] = _mm512_dpbf16_ps(a[r][1], reinterpret_cast<__m512bh>(av),
-                                 reinterpret_cast<__m512bh>(w1));
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    _mm512_store_ps(acc + r * kQNr, a[r][0]);
-    _mm512_store_ps(acc + r * kQNr + 16, a[r][1]);
-  }
-}
-
-#endif  // EVA_QKERNELS_AVX512
-
-#ifndef EVA_QKERNELS_AVX512
-
-/// Portable body: decode one kc x nr weight panel to raw f32 codes
-/// (leading dimension kNr) so the register-tiled micro-kernel can run
-/// unmodified on top; the int8 per-column rescale happens once in the
-/// epilogue.
-void decode_panel(const QuantMatrix& W, std::size_t kb, std::size_t kc,
-                  std::size_t nb, std::size_t nr, float* panel) {
-  const std::size_t N = W.cols;
-  if (W.kind == QuantKind::kBf16) {
-    for (std::size_t k = 0; k < kc; ++k) {
-      const std::uint16_t* src = W.bf16.data() + (kb + k) * N + nb;
-      float* dst = panel + k * kNr;
-      for (std::size_t j = 0; j < nr; ++j) dst[j] = bf16_to_f32(src[j]);
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < kc; ++k) {
-    const std::int8_t* src = W.q8.data() + (kb + k) * N + nb;
-    float* dst = panel + k * kNr;
-    for (std::size_t j = 0; j < nr; ++j) dst[j] = static_cast<float>(src[j]);
-  }
-}
-
 #endif  // EVA_QKERNELS_AVX512
 
 }  // namespace
@@ -491,103 +398,65 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
 #ifdef EVA_QKERNELS_AVX512
   const std::size_t Np = W.padded_cols;
   const std::size_t strips = Np / kQNr;
-  if (W.kind == QuantKind::kInt8) {
-    const std::size_t kg = (K + 3) / 4;
-    const std::size_t K4 = kg * 4;
-    // thread_local: qgemm runs per decode step from the (serial) batched
-    // inference loop; reusing the activation scratch across steps keeps
-    // the hot path allocation-free after warmup.
-    static thread_local AlignedVec<std::uint8_t> xu;
-    static thread_local std::vector<float> ascale;
-    xu.resize(n * K4);
-    ascale.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      ascale[r] = quantize_row_u8(X + r * K, K, K4, xu.data() + r * K4);
-    }
-    // Snapshot the scratch as plain pointers before the parallel region:
-    // thread_local names inside the lambda resolve to each pool worker's
-    // *own* (empty) vectors, not this thread's filled ones.
-    const std::uint8_t* xu_p = xu.data();
-    const float* as_p = ascale.data();
-    parallel_chunks(
-        0, strips,
-        [&](std::size_t s0, std::size_t s1) {
-          alignas(64) std::int32_t acc[kMr * kQNr];
-          for (std::size_t s = s0; s < s1; ++s) {
-            const std::size_t nb = s * kQNr;
-            const std::size_t nr = std::min(kQNr, N - nb);
-            const std::int8_t* wp = W.q8p.data() + nb * 4;
-            const float* bp = bias != nullptr ? bias + nb : nullptr;
-            std::size_t m = 0;
-            for (; m + kMr <= n; m += kMr) {
-              qtile_i8<8>(xu_p + m * K4, K4, kg, wp, Np * 4, acc);
-              for (std::size_t r = 0; r < kMr; ++r) {
-                store_strip_i8(acc + r * kQNr, as_p[m + r],
-                               W.scale.data() + nb, W.colsum.data() + nb, bp,
-                               ep, Y + (m + r) * N + nb, nr);
-              }
-            }
-            for (; m < n; ++m) {
-              qtile_i8<1>(xu_p + m * K4, K4, kg, wp, Np * 4, acc);
-              store_strip_i8(acc, as_p[m], W.scale.data() + nb,
-                             W.colsum.data() + nb, bp, ep, Y + m * N + nb, nr);
-            }
-          }
-        },
-        1);
-    return;
-  }
-  const std::size_t kp = (K + 1) / 2;
-  static thread_local AlignedVec<std::uint32_t> xb;
-  xb.resize(n * kp);
+  const std::size_t kg = (K + 3) / 4;
+  const std::size_t K4 = kg * 4;
+  // thread_local: qgemm runs per decode step from the (serial) batched
+  // inference loop; reusing the activation scratch across steps keeps
+  // the hot path allocation-free after warmup.
+  static thread_local AlignedVec<std::uint8_t> xu;
+  static thread_local std::vector<float> ascale;
+  xu.resize(n * K4);
+  ascale.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    convert_row_bf16(X + r * K, K, kp, xb.data() + r * kp);
+    ascale[r] = quantize_row_u8(X + r * K, K, K4, xu.data() + r * K4);
   }
-  // Same thread_local snapshot as the int8 path above.
-  const std::uint32_t* xb_p = xb.data();
+  // Snapshot the scratch as plain pointers before the parallel region:
+  // thread_local names inside the lambda resolve to each pool worker's
+  // *own* (empty) vectors, not this thread's filled ones.
+  const std::uint8_t* xu_p = xu.data();
+  const float* as_p = ascale.data();
   parallel_chunks(
       0, strips,
       [&](std::size_t s0, std::size_t s1) {
-        alignas(64) float acc[kMr * kQNr];
+        alignas(64) std::int32_t acc[kMr * kQNr];
         for (std::size_t s = s0; s < s1; ++s) {
           const std::size_t nb = s * kQNr;
           const std::size_t nr = std::min(kQNr, N - nb);
-          const std::uint16_t* wp = W.bf16p.data() + nb * 2;
+          const std::int8_t* wp = W.q8p.data() + nb * 4;
           const float* bp = bias != nullptr ? bias + nb : nullptr;
           std::size_t m = 0;
           for (; m + kMr <= n; m += kMr) {
-            qtile_bf16<8>(xb_p + m * kp, kp, kp, wp, Np * 2, acc);
+            qtile_i8<8>(xu_p + m * K4, K4, kg, wp, Np * 4, acc);
             for (std::size_t r = 0; r < kMr; ++r) {
-              store_strip_f32(acc + r * kQNr, nullptr, bp, ep,
-                              Y + (m + r) * N + nb, nr);
+              store_strip_i8(acc + r * kQNr, as_p[m + r],
+                             W.scale.data() + nb, W.colsum.data() + nb, bp,
+                             ep, Y + (m + r) * N + nb, nr);
             }
           }
           for (; m < n; ++m) {
-            qtile_bf16<1>(xb_p + m * kp, kp, kp, wp, Np * 2, acc);
-            store_strip_f32(acc, nullptr, bp, ep, Y + m * N + nb, nr);
+            qtile_i8<1>(xu_p + m * K4, K4, kg, wp, Np * 4, acc);
+            store_strip_i8(acc, as_p[m], W.scale.data() + nb,
+                           W.colsum.data() + nb, bp, ep, Y + m * N + nb, nr);
           }
         }
       },
       1);
 #else   // !EVA_QKERNELS_AVX512
-  const float* xa = X;
-  if (W.kind == QuantKind::kInt8) {
-    // W8A8 as on AVX-512: each activation row becomes its u8 round trip,
-    // (code - 128) * ascale, so a NaN element maps to code -127 instead
-    // of reaching the output. Same thread_local snapshot as above.
-    static thread_local std::vector<std::uint8_t> xu;
-    static thread_local std::vector<float> xq;
-    xu.resize(K);
-    xq.resize(n * K);
-    for (std::size_t r = 0; r < n; ++r) {
-      const float ascale = quantize_row_u8(X + r * K, K, K, xu.data());
-      float* row = xq.data() + r * K;
-      for (std::size_t k = 0; k < K; ++k) {
-        row[k] = static_cast<float>(int{xu[k]} - 128) * ascale;
-      }
+  // W8A8 as on AVX-512: each activation row becomes its u8 round trip,
+  // (code - 128) * ascale, so a NaN element maps to code -127 instead of
+  // reaching the output. Same thread_local snapshot as above.
+  static thread_local std::vector<std::uint8_t> xu;
+  static thread_local std::vector<float> xq;
+  xu.resize(K);
+  xq.resize(n * K);
+  for (std::size_t r = 0; r < n; ++r) {
+    const float ascale = quantize_row_u8(X + r * K, K, K, xu.data());
+    float* row = xq.data() + r * K;
+    for (std::size_t k = 0; k < K; ++k) {
+      row[k] = static_cast<float>(int{xu[k]} - 128) * ascale;
     }
-    xa = xq.data();
   }
+  const float* xa = xq.data();
   parallel_chunks(
       0, N,
       [&](std::size_t n0, std::size_t n1) {
@@ -607,12 +476,11 @@ void qgemm(const float* X, const QuantMatrix& W, const float* bias, float* Y,
                            Y + m * N + nb, N, mr, nr);
             }
           }
-          const float* ws =
-              W.kind == QuantKind::kInt8 ? W.scale.data() + nb : nullptr;
           for (std::size_t r = 0; r < n; ++r) {
             float* yrow = Y + r * N + nb;
-            store_strip_f32(yrow, ws, bias != nullptr ? bias + nb : nullptr,
-                            ep, yrow, nr);
+            store_strip_f32(yrow, W.scale.data() + nb,
+                            bias != nullptr ? bias + nb : nullptr, ep, yrow,
+                            nr);
           }
         }
       },

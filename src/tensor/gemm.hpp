@@ -8,15 +8,13 @@
 // trio *accumulates* into C (C += ...), matching the autograd
 // convention of += into grads.
 //
-// The quantized kernel (qgemm) is inference-only: weight-quantized
-// bf16/int8 matrices (tensor/quant.hpp) with a fused bias+activation
-// epilogue. It OVERWRITES its output. On AVX-512 VNNI/BF16 hardware
-// the multiplies run natively reduced-precision (int8: u8-quantized
-// activations + exact int32 vpdpbusd accumulation rescaled per column;
-// bf16: bf16-rounded activations + vdpbf16ps); elsewhere a portable
-// panel-decode body runs the f32 micro-kernel, on the same u8-quantized
-// activations for int8 and on f32 activations for bf16. See
-// tensor/quant.hpp for the error model.
+// The quantized kernel (qgemm) is inference-only: int8 weight-quantized
+// matrices (tensor/quant.hpp) with a fused bias+activation epilogue. It
+// OVERWRITES its output. On AVX-512 VNNI hardware the multiplies run
+// natively in int8 (u8-quantized activations + exact int32 vpdpbusd
+// accumulation rescaled per column); elsewhere a portable panel-decode
+// body runs the f32 micro-kernel on the same u8-quantized activations.
+// See tensor/quant.hpp for the error model.
 //
 // Threading: gemm_nn / gemm_nt partition over rows of C, gemm_tn and
 // qgemm over columns of C (each thread owns a disjoint column stripe,

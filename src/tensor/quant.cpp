@@ -11,7 +11,6 @@ namespace eva::tensor {
 const char* quant_kind_name(QuantKind kind) {
   switch (kind) {
     case QuantKind::kF32: return "f32";
-    case QuantKind::kBf16: return "bf16";
     case QuantKind::kInt8: return "int8";
   }
   return "unknown";
@@ -19,7 +18,6 @@ const char* quant_kind_name(QuantKind kind) {
 
 QuantKind parse_quant_kind(std::string_view name, QuantKind fallback) {
   if (name == "f32") return QuantKind::kF32;
-  if (name == "bf16") return QuantKind::kBf16;
   if (name == "int8") return QuantKind::kInt8;
   return fallback;
 }
@@ -33,20 +31,21 @@ QuantKind quant_kind_from_env(QuantKind fallback) {
 namespace {
 
 /// Interleave the canonical row-major codes into the K-grouped kernel
-/// layout: groups of `group` consecutive K entries of one column land in
-/// adjacent elements ([k/group][padded_col][k%group]). Rows past `rows`
-/// and columns past `cols` pad with zero, which contributes nothing to
-/// the kernels' reductions.
-template <typename T>
-void pack_k_groups(const std::vector<T>& src, std::size_t rows,
+/// layout: groups of four consecutive K entries of one column land in
+/// adjacent bytes ([k/4][padded_col][k%4]). Rows past `rows` and columns
+/// past `cols` pad with zero, which contributes nothing to the kernel's
+/// reduction.
+void pack_k_groups(const std::vector<std::int8_t>& src, std::size_t rows,
                    std::size_t cols, std::size_t padded_cols,
-                   std::size_t group, AlignedVec<T>& dst) {
-  const std::size_t kg = (rows + group - 1) / group;
-  dst.assign(kg * padded_cols * group, T{0});
+                   AlignedVec<std::int8_t>& dst) {
+  constexpr std::size_t kGroup = 4;
+  const std::size_t kg = (rows + kGroup - 1) / kGroup;
+  dst.assign(kg * padded_cols * kGroup, std::int8_t{0});
   for (std::size_t k = 0; k < rows; ++k) {
-    const T* row = src.data() + k * cols;
-    T* out = dst.data() + (k / group) * padded_cols * group + (k % group);
-    for (std::size_t j = 0; j < cols; ++j) out[j * group] = row[j];
+    const std::int8_t* row = src.data() + k * cols;
+    std::int8_t* out =
+        dst.data() + (k / kGroup) * padded_cols * kGroup + (k % kGroup);
+    for (std::size_t j = 0; j < cols; ++j) out[j * kGroup] = row[j];
   }
 }
 
@@ -60,14 +59,7 @@ QuantMatrix QuantMatrix::quantize(QuantKind kind, const float* w,
   m.rows = rows;
   m.cols = cols;
   m.padded_cols = (cols + kQuantColPad - 1) / kQuantColPad * kQuantColPad;
-  const std::size_t n = rows * cols;
-  if (kind == QuantKind::kBf16) {
-    m.bf16.resize(n);
-    for (std::size_t i = 0; i < n; ++i) m.bf16[i] = f32_to_bf16(w[i]);
-    pack_k_groups(m.bf16, rows, cols, m.padded_cols, 2, m.bf16p);
-    return m;
-  }
-  m.q8.resize(n);
+  m.q8.resize(rows * cols);
   m.scale.assign(cols, 0.0f);
   m.colsum.assign(cols, 0);
   // Pass 1: per-column absolute maxima. NaN must poison the column (the
@@ -105,16 +97,11 @@ QuantMatrix QuantMatrix::quantize(QuantKind kind, const float* w,
       m.colsum[c] += out[c];
     }
   }
-  pack_k_groups(m.q8, rows, cols, m.padded_cols, 4, m.q8p);
+  pack_k_groups(m.q8, rows, cols, m.padded_cols, m.q8p);
   return m;
 }
 
 void QuantMatrix::dequantize(float* out) const {
-  const std::size_t n = rows * cols;
-  if (kind == QuantKind::kBf16) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = bf16_to_f32(bf16[i]);
-    return;
-  }
   EVA_REQUIRE(kind == QuantKind::kInt8, "dequantize: no payload for kF32");
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {

@@ -2,12 +2,12 @@
 // bounds, backoff jitter bounds, circuit-breaker state machine on a fake
 // clock, and live loopback fleets built from scripted fake replicas —
 // failover on dropped/torn connections, breaker trip + half-open
-// recovery via the health prober, hedged dispatch with loser
-// cancellation, router-level load shedding, the shared cache sidecar
-// (miss -> fill -> cross-replica hit), real JsonLineServer replicas
-// under injected serve_conn_drop / serve_partial_write faults, and the
-// shared line server's thread reaping and idle timeout on the router and
-// the sidecar.
+// recovery via the health prober, router-level load shedding, the
+// shared cache sidecar (miss -> fill -> cross-replica hit), real
+// JsonLineServer replicas under injected serve_conn_drop /
+// serve_partial_write faults, the shared line server's thread reaping
+// and idle timeout on the router and the sidecar, and the refusal of
+// ports outside 0-65535.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -50,7 +50,7 @@ using Clock = std::chrono::steady_clock;
 // --- scripted fake replica ---------------------------------------------------
 
 /// Minimal JSON-lines server whose behaviour per request is scripted, so
-/// failover/hedging/breaker assertions are exact. Every instance tags
+/// failover/breaker assertions are exact. Every instance tags
 /// its item line with its id, which survives the router's relay — the
 /// test reads which replica actually answered off the response payload.
 class FakeReplica {
@@ -494,35 +494,6 @@ TEST(RouterFleetTest, BreakerTripsOnDeadReplicaAndProberRecovers) {
   router.stop();
 }
 
-TEST(RouterFleetTest, HedgedHighPriorityWinsOnStalledPrimary) {
-  FakeReplica a(0, FakeReplica::Mode::kStall);
-  a.set_stall_ms(800);
-  FakeReplica b(1, FakeReplica::Mode::kOk);
-  auto cfg = fast_router({a.addr(), b.addr()});
-  cfg.hedge_delay_ms = 50.0;
-  cfg.replica_timeout_ms = 5000.0;
-  Router router(cfg);
-  const int port = router.listen_and_start();
-
-  const std::uint64_t s0 = seed_with_primary(2, 0, cfg.vnodes);
-  const auto t0 = Clock::now();
-  const auto lines = round_trip(
-      port, "{\"n\": 1, \"priority\": \"high\", \"seed\": " +
-                std::to_string(s0) + "}");
-  const double took =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  ASSERT_FALSE(lines.empty());
-  EXPECT_TRUE(payload_mentions(lines, "\"replica\": 1"))
-      << "the hedge to the fast replica must win";
-  EXPECT_LT(took, 700.0) << "winner must not wait for the stalled primary";
-  router.stop();
-
-  // The loser was cancelled by socket shutdown; the stalled replica saw
-  // the request but its answer went nowhere.
-  EXPECT_GE(a.served(), 1);
-  EXPECT_GE(b.served(), 1);
-}
-
 TEST(RouterFleetTest, ShedsAboveMaxInflight) {
   FakeReplica a(0, FakeReplica::Mode::kStall);
   a.set_stall_ms(400);
@@ -596,6 +567,36 @@ TEST(CacheSidecarTest, ProtocolRoundTrip) {
   ::close(fd);
   cache.stop();
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(CacheSidecarTest, PortOutOfRangeThrowsNamingTheTier) {
+  // 70000 would wrap to 4464 if narrowed to 16 bits; it must be refused.
+  for (const int port : {70000, -1}) {
+    CacheSidecar cache({/*bind_addr=*/"127.0.0.1", port,
+                        /*max_entries=*/4, /*max_value_bytes=*/256,
+                        /*idle_ms=*/0.0});
+    try {
+      (void)cache.listen_and_start();
+      ADD_FAILURE() << "port " << port << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("cache"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(NetTest, ConnectRefusesPortOutOfRange) {
+  CacheSidecar cache({/*bind_addr=*/"127.0.0.1", /*port=*/0,
+                      /*max_entries=*/4, /*max_value_bytes=*/256,
+                      /*idle_ms=*/0.0});
+  const int port = cache.listen_and_start();
+  const int fd = net::connect_with_deadline("127.0.0.1", port, 1000.0);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  // Same low 16 bits as the listening port: narrowing would connect.
+  EXPECT_EQ(net::connect_with_deadline("127.0.0.1", port + 65536, 1000.0), -1);
+  EXPECT_EQ(net::connect_with_deadline("127.0.0.1", -port, 1000.0), -1);
+  cache.stop();
 }
 
 TEST(CacheSidecarTest, LruEvictsBeyondCapacity) {

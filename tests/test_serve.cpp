@@ -1,7 +1,7 @@
 // Serving-layer suite (DESIGN.md §10): GenerationService scheduling
 // semantics (future round-trip, strict priorities, deadline expiry,
-// queue-full backpressure, cancellation, graceful drain), ResultCache
-// LRU/sharding behaviour, canonical-hash memoization (cache hits on
+// queue-full backpressure, graceful drain), ResultCache LRU bound and
+// recency, canonical-hash memoization (cache hits on
 // resubmission of identical topologies), the JSON-lines wire protocol,
 // a live TCP loopback round trip, the hardened ids_to_netlist_checked
 // path under adversarial token sequences, WL canonical-hash properties,
@@ -173,15 +173,6 @@ TEST(Service, QueueFullRejectsWithRetryAfter) {
   EXPECT_EQ(t2.response.get().status, Status::kOk);
 }
 
-TEST(Service, CancelQueuedRequest) {
-  ServeFixture f(fast_config());
-  auto t = f.service.submit({});
-  EXPECT_TRUE(f.service.cancel(t.id));
-  f.service.start();
-  EXPECT_EQ(t.response.get().status, Status::kCancelled);
-  EXPECT_FALSE(f.service.cancel(t.id));  // no longer queued
-}
-
 TEST(Service, SeededResubmissionHitsCanonicalCache) {
   ServeFixture f(fast_config());
   f.service.start();
@@ -338,13 +329,15 @@ TEST(Timeline, StagesAttributeTheEndToEndLatency) {
 
 TEST(Timeline, TimeoutIsAttributedToQueueWait) {
   ServeFixture f(fast_config());
-  f.service.start();
   Request blocker;
   blocker.n = 6;  // park a long decode in front
   auto slow = f.service.submit(blocker);
   Request req;
   req.deadline_ms = 1.0;
   auto t = f.service.submit(req);
+  // Start only once both are queued: started earlier, a preempted test
+  // thread could submit `req` after the blocker had already finished.
+  f.service.start();
   Response r = t.response.get();
   (void)slow.response.get();
   ASSERT_EQ(r.status, Status::kTimeout);
@@ -406,8 +399,24 @@ TEST(ResultCacheTest, PutGetAndTypeSeparation) {
   EXPECT_FALSE(cache.get(ResultCache::key_for(h, 1)).has_value());
 }
 
+TEST(ResultCacheTest, HoldsCapacityDistinctKeys) {
+  // The bound is global: a cache of 64 keeps 64 distinct keys, however
+  // their hashes fall, and evicts only once a 65th arrives.
+  ResultCache cache(64);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    cache.put(ResultCache::key_for(i, 0), {true, static_cast<double>(i)});
+  }
+  EXPECT_EQ(cache.size(), 64u);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    EXPECT_TRUE(cache.get(ResultCache::key_for(i, 0)).has_value()) << i;
+  }
+  cache.put(ResultCache::key_for(64, 0), {true, 64.0});
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_FALSE(cache.get(ResultCache::key_for(0, 0)).has_value());
+}
+
 TEST(ResultCacheTest, BoundedLruEvictsOldEntries) {
-  ResultCache cache(16, /*shards=*/1);
+  ResultCache cache(16);
   for (std::uint64_t i = 0; i < 64; ++i) {
     cache.put(i * 7919 + 1, {true, static_cast<double>(i)});
   }
@@ -417,7 +426,7 @@ TEST(ResultCacheTest, BoundedLruEvictsOldEntries) {
 }
 
 TEST(ResultCacheTest, GetRefreshesRecency) {
-  ResultCache cache(4, /*shards=*/1);
+  ResultCache cache(4);
   for (std::uint64_t k = 1; k <= 4; ++k) cache.put(k, {true, 0.0});
   ASSERT_TRUE(cache.get(1).has_value());  // refresh key 1
   cache.put(5, {true, 0.0});              // evicts key 2, not key 1

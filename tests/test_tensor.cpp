@@ -317,12 +317,10 @@ TEST(Gemm, FlopCounterCountsEveryKernel) {
   // tn: A is (K,M) = (40,9) read transposed.
   expect_flops("tn", 2 * 40 * 9 * 24,
                [&] { gemm_tn(A.data(), B.data(), C.data(), 40, 9, 24); });
-  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kBf16}) {
-    const auto W = QuantMatrix::quantize(kind, B.data(), 40, 24);
-    expect_flops(quant_kind_name(kind), 2 * 9 * 40 * 24, [&] {
-      qgemm(A.data(), W, nullptr, C.data(), 9, Epilogue::kNone);
-    });
-  }
+  const auto W = QuantMatrix::quantize(QuantKind::kInt8, B.data(), 40, 24);
+  expect_flops("qgemm", 2 * 9 * 40 * 24, [&] {
+    qgemm(A.data(), W, nullptr, C.data(), 9, Epilogue::kNone);
+  });
 }
 
 TEST(Tensor, TransposeLast) {

@@ -20,8 +20,8 @@
 #         silent drops; shed/unavailable count as resolved)
 #       * ok-goodput >= 90% of the phase-A baseline
 #   phase C: the router's own stats snapshot is fetched and embedded in
-#     the merged report (breaker trips/recoveries, retries, hedges,
-#     cache hits) so CI artifacts show what the fleet actually did.
+#     the merged report (breaker trips/recoveries, retries, cache hits)
+#     so CI artifacts show what the fleet actually did.
 set -euo pipefail
 
 build_dir=${1:?usage: chaos_gate.sh <build-dir> [out.json]}
@@ -77,7 +77,7 @@ cache_port=$(wait_for_ready "$work/cache.log" eva_cache)
 
 EVA_ROUTER_PORT=0 EVA_ROUTER_BACKENDS="$backends" \
   EVA_ROUTER_CACHE="127.0.0.1:$cache_port" \
-  EVA_ROUTER_HEALTH_MS=100 EVA_ROUTER_HEDGE_MS=300 \
+  EVA_ROUTER_HEALTH_MS=100 \
   "$router_bin" >"$work/router.log" 2>&1 &
 pids+=($!)
 router_port=$(wait_for_ready "$work/router.log" eva_router)
