@@ -654,6 +654,25 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
     }
   };
 
+  // Every GA evaluation sweeps the same grid, so each thread keeps the
+  // last one it computed; the same expression keeps every frequency's bits.
+  struct Grid {
+    double f_lo = 0.0, f_hi = 0.0;
+    std::vector<double> freq_hz;
+  };
+  thread_local Grid grid;
+  if (grid.f_lo != f_lo || grid.f_hi != f_hi ||
+      grid.freq_hz.size() != static_cast<std::size_t>(points)) {
+    grid.f_lo = f_lo;
+    grid.f_hi = f_hi;
+    grid.freq_hz.resize(static_cast<std::size_t>(points));
+    for (std::size_t pt = 0; pt < grid.freq_hz.size(); ++pt) {
+      grid.freq_hz[pt] = f_lo * std::pow(f_hi / f_lo,
+                                         static_cast<double>(pt) /
+                                             static_cast<double>(points - 1));
+    }
+  }
+
   // Lane l of a batch solves point first + l; the lanes past the last
   // point of a short last batch repeat it.
   std::vector<AcPoint> sweep(static_cast<std::size_t>(points));
@@ -661,9 +680,7 @@ std::vector<AcPoint> Simulator::ac_sweep(double f_lo, double f_hi,
     Lanes w{};
     for (std::size_t l = 0; l < kLanes; ++l) {
       const std::size_t pt = std::min(first + l, sweep.size() - 1);
-      const double f = f_lo * std::pow(f_hi / f_lo,
-                                       static_cast<double>(pt) /
-                                           static_cast<double>(points - 1));
+      const double f = grid.freq_hz[pt];
       sweep[pt].freq_hz = f;
       w[l] = 2.0 * 3.141592653589793 * f;
     }

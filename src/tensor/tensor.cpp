@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
 
@@ -331,6 +332,7 @@ void Tensor::backward() {
       for (const auto& p : n->parents) {
         if (p->requires_grad) p->ensure_grad();
       }
+      obs::Span span(n->op);
       n->backward(*n);
     }
   }
@@ -343,6 +345,28 @@ void Tensor::backward() {
 namespace {
 
 enum class BinKind { Add, Sub, Mul };
+
+/// Calls f(i, j) for every output element i and the element j = i % bsz
+/// of a suffix-broadcast operand of bsz elements, without dividing:
+/// same-shape operands in element chunks, any other b over rows of bsz
+/// elements, j running along each row.
+template <typename F>
+void for_each_pair(std::size_t n, std::size_t bsz, F f) {
+  if (bsz == n) {
+    parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) f(i, i);
+    });
+    return;
+  }
+  parallel_chunks(
+      0, n / bsz,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t row = lo * bsz; row < hi * bsz; row += bsz) {
+          for (std::size_t j = 0; j < bsz; ++j) f(row + j, j);
+        }
+      },
+      std::max<std::size_t>(1024 / bsz, 1));
+}
 
 Tensor binary_op(const Tensor& a, const Tensor& b, BinKind kind,
                  const char* name) {
@@ -361,19 +385,23 @@ Tensor binary_op(const Tensor& a, const Tensor& b, BinKind kind,
   const float* pa = an->data.data();
   const float* pb = bn->data.data();
   float* po = out->data.data();
-  parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-    switch (kind) {
-      case BinKind::Add:
-        for (std::size_t i = lo; i < hi; ++i) po[i] = pa[i] + pb[i % bsz];
-        break;
-      case BinKind::Sub:
-        for (std::size_t i = lo; i < hi; ++i) po[i] = pa[i] - pb[i % bsz];
-        break;
-      case BinKind::Mul:
-        for (std::size_t i = lo; i < hi; ++i) po[i] = pa[i] * pb[i % bsz];
-        break;
-    }
-  });
+  switch (kind) {
+    case BinKind::Add:
+      for_each_pair(n, bsz, [&](std::size_t i, std::size_t j) {
+        po[i] = pa[i] + pb[j];
+      });
+      break;
+    case BinKind::Sub:
+      for_each_pair(n, bsz, [&](std::size_t i, std::size_t j) {
+        po[i] = pa[i] - pb[j];
+      });
+      break;
+    case BinKind::Mul:
+      for_each_pair(n, bsz, [&](std::size_t i, std::size_t j) {
+        po[i] = pa[i] * pb[j];
+      });
+      break;
+  }
 
   if (out->requires_grad) {
     out->backward = [an, bn, kind, n, bsz](Node& self) {
@@ -381,17 +409,15 @@ Tensor binary_op(const Tensor& a, const Tensor& b, BinKind kind,
       if (an->requires_grad) {
         float* ga = an->grad.data();
         const float* pb2 = bn->data.data();
-        parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-          switch (kind) {
-            case BinKind::Add:
-            case BinKind::Sub:
-              for (std::size_t i = lo; i < hi; ++i) ga[i] += g[i];
-              break;
-            case BinKind::Mul:
-              for (std::size_t i = lo; i < hi; ++i) ga[i] += g[i] * pb2[i % bsz];
-              break;
-          }
-        });
+        if (kind == BinKind::Mul) {
+          for_each_pair(n, bsz, [&](std::size_t i, std::size_t j) {
+            ga[i] += g[i] * pb2[j];
+          });
+        } else {
+          parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) ga[i] += g[i];
+          });
+        }
       }
       if (bn->requires_grad) {
         float* gb = bn->grad.data();
@@ -540,18 +566,42 @@ Tensor relu(const Tensor& a) {
 Tensor gelu(const Tensor& a) {
   constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
   constexpr float kA = 0.044715f;
-  return unary_op(
-      a, "gelu",
-      [](float x) {
-        const float u = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(u));
-      },
-      [](float x, float) {
-        const float u = kC * (x + kA * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * kA * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+  auto an = a.node();
+  EVA_ASSERT(an, "undefined operand");
+  auto out = make_result(an->shape, "gelu", {an});
+  const std::size_t n = out->numel();
+  // tanh(u) kept for the backward pass (as layernorm keeps xhat): the
+  // scalar tanhf is most of GELU's cost, so it runs once per element.
+  auto kept = out->requires_grad ? std::make_shared<Storage>(n) : nullptr;
+  const float* px = an->data.data();
+  float* py = out->data.data();
+  float* pt = kept ? kept->data() : nullptr;
+  parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const float x = px[i];
+      const float u = kC * (x + kA * x * x * x);
+      const float t = std::tanh(u);
+      if (pt) pt[i] = t;
+      py[i] = 0.5f * x * (1.0f + t);
+    }
+  });
+  if (out->requires_grad) {
+    out->backward = [an, kept, n](Node& self) {
+      const float* px2 = an->data.data();
+      const float* pt2 = kept->data();
+      const float* g = self.grad.data();
+      float* gx = an->grad.data();
+      parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const float x = px2[i];
+          const float t = pt2[i];
+          const float du = kC * (1.0f + 3.0f * kA * x * x);
+          gx[i] += g[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
+        }
       });
+    };
+  }
+  return Tensor{out};
 }
 
 Tensor square(const Tensor& a) {

@@ -75,7 +75,7 @@ struct Node {
   Storage grad;  // lazily allocated on first access
   Shape shape;
   bool requires_grad = false;
-  const char* op = "leaf";
+  const char* op = "leaf";  // a string literal; names its backward span
   std::vector<std::shared_ptr<Node>> parents;
   // Pushes this node's grad into parents' grads. Null for leaves.
   std::function<void(Node&)> backward;

@@ -866,6 +866,48 @@ TEST(Ac, SweepPointMatchesSameFrequencyAlone) {
   }
 }
 
+TEST(Ac, RepeatedGridKeepsFormulaBits) {
+  // A thread keeps the last grid it swept: going to another grid and back,
+  // or to one that differs in a single field, must recompute it, and every
+  // frequency keeps the formula's bits.
+  NetBuilder b;
+  b.rails();
+  b.io("in", IoPin::Vin1);
+  b.io("out", IoPin::Vout1);
+  b.two(DeviceKind::Resistor, "in", "out");
+  b.two(DeviceKind::Capacitor, "out", "VSS");
+  b.two(DeviceKind::Resistor, "VDD", "out");
+  const Netlist nl = b.take();
+  Simulator sim(nl, default_sizing(nl));
+  ASSERT_TRUE(sim.solve_dc());
+  struct Grid {
+    double f_lo, f_hi;
+    int points;
+  };
+  std::vector<std::vector<AcPoint>> sweeps;
+  for (const Grid g : {Grid{1.0, 1e10, 61}, Grid{10.0, 1e6, 31},
+                       Grid{1.0, 1e10, 61}, Grid{1.0, 1e6, 61},
+                       Grid{10.0, 1e6, 61}, Grid{10.0, 1e6, 31}}) {
+    sweeps.push_back(sim.ac_sweep(g.f_lo, g.f_hi, g.points));
+    const auto& sweep = sweeps.back();
+    ASSERT_EQ(sweep.size(), static_cast<std::size_t>(g.points));
+    for (std::size_t pt = 0; pt < sweep.size(); ++pt) {
+      const double f =
+          g.f_lo * std::pow(g.f_hi / g.f_lo,
+                            static_cast<double>(pt) /
+                                static_cast<double>(g.points - 1));
+      EXPECT_TRUE(same_bits(sweep[pt].freq_hz, f))
+          << g.f_lo << ".." << g.f_hi << " point " << pt << ": "
+          << sweep[pt].freq_hz << " vs " << f;
+    }
+  }
+  for (std::size_t pt = 0; pt < sweeps[0].size(); ++pt) {
+    EXPECT_TRUE(same_bits(sweeps[0][pt].h.real(), sweeps[2][pt].h.real()) &&
+                same_bits(sweeps[0][pt].h.imag(), sweeps[2][pt].h.imag()))
+        << "point " << pt;
+  }
+}
+
 // --- FoM ------------------------------------------------------------------------
 
 TEST(Fom, OpAmpEvaluates) {

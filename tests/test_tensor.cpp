@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
 #include "tensor/tensor.hpp"
@@ -679,6 +682,209 @@ TEST(TensorStorage, TensorsFreedOnPoolWorkers) {
   }
   EXPECT_EQ(storage_stats().live_bytes, live0);
   eva::set_num_threads(0);
+}
+
+// ------------------------------------------------ training elementwise ops
+
+/// Bit patterns, so a comparison tells -0 from +0.
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return out;
+}
+
+std::vector<float> seeded(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+TEST(Tensor, BroadcastOpsMatchModuloReference) {
+  struct Op {
+    char sym;
+    Tensor (*fn)(const Tensor&, const Tensor&);
+  };
+  const Op ops[] = {{'+', add}, {'-', sub}, {'*', mul}};
+  const Shape a_shape{6, 40, 48};
+  const std::size_t n = shape_numel(a_shape);
+  const Shape b_shapes[] = {a_shape, {48}, {40, 48}, {1}};
+  const std::vector<float> pa = seeded(n, 1);
+  const std::vector<float> w = seeded(n, 3);  // upstream gradient
+  eva::set_num_threads(4);  // several chunks, on pool workers
+  for (const Op& op : ops) {
+    for (const Shape& bs : b_shapes) {
+      const std::size_t bsz = shape_numel(bs);
+      const std::vector<float> pb = seeded(bsz, 2);
+      Tensor a = Tensor::from(a_shape, pa, true);
+      Tensor b = Tensor::from(bs, pb, true);
+      const Tensor out = op.fn(a, b);
+      // The product's backward hands `out` exactly w as its gradient.
+      sum_all(mul(out, Tensor::from(a_shape, w))).backward();
+
+      std::vector<float> fwd(n), ga(n, 0.0f), gb(bsz, 0.0f);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t j = i % bsz;
+        switch (op.sym) {
+          case '+':
+            fwd[i] = pa[i] + pb[j];
+            ga[i] += w[i];
+            gb[j] += w[i];
+            break;
+          case '-':
+            fwd[i] = pa[i] - pb[j];
+            ga[i] += w[i];
+            gb[j] -= w[i];
+            break;
+          default:
+            fwd[i] = pa[i] * pb[j];
+            ga[i] += w[i] * pb[j];
+            gb[j] += w[i] * pa[i];
+            break;
+        }
+      }
+      const std::string where =
+          "a " + std::string(1, op.sym) + " b, b " + shape_str(bs);
+      EXPECT_EQ(bits(out.data()), bits(fwd)) << where;
+      EXPECT_EQ(bits(a.grad()), bits(ga)) << where;
+      EXPECT_EQ(bits(b.grad()), bits(gb)) << where;
+    }
+  }
+  eva::set_num_threads(0);
+}
+
+/// Loss and every parameter gradient, as bits, of one training step of a
+/// small attention + MLP block whose elementwise ops cover every operand
+/// kind: a (T,C) position table, (C) and (4C) biases, a (C) gate, a
+/// scalar score scale and same-shape residuals.
+std::vector<std::vector<std::uint32_t>> attention_mlp_step() {
+  constexpr int kB = 4, kT = 48, kC = 32, kV = 40;
+  Rng rng(29);
+  const std::vector<Tensor> params{
+      Tensor::randn({kV, kC}, rng, 0.1f),      // token embedding
+      Tensor::randn({kT, kC}, rng, 0.1f),      // positions
+      Tensor::full({kC}, 1.0f, true),          // layernorm gamma
+      Tensor::zeros({kC}, true),               // layernorm beta
+      Tensor::randn({kC, kC}, rng, 0.2f),      // query
+      Tensor::randn({kC, kC}, rng, 0.2f),      // key
+      Tensor::randn({kC, 4 * kC}, rng, 0.1f),  // MLP in
+      Tensor::randn({4 * kC}, rng, 0.1f),      // its bias
+      Tensor::randn({4 * kC, kC}, rng, 0.1f),  // MLP out
+      Tensor::randn({kC}, rng, 0.1f),          // its bias
+      Tensor::randn({kC}, rng, 0.5f),          // gate
+      Tensor::randn({kC, kV}, rng, 0.1f)};     // output
+  std::vector<int> tokens(static_cast<std::size_t>(kB * kT));
+  for (auto& t : tokens) t = static_cast<int>(rng.index(kV));
+
+  const Tensor x = add(embedding(params[0], tokens, kB, kT), params[1]);
+  Tensor h = layernorm(x, params[2], params[3]);
+  const Tensor scores = mul(matmul(matmul(h, params[4]),
+                                   transpose_last(matmul(h, params[5]))),
+                            Tensor::scalar(0.18f));
+  h = add(x, matmul(causal_softmax(scores, kT), h));
+  const Tensor m = add(
+      matmul(gelu(add(matmul(h, params[6]), params[7])), params[8]),
+      params[9]);
+  h = mul(sub(h, m), params[10]);
+  Tensor loss = cross_entropy(reshape(matmul(h, params[11]), {kB * kT, kV}),
+                              tokens);
+  loss.backward();
+
+  std::vector<std::vector<std::uint32_t>> out{bits(loss.data())};
+  for (const Tensor& p : params) out.push_back(bits(p.grad()));
+  return out;
+}
+
+TEST(Tensor, TrainingStepBitwiseAcrossPoolWidths) {
+  eva::set_num_threads(1);
+  const auto serial = attention_mlp_step();
+  eva::set_num_threads(4);
+  const auto pooled = attention_mlp_step();
+  eva::set_num_threads(0);
+  ASSERT_EQ(serial.size(), pooled.size());
+  for (std::size_t k = 0; k < serial.size(); ++k) {
+    EXPECT_TRUE(serial[k] == pooled[k])
+        << (k == 0 ? std::string("loss")
+                   : "gradient of parameter " + std::to_string(k - 1));
+  }
+}
+
+/// GELU's value and derivative as written before the forward pass kept
+/// tanh(u): each recomputes it from x.
+float gelu_recomputed(float x) {
+  constexpr float kC = 0.7978845608028654f;
+  constexpr float kA = 0.044715f;
+  const float u = kC * (x + kA * x * x * x);
+  return 0.5f * x * (1.0f + std::tanh(u));
+}
+
+float gelu_grad_recomputed(float x) {
+  constexpr float kC = 0.7978845608028654f;
+  constexpr float kA = 0.044715f;
+  const float u = kC * (x + kA * x * x * x);
+  const float t = std::tanh(u);
+  const float du = kC * (1.0f + 3.0f * kA * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+}
+
+TEST(Tensor, GeluMatchesRecomputedTanhBitwise) {
+  std::vector<float> xs{0.0f, 1e-3f, -1e-3f, 3.0f,  -3.0f,
+                        10.0f, -10.0f, 1e4f,  -1e4f};
+  Rng rng(41);
+  while (xs.size() < 4096) xs.push_back(static_cast<float>(rng.normal()) * 2);
+  const std::size_t n = xs.size();
+  const std::vector<float> up = seeded(n, 43);  // upstream gradient
+  std::vector<float> y_ref(n), g_ref(n, 0.0f);
+  for (std::size_t i = 0; i < n; ++i) {
+    y_ref[i] = gelu_recomputed(xs[i]);
+    g_ref[i] += up[i] * gelu_grad_recomputed(xs[i]);
+  }
+
+  eva::set_num_threads(4);
+  Tensor x = Tensor::from({64, 64}, xs, true);
+  const Tensor y = gelu(x);
+  sum_all(mul(y, Tensor::from({64, 64}, up))).backward();
+  const Tensor y_no_grad = gelu(x.detach());
+  eva::set_num_threads(0);
+  EXPECT_EQ(bits(y.data()), bits(y_ref));
+  EXPECT_EQ(bits(x.grad()), bits(g_ref));
+  EXPECT_EQ(bits(y_no_grad.data()), bits(y_ref));
+}
+
+TEST(Tensor, GeluKeepsTanhOnlyForGrad) {
+  const auto acquired = [] {
+    return storage_blocks("reused") + storage_blocks("mapped");
+  };
+  // Over twice kBig, so the blocks this leaves cached are too big for a
+  // kBig request to take (ReusedBlockReadsAsZeros expects its own back).
+  constexpr int kN = 3 * kBig;
+  const Tensor x = Tensor::full({kN}, 0.5f);
+  const std::size_t live0 = storage_stats().live_bytes;
+  std::int64_t blocks0 = acquired();
+  Tensor y = gelu(x);
+  EXPECT_EQ(acquired(), blocks0 + 1);  // the output, no side buffer
+  y = Tensor();
+  EXPECT_EQ(storage_stats().live_bytes, live0);  // the output was all
+
+  // With grad the kept tanh(u) is a second block of the output's size.
+  const Tensor xg = Tensor::full({kN}, 0.5f, true);
+  blocks0 = acquired();
+  const Tensor yg = gelu(xg);
+  EXPECT_EQ(acquired(), blocks0 + 2);
+}
+
+TEST(Tensor, BackwardRecordsASpanPerOp) {
+  obs::clear_trace();
+  obs::set_trace_enabled(true);
+  Tensor x = Tensor::from({4}, {-1.0f, 0.0f, 0.5f, 2.0f}, true);
+  sum_all(gelu(x)).backward();
+  obs::set_trace_enabled(false);
+  const std::string json = obs::trace_to_json();
+  obs::clear_trace();
+  EXPECT_NE(json.find("{\"name\":\"gelu\""), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"name\":\"sum\""), std::string::npos) << json;
 }
 
 TEST(TensorStorageDeathTest, DeadAndTailReadsAreReported) {

@@ -51,9 +51,17 @@ wait_for_ready() {
 }
 
 # Replicas need fixed ports (the router's backend list is static and a
-# crashed replica must come back on the same address), so pick a base
-# unlikely to collide and let bind failures surface as a loud non-ready.
-base_port=$((21000 + RANDOM % 20000))
+# crashed replica must come back on the same address). Pick them below
+# the kernel's ephemeral range, where no client socket is given a port,
+# and let bind failures surface as a loud non-ready.
+ephemeral_lo=32768
+if { read -r lo _ </proc/sys/net/ipv4/ip_local_port_range; } 2>/dev/null &&
+  [[ $lo =~ ^[0-9]+$ ]]; then
+  ephemeral_lo=$lo
+fi
+# Up to 10000 ports below it, none privileged.
+span=$((ephemeral_lo - 1027 < 10000 ? ephemeral_lo - 1027 : 10000))
+base_port=$((ephemeral_lo - 3 - RANDOM % span))
 replica_port() { echo $((base_port + $1)); }
 
 start_replica() {
