@@ -23,16 +23,19 @@
 #include "circuit/canon.hpp"
 #include "circuit/pingraph.hpp"
 #include "circuit/validity.hpp"
+#include "data/dataset.hpp"
 #include "data/generators.hpp"
 #include "nn/sampler.hpp"
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
+#include "nn/walk.hpp"
 #include "serve/service.hpp"
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
 #include "tensor/tensor.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -131,7 +134,11 @@ void BM_TensorMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
+// The training rows take the thread pool's width as their argument:
+// /1 runs every parallel region inline, so a run pinned to one CPU times
+// one thread; /0 is the hardware default.
 void BM_TransformerForwardBackward(benchmark::State& state) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
   Rng rng(2);
   nn::ModelConfig cfg = nn::ModelConfig::bench_scale(200);
   nn::TransformerLM model(cfg, rng);
@@ -143,8 +150,10 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(loss.item());
   }
   state.SetItemsProcessed(state.iterations() * 4 * 128);
+  set_num_threads(0);
 }
 BENCHMARK(BM_TransformerForwardBackward)
+    ->Arg(1)->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -153,8 +162,10 @@ BENCHMARK(BM_TransformerForwardBackward)
 // lengths in the range of pretraining's padded batches (66-134 tokens on
 // the benchmark corpus). Unlike the fixed shape above, buffer sizes change
 // from step to step as they do in nn::pretrain; minflt_per_step counts
-// the page faults that costs. items_per_second == tokens/sec.
+// the page faults that costs. items_per_second == tokens/sec. The
+// argument is the pool width, as above.
 void BM_TrainStepVaryingLength(benchmark::State& state) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
   constexpr int kBatch = 8;
   constexpr int kVocab = 200;
   Rng rng(4);
@@ -192,8 +203,10 @@ void BM_TrainStepVaryingLength(benchmark::State& state) {
   state.counters["minflt_per_step"] =
       static_cast<double>(after.ru_minflt - before.ru_minflt) /
       static_cast<double>(state.iterations());
+  set_num_threads(0);
 }
 BENCHMARK(BM_TrainStepVaryingLength)
+    ->Arg(1)->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -244,6 +257,47 @@ BENCHMARK(BM_SampleTokenThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// The walk-legality bookkeeping of one masked decode step (closure_cost,
+// mask, one illegal_transition and on_token), teacher-forced over every
+// corpus tour of a seeded dataset, four tours per topology, with a fresh
+// WalkLegality per tour as a decoded sequence gets.
+// items_per_second == tokens/sec; its inverse is the cost per token.
+void BM_WalkLegality(benchmark::State& state) {
+  data::DatasetConfig dcfg;
+  dcfg.per_type = 12;
+  dcfg.seed = 24;
+  const data::Dataset ds = data::Dataset::build(dcfg);
+  const nn::Tokenizer tok = nn::Tokenizer::from_dataset(ds);
+  Rng rng(24);
+  std::vector<std::vector<int>> tours;
+  for (const auto& e : ds.entries()) {
+    for (int r = 0; r < 4; ++r) {
+      tours.push_back(tok.encode_tour(circuit::encode_tour(e.netlist, rng)));
+    }
+  }
+  const int vss = tok.start_token();
+  const int vdd = tok.encode_io(circuit::IoPin::Vdd);
+  std::vector<float> logits(static_cast<std::size_t>(tok.vocab_size()));
+  std::int64_t tokens = 0;
+  for (auto _ : state) {
+    for (const auto& ids : tours) {
+      nn::WalkLegality walk(tok);
+      walk.on_token(ids.front());
+      for (std::size_t i = 1; i + 1 < ids.size(); ++i) {  // up to EOS
+        benchmark::DoNotOptimize(walk.closure_cost());
+        walk.mask(logits, vss);
+        benchmark::DoNotOptimize(walk.illegal_transition(ids[i], vss, vdd));
+        walk.on_token(ids[i]);
+      }
+      tokens += static_cast<std::int64_t>(ids.size()) - 2;
+    }
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(tokens);
+}
+BENCHMARK(BM_WalkLegality)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Batch generation on an identical 24-sequence workload through the
 // continuous-batching BatchedDecoder at several widths.
 // items_per_second == sampled tokens/sec, so the ratio between widths
@@ -272,9 +326,8 @@ void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
   nn::ModelConfig cfg = batch_bench_config(tok.vocab_size());
   nn::TransformerLM model(cfg, rng);
   model.set_inference_quant(quant);
-  auto opts = batch_bench_opts();
-  opts.batch_width = static_cast<int>(state.range(0));
-  nn::BatchedDecoder decoder(model, tok, opts.batch_width, opts);
+  nn::BatchedDecoder decoder(model, tok, static_cast<int>(state.range(0)),
+                            batch_bench_opts());
   Rng sample_rng(31);
   std::int64_t tokens = 0;
   for (auto _ : state) {

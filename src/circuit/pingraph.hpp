@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,27 @@ struct PinToken {
 /// Dense packing of a PinToken for hashing/map keys.
 [[nodiscard]] std::uint32_t pack_token(const PinToken& t);
 [[nodiscard]] PinToken unpack_token(std::uint32_t key);
+
+/// Union-find over a dense index space [0, n), with path halving.
+/// unite(a, b) hangs a's root under b's root. decode_tour groups pins
+/// into nets with it, and nn::WalkLegality tracks the nets of a walk.
+class UnionFind {
+ public:
+  explicit UnionFind(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+  }
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+
+ private:
+  std::vector<std::size_t> parent_;
+};
 
 /// Pin-level multigraph of a netlist.
 class PinGraph {

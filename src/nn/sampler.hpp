@@ -25,16 +25,17 @@ struct SampleOptions {
   float temperature = 1.0f;
   int top_k = 0;        // 0 = full distribution
   int max_len = 0;      // 0 = model max_seq
-  /// Walk-legality mask (DESIGN.md §4): bans pad tokens and immediate
-  /// self-loops, and gates EOS on "walk is back at VSS with every
-  /// mentioned device's cycle complete". This enforces Euler-walk
-  /// well-formedness only — electrical validity (floating pins, shorts,
-  /// DC solvability: the paper's stated invalidity modes) stays entirely
-  /// up to the model and is what the Validity metric measures.
+  /// Walk-legality mask (WalkLegality, DESIGN.md §2 "Constrained
+  /// decoding"): bans pad tokens and immediate self-loops, and gates EOS
+  /// on "walk is back at VSS with every mentioned device's cycle
+  /// complete". Sampled tokens are redrawn when they would short VDD to
+  /// VSS, add a second same-device net pin pair, or leave one component
+  /// holding 3+ pins of a device. When the length budget runs out, a
+  /// forced closure finishes open device cycles, wires VOUT and VDD,
+  /// sweeps floating pins and returns to VSS. Electrical validity beyond
+  /// that (pins the closure cannot reach, DC solvability) stays up to
+  /// the model and is what the Validity metric measures.
   bool legality_mask = true;
-  /// Slot count of the BatchedDecoder behind sample_batch. Results never
-  /// depend on it; only throughput does.
-  int batch_width = 8;
 };
 
 struct SampleResult {
@@ -52,9 +53,9 @@ struct SampleResult {
   bool hit_eos = false;
 };
 
-/// Sample `n` sequences through a BatchedDecoder of width
-/// min(opts.batch_width, n). Deterministic given the seed rng; sequence
-/// i consumes the i-th fork of `rng`.
+/// Sample `n` sequences through a BatchedDecoder of width min(n, 8).
+/// Deterministic given the seed rng; sequence i consumes the i-th fork
+/// of `rng`. Results never depend on the width, only throughput does.
 [[nodiscard]] std::vector<SampleResult> sample_batch(
     const TransformerLM& model, const Tokenizer& tok, Rng& rng, int n,
     const SampleOptions& opts = {});
@@ -76,8 +77,8 @@ class BatchedDecoder {
 
   /// Replace the sampling options for subsequent decode() calls (the
   /// serving layer overrides temperature per request on one persistent
-  /// decoder). Batch width is fixed at construction — the slotted KV
-  /// cache is sized by it — so opts.batch_width is ignored here.
+  /// decoder). Batch width is fixed at construction: the slotted KV
+  /// cache is sized by it.
   void set_options(const SampleOptions& opts) { opts_ = opts; }
   [[nodiscard]] const SampleOptions& options() const { return opts_; }
 

@@ -19,7 +19,6 @@ nn::SampleOptions rollout_options(const PpoConfig& cfg) {
   nn::SampleOptions opts;
   opts.temperature = cfg.temperature;
   opts.max_len = cfg.max_len;
-  opts.batch_width = cfg.batch_width;
   return opts;
 }
 

@@ -364,12 +364,14 @@ bool Router::answer(int fd, const std::string& line,
   requests.add();
   // Load shedding: above max_inflight the router answers with clean
   // backpressure immediately instead of queueing behind a congested
-  // fleet — the client's retry policy takes it from there.
-  if (inflight_.load() >= static_cast<long>(cfg_.max_inflight)) {
+  // fleet — the client's retry policy takes it from there. Admission is
+  // the increment itself, so concurrent connections cannot all pass a
+  // check made before any of them counted.
+  if (inflight_.fetch_add(1) >= static_cast<long>(cfg_.max_inflight)) {
+    inflight_.fetch_sub(1);
     shed.add();
     return net::send_line(fd, shed_json(cfg_.shed_retry_after_ms));
   }
-  inflight_.fetch_add(1);
   const auto t0 = Clock::now();
   std::string payload = dispatch(parsed, line);
   dispatch_h.record(

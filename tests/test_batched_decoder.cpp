@@ -267,14 +267,16 @@ TEST(BatchedDecoder, SampleBatchRoutesThroughEngineDeterministically) {
   Rng rng(55);
   const Tokenizer tok = small_tokenizer();
   TransformerLM model(ModelConfig::tiny(tok.vocab_size()), rng);
-  SampleOptions a_opts, b_opts;
-  a_opts.max_len = b_opts.max_len = 32;
-  a_opts.batch_width = 2;
-  b_opts.batch_width = 16;  // width must not change results
-  Rng r1(7), r2(7);
-  const auto a = sample_batch(model, tok, r1, 11, a_opts);
-  const auto b = sample_batch(model, tok, r2, 11, b_opts);
-  expect_same_results(a, b, "sample_batch widths");
+  SampleOptions opts;
+  opts.max_len = 32;
+  Rng r0(7);
+  const auto ref = sample_batch(model, tok, r0, 11, opts);  // width 8
+  for (const int width : {2, 16}) {  // width must not change results
+    BatchedDecoder decoder(model, tok, width, opts);
+    Rng r(7);
+    expect_same_results(ref, decoder.decode(r, 11),
+                        "sample_batch vs width=" + std::to_string(width));
+  }
 }
 
 // --- SampleResult contract (regression for the ids/logprobs asymmetry) ---

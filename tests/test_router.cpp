@@ -2,12 +2,12 @@
 // bounds, backoff jitter bounds, circuit-breaker state machine on a fake
 // clock, and live loopback fleets built from scripted fake replicas —
 // failover on dropped/torn connections, breaker trip + half-open
-// recovery via the health prober, router-level load shedding, the
-// shared cache sidecar (miss -> fill -> cross-replica hit), real
-// JsonLineServer replicas under injected serve_conn_drop /
-// serve_partial_write faults, the shared line server's thread reaping
-// and idle timeout on the router and the sidecar, and the refusal of
-// ports outside 0-65535.
+// recovery via the health prober, router-level load shedding (also of
+// requests that arrive together), the shared cache sidecar (miss -> fill
+// -> cross-replica hit), real JsonLineServer replicas under injected
+// serve_conn_drop / serve_partial_write faults, the shared line server's
+// thread reaping and idle timeout on the router and the sidecar, and the
+// refusal of ports outside 0-65535.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -192,13 +193,11 @@ class FakeReplica {
   std::vector<std::thread> handlers_;
 };
 
-/// One client round trip through the router: send `line`, read until the
-/// terminator, return every response line.
-std::vector<std::string> round_trip(int port, const std::string& line,
-                                    double timeout_ms = 5000.0) {
+/// Send `line` on a connected socket, read until the terminator, return
+/// every response line.
+std::vector<std::string> send_and_read(int fd, const std::string& line,
+                                       double timeout_ms = 5000.0) {
   std::vector<std::string> lines;
-  const int fd = net::connect_with_deadline("127.0.0.1", port, 2000.0);
-  if (fd < 0) return lines;
   if (net::send_line(fd, line)) {
     net::LineReader reader(fd);
     const auto deadline =
@@ -210,6 +209,15 @@ std::vector<std::string> round_trip(int port, const std::string& line,
       if (resp.find("\"done\"") != std::string::npos) break;
     }
   }
+  return lines;
+}
+
+/// One client round trip through the router: connect, then send_and_read().
+std::vector<std::string> round_trip(int port, const std::string& line,
+                                    double timeout_ms = 5000.0) {
+  const int fd = net::connect_with_deadline("127.0.0.1", port, 2000.0);
+  if (fd < 0) return {};
+  auto lines = send_and_read(fd, line, timeout_ms);
   ::close(fd);
   return lines;
 }
@@ -514,6 +522,42 @@ TEST(RouterFleetTest, ShedsAboveMaxInflight) {
   EXPECT_TRUE(lines[0].find("\"status\": \"rejected\"") != std::string::npos);
   EXPECT_TRUE(lines[0].find("\"shed_by\": \"router\"") != std::string::npos);
   EXPECT_TRUE(lines[0].find("\"retry_after_ms\": 33") != std::string::npos);
+  router.stop();
+}
+
+TEST(RouterFleetTest, SimultaneousArrivalsAdmitOnlyMaxInflight) {
+  FakeReplica a(0, FakeReplica::Mode::kStall);
+  a.set_stall_ms(2000);
+  auto cfg = fast_router({a.addr()});
+  cfg.max_inflight = 1;
+  cfg.replica_timeout_ms = 10000.0;  // outlast the stall: no retried forward
+  Router router(cfg);
+  const int port = router.listen_and_start();
+
+  // Every client connects, then all send together, so the requests race
+  // through admission while the one admitted request stalls.
+  constexpr int kClients = 16;
+  std::latch start(kClients);
+  std::vector<std::vector<std::string>> replies(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      const int fd = net::connect_with_deadline("127.0.0.1", port, 2000.0);
+      start.arrive_and_wait();
+      if (fd < 0) return;
+      replies[static_cast<std::size_t>(i)] = send_and_read(
+          fd, "{\"n\": 1, \"seed\": " + std::to_string(100 + i) + "}");
+      ::close(fd);
+    });
+  }
+  for (auto& c : clients) c.join();
+
+  int shed = 0;
+  for (const auto& lines : replies) {
+    shed += payload_mentions(lines, "\"shed_by\": \"router\"");
+  }
+  EXPECT_EQ(a.served(), 1);
+  EXPECT_EQ(shed, kClients - 1);
   router.stop();
 }
 

@@ -595,6 +595,15 @@ void expect_under_peak(const char* where) {
 }
 
 TEST(TensorStorage, ReusedBlockReadsAsZeros) {
+  // Earlier tests in this process may have left blocks in the cache that
+  // a kBig request would take first. Hold every one of them: acquire
+  // until a request maps a fresh block, so the only fitting cached block
+  // below is the one `garbage` releases.
+  std::vector<Tensor> held;
+  const std::int64_t mapped0 = storage_blocks("mapped");
+  while (storage_blocks("mapped") == mapped0) {
+    held.push_back(Tensor::zeros({kBig}));
+  }
   const float* garbage_at = nullptr;
   {
     const Tensor garbage = Tensor::full({kBig}, -7.0f);
@@ -857,8 +866,7 @@ TEST(Tensor, GeluKeepsTanhOnlyForGrad) {
   const auto acquired = [] {
     return storage_blocks("reused") + storage_blocks("mapped");
   };
-  // Over twice kBig, so the blocks this leaves cached are too big for a
-  // kBig request to take (ReusedBlockReadsAsZeros expects its own back).
+  // Large enough that every block here goes through the storage cache.
   constexpr int kN = 3 * kBig;
   const Tensor x = Tensor::full({kN}, 0.5f);
   const std::size_t live0 = storage_stats().live_bytes;
