@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -121,6 +122,34 @@ void BM_QGemmInt8(benchmark::State& state) {
                           static_cast<std::int64_t>(kIn * kOut));
 }
 BENCHMARK(BM_QGemmInt8)->Arg(1)->Arg(8)->Arg(16)->UseRealTime();
+
+// GELU at its two sites, at pool width 1; items_per_second == elements
+// per second. /train: the training forward with grad (it keeps tanh(u)
+// for the backward pass) at the pretrain MLP shape, 880 tokens x 256.
+// /decode: the decode GELU over one width-8 block of the MLP (8 x 256),
+// in place, so each iteration first copies the block's inputs back in.
+void BM_Gelu(benchmark::State& state, bool train) {
+  set_num_threads(1);
+  Rng rng(45);
+  const int rows = train ? 880 : 8;
+  auto x = tensor::Tensor::randn({rows, 256}, rng, 2.0f, train);
+  std::vector<float> y(x.numel());
+  for (auto _ : state) {
+    if (train) {
+      benchmark::DoNotOptimize(tensor::gelu(x).data().data());
+    } else {
+      std::copy(x.data().begin(), x.data().end(), y.begin());
+      tensor::gelu_approx_n(y.data(), y.size());
+      benchmark::DoNotOptimize(y.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.numel()));
+  set_num_threads(0);
+}
+BENCHMARK_CAPTURE(BM_Gelu, train, true)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Gelu, decode, false)->UseRealTime();
 
 void BM_TensorMatmul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

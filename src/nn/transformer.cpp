@@ -275,9 +275,7 @@ void linear_batched(const float* x, const QuantMatrix* qw,
     }
   }
   tensor::gemm_nn(x, w.data(), y, n, static_cast<std::size_t>(in), outz);
-  if (ep == Epilogue::kBiasGelu) {
-    for (std::size_t i = 0; i < n * outz; ++i) y[i] = gelu_approx(y[i]);
-  }
+  if (ep == Epilogue::kBiasGelu) tensor::gelu_approx_n(y, n * outz);
 }
 
 }  // namespace

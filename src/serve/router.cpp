@@ -406,17 +406,22 @@ std::string Router::dispatch(const ParsedLine& parsed, const std::string& line) 
 
   ForwardOutcome last;
   last.error = "no replica available";
+  // Replicas whose forward of this request timed out: they may still be
+  // working on it, so it is not sent to them again.
+  std::vector<bool> timed_out(replicas_.size(), false);
   int attempt = 0;
   while (attempt < cfg_.max_attempts) {
-    Replica& r = *replicas_[pref[static_cast<std::size_t>(attempt) %
-                                 pref.size()]];
+    const std::size_t idx = pref[static_cast<std::size_t>(attempt) % pref.size()];
+    Replica& r = *replicas_[idx];
     ++attempt;
-    if (!r.breaker.allow(Clock::now())) {
-      // Breaker open: move on without burning backoff time — when the
-      // whole fleet is open this degrades to an immediate clean error.
+    if (timed_out[idx] || !r.breaker.allow(Clock::now())) {
+      // Timed out already or breaker open: move on without burning
+      // backoff time — when no replica is left this degrades to an
+      // immediate clean error.
       continue;
     }
     ForwardOutcome o = forward_once(r, line, cfg_.replica_timeout_ms);
+    if (o.kind == ForwardOutcome::Kind::kTimeout) timed_out[idx] = true;
     if (o.kind == ForwardOutcome::Kind::kOk ||
         o.kind == ForwardOutcome::Kind::kReject) {
       note_success(r);

@@ -253,9 +253,9 @@ __attribute__((noinline)) void store_strip_f32(const float* acc, const float* ws
   for (std::size_t j = 0; j < nr; ++j) {
     float v = wscale[j] * acc[j];
     if (add_bias) v += bias[j];
-    if (ep == Epilogue::kBiasGelu) v = gelu_approx(v);
     y[j] = v;
   }
+  if (ep == Epilogue::kBiasGelu) gelu_approx_n(y, nr);
 }
 
 /// Portable body: decode one kc x nr weight panel to raw f32 codes
@@ -327,8 +327,9 @@ inline float quantize_row_u8(const float* x, std::size_t K, std::size_t K4,
 /// int8 epilogue, vectorized: identical arithmetic and association as
 /// the scalar tail (`ascale * (wscale * float(acc - 128*colsum))`,
 /// then bias) — every op is elementwise, so lanes match scalar IEEE
-/// exactly. GELU runs as a second scalar pass over the stored strip
-/// (same input values, same gelu_approx).
+/// exactly. GELU runs as a second pass over the stored strip, in lanes
+/// (gelu_approx_n, the same function the portable body and the f32 path
+/// call).
 __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float ascale,
                            const float* wscale, const std::int32_t* colsum,
                            const float* bias, Epilogue ep, float* y,
@@ -351,9 +352,7 @@ __attribute__((noinline)) void store_strip_i8(const std::int32_t* acc, float asc
     if (add_bias) v += bias[j];
     y[j] = v;
   }
-  if (ep == Epilogue::kBiasGelu) {
-    for (j = 0; j < nr; ++j) y[j] = gelu_approx(y[j]);
-  }
+  if (ep == Epilogue::kBiasGelu) gelu_approx_n(y, nr);
 }
 
 /// MR rows x 32 cols of int32 accumulators over all K groups. `wp` is

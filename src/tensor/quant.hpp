@@ -81,16 +81,16 @@ struct QuantMatrix {
   void dequantize(float* out) const;
 };
 
-/// Fused epilogue applied by the quantized kernels after the K reduction
-/// (the whole point: bias add and activation happen while the output
-/// tile is still hot, with no extra pass over Y).
+/// Epilogue applied by the quantized kernels after the K reduction, per
+/// output strip while it is still in cache: the rescale and bias add as
+/// the strip is stored, then for kBiasGelu one gelu_approx_n pass over
+/// the stored strip.
 enum class Epilogue { kNone, kBias, kBiasGelu };
 
-/// The tanh-approximation GELU used across the inference path. Shared so
-/// the fused epilogue and the unfused f32 path are bitwise identical.
-[[nodiscard]] inline float gelu_approx(float x) {
-  constexpr float kC = 0.7978845608028654f;
-  return 0.5f * x * (1.0f + std::tanh(kC * (x + 0.044715f * x * x * x)));
-}
+/// The tanh-approximation GELU used across the inference path, in place
+/// over y[0, n): y = 0.5 y (1 + tanh(sqrt(2/pi) (y + 0.044715 y^3))),
+/// with the tanh in lanes (tensor/tanh.hpp). One function for the fused
+/// epilogue and the unfused f32 path, so the two are bitwise identical.
+void gelu_approx_n(float* y, std::size_t n);
 
 }  // namespace eva::tensor

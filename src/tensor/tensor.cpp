@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/tanh.hpp"
 #include "util/parallel.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -570,19 +571,29 @@ Tensor gelu(const Tensor& a) {
   EVA_ASSERT(an, "undefined operand");
   auto out = make_result(an->shape, "gelu", {an});
   const std::size_t n = out->numel();
-  // tanh(u) kept for the backward pass (as layernorm keeps xhat): the
-  // scalar tanhf is most of GELU's cost, so it runs once per element.
+  // tanh(u) kept for the backward pass (as layernorm keeps xhat): tanh
+  // is most of GELU's cost, so it runs once per element.
   auto kept = out->requires_grad ? std::make_shared<Storage>(n) : nullptr;
   const float* px = an->data.data();
   float* py = out->data.data();
   float* pt = kept ? kept->data() : nullptr;
   parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const float x = px[i];
-      const float u = kC * (x + kA * x * x * x);
-      const float t = std::tanh(u);
-      if (pt) pt[i] = t;
-      py[i] = 0.5f * x * (1.0f + t);
+    // u and y are computed here, with this file's (contracting) flags, a
+    // stack chunk at a time; tanh(u) runs in lanes (tensor/tanh.hpp),
+    // straight into the kept buffer with grad.
+    constexpr std::size_t kChunk = 256;
+    float u[kChunk];
+    for (std::size_t c = lo; c < hi; c += kChunk) {
+      const std::size_t m = std::min(kChunk, hi - c);
+      const float* x = px + c;
+      for (std::size_t i = 0; i < m; ++i) {
+        u[i] = kC * (x[i] + kA * x[i] * x[i] * x[i]);
+      }
+      float* t = pt ? pt + c : u;
+      tanh_n(u, t, m);
+      for (std::size_t i = 0; i < m; ++i) {
+        py[c + i] = 0.5f * x[i] * (1.0f + t[i]);
+      }
     }
   });
   if (out->requires_grad) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <vector>
@@ -125,6 +127,16 @@ float max_abs_diff(const float* a, const float* b, std::size_t n) {
   return worst;
 }
 
+/// The scalar GELU the decode path ran per element before its tanh moved
+/// into lanes (it was tensor::gelu_approx); gelu_approx_n must keep its
+/// bits.
+float gelu_reference(float x) {
+  constexpr float kC = 0.7978845608028654f;
+  return 0.5f * x * (1.0f + std::tanh(kC * (x + 0.044715f * x * x * x)));
+}
+
+std::uint32_t word(float x) { return std::bit_cast<std::uint32_t>(x); }
+
 /// f32 reference for epilogue(x@W + bias).
 std::vector<float> ref_linear(const std::vector<float>& x,
                               const std::vector<float>& w,
@@ -137,7 +149,7 @@ std::vector<float> ref_linear(const std::vector<float>& x,
       for (std::size_t k = 0; k < in; ++k) {
         acc += x[r * in + k] * w[k * out + j];
       }
-      y[r * out + j] = ep == Epilogue::kBiasGelu ? gelu_approx(acc) : acc;
+      y[r * out + j] = ep == Epilogue::kBiasGelu ? gelu_reference(acc) : acc;
     }
   }
   return y;
@@ -179,6 +191,52 @@ TEST(QuantKernels, QgemmMatchesF32WithinTierTolerance) {
         EXPECT_LE(std::fabs(y[r * kOut + j] - ref[r * kOut + j]), bound)
             << " ep=" << static_cast<int>(ep) << " row " << r << " col "
             << j;
+      }
+    }
+  }
+}
+
+TEST(QuantKernels, DecodeGeluMatchesScalarReferenceBitwise) {
+  std::vector<float> xs{0.0f, -0.0f, 1e-30f, -1e-30f, 1e4f, -1e4f,
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()};
+  for (float x = -12.0f; x <= 12.0f; x += 0x1p-8f) xs.push_back(x);
+  for (const float v : random_matrix(4096, 51, 3.0f)) xs.push_back(v);
+  // Lengths around the lane count and the 256-float chunk.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{255},
+                              std::size_t{256}, std::size_t{257}, xs.size()}) {
+    std::vector<float> y(xs.begin(), xs.begin() + static_cast<long>(n));
+    gelu_approx_n(y.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(word(y[i]), word(gelu_reference(xs[i])))
+          << "n " << n << " x " << xs[i];
+    }
+  }
+}
+
+TEST(QuantKernels, FusedGeluEqualsBiasThenDecodeGelu) {
+  // The kBiasGelu epilogue is the kBias output with gelu_approx_n on
+  // top, bit for bit, in whichever qgemm body this build runs. 100
+  // columns leave a partial strip; 1 and 3 rows take the remainder path.
+  constexpr std::size_t kIn = 96;
+  for (const std::size_t out : {std::size_t{160}, std::size_t{100}}) {
+    const auto w = random_matrix(kIn * out, 61, 0.2f);
+    const auto bias = random_matrix(out, 62, 0.5f);
+    const auto qw = QuantMatrix::quantize(QuantKind::kInt8, w.data(), kIn, out);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                std::size_t{16}}) {
+      const auto x = random_matrix(n * kIn, 63 + n);
+      std::vector<float> fused(n * out), unfused(n * out);
+      qgemm(x.data(), qw, bias.data(), fused.data(), n, Epilogue::kBiasGelu);
+      qgemm(x.data(), qw, bias.data(), unfused.data(), n, Epilogue::kBias);
+      std::vector<float> pre = unfused;
+      gelu_approx_n(unfused.data(), unfused.size());
+      for (std::size_t i = 0; i < n * out; ++i) {
+        ASSERT_EQ(word(fused[i]), word(unfused[i]))
+            << "out " << out << " n " << n << " index " << i;
+        ASSERT_EQ(word(fused[i]), word(gelu_reference(pre[i])))
+            << "out " << out << " n " << n << " index " << i;
       }
     }
   }

@@ -439,6 +439,48 @@ TEST(RouterFleetTest, AllReplicasDownResolvesUnavailable) {
   router.stop();
 }
 
+TEST(RouterFleetTest, TimedOutReplicaIsNotSentTheRequestAgain) {
+  // A lone replica that outlasts the forward timeout, with more attempts
+  // than replicas: it is still working on the first copy, so the router
+  // gives up rather than send it the same request twice more.
+  FakeReplica a(0, FakeReplica::Mode::kStall);
+  a.set_stall_ms(1500);
+  auto cfg = fast_router({a.addr()});
+  cfg.max_attempts = 3;
+  cfg.replica_timeout_ms = 300.0;
+  Router router(cfg);
+  const int port = router.listen_and_start();
+
+  const auto lines = round_trip(port, "{\"n\": 1, \"seed\": 9}");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(lines[0].find("\"status\": \"unavailable\"") !=
+              std::string::npos)
+      << lines[0];
+  EXPECT_EQ(a.served(), 1);
+  router.stop();
+}
+
+TEST(RouterFleetTest, TimedOutPrimaryFailsOverToTheOtherReplica) {
+  FakeReplica a(0, FakeReplica::Mode::kStall);
+  a.set_stall_ms(1500);
+  FakeReplica b(1, FakeReplica::Mode::kOk);
+  auto cfg = fast_router({a.addr(), b.addr()});
+  cfg.max_attempts = 3;
+  cfg.replica_timeout_ms = 300.0;
+  Router router(cfg);
+  const int port = router.listen_and_start();
+
+  const std::uint64_t s0 = seed_with_primary(2, 0, cfg.vnodes);
+  const auto lines =
+      round_trip(port, "{\"n\": 1, \"seed\": " + std::to_string(s0) + "}");
+  ASSERT_FALSE(lines.empty());
+  EXPECT_TRUE(payload_mentions(lines, "\"replica\": 1"));
+  EXPECT_TRUE(lines.back().find("\"status\": \"ok\"") != std::string::npos);
+  EXPECT_EQ(a.served(), 1);
+  EXPECT_EQ(b.served(), 1);
+  router.stop();
+}
+
 TEST(RouterFleetTest, RejectionPassesThroughWithoutFailover) {
   FakeReplica a(0, FakeReplica::Mode::kReject);
   FakeReplica b(1, FakeReplica::Mode::kReject);

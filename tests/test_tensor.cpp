@@ -1,6 +1,7 @@
 // Unit tests for the autodiff tensor engine: forward values, gradient
 // checks against finite differences for every op, optimizers, and the
 // storage cache that keeps large buffers from one step to the next.
+#include <gnu/libc-version.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,9 +18,11 @@
 #include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
+#include "tensor/tanh.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "tanh_reference.hpp"
 
 namespace {
 
@@ -893,6 +897,172 @@ TEST(Tensor, BackwardRecordsASpanPerOp) {
   obs::clear_trace();
   EXPECT_NE(json.find("{\"name\":\"gelu\""), std::string::npos) << json;
   EXPECT_NE(json.find("{\"name\":\"sum\""), std::string::npos) << json;
+}
+
+// --- GELU's tanh in lanes ---------------------------------------------------
+//
+// tanh_n runs fdlibm's tanhf in kTanhLanes lanes. It must equal the scalar
+// port in tanh_reference.cpp bit for bit on every build, and that port
+// must equal glibc's tanhf (std::tanh), which GELU called before.
+
+std::uint32_t word(float x) { return std::bit_cast<std::uint32_t>(x); }
+float from_word(std::uint32_t w) { return std::bit_cast<float>(w); }
+
+/// Every 509th bit pattern, from 0 up: 8.4M floats of every exponent,
+/// both signs, Inf and NaN included.
+std::vector<float> strided_sweep() {
+  std::vector<float> xs;
+  xs.reserve((std::uint64_t{1} << 32) / 509 + 1);
+  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += 509) {
+    xs.push_back(from_word(static_cast<std::uint32_t>(w)));
+  }
+  return xs;
+}
+
+/// tanh_n over all of `xs` at once, compared with the reference; names
+/// the first few differing inputs.
+void expect_lanes_match_reference(const std::vector<float>& xs,
+                                  const std::string& what) {
+  std::vector<float> got(xs.size());
+  tanh_n(xs.data(), got.data(), xs.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float want = eva::test::tanhf_reference(xs[i]);
+    if (word(got[i]) == word(want)) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << what << ": tanh_n(0x" << std::hex << word(xs[i])
+                    << ") = 0x" << word(got[i]) << ", reference 0x"
+                    << word(want);
+    }
+  }
+  EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << xs.size()
+                     << " differ at kTanhLanes " << kTanhLanes;
+}
+
+TEST(TanhLanes, MatchReferenceOnStridedSweep) {
+  expect_lanes_match_reference(strided_sweep(), "strided sweep");
+}
+
+TEST(TanhReference, MatchesStdTanhOnStridedSweep) {
+  std::size_t bad = 0;
+  for (const float x : strided_sweep()) {
+    const float want = std::tanh(x);
+    const float got = eva::test::tanhf_reference(x);
+    if (word(got) == word(want)) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << "reference(0x" << std::hex << word(x) << ") = 0x"
+                    << word(got) << ", std::tanh 0x" << word(want);
+    }
+  }
+  EXPECT_EQ(bad, 0u)
+      << "the reference ports glibc 2.36's tanhf (fdlibm); this libm is glibc "
+      << gnu_get_libc_version()
+      << ", whose tanhf differs, so GELU's values differ from std::tanh's";
+}
+
+TEST(TanhLanes, MatchReferenceOverGeluRange) {
+  // GELU hands tanh u = sqrt(2/pi) (x + 0.044715 x^3); tanhf reaches +-1
+  // at |u| ~ 9. Every 23rd float with 2^-12 <= |u| < 16, both signs.
+  std::vector<float> xs;
+  for (std::uint32_t w = word(0x1p-12f); w < word(16.0f); w += 23) {
+    xs.push_back(from_word(w));
+    xs.push_back(-from_word(w));
+  }
+  expect_lanes_match_reference(xs, "GELU range");
+}
+
+TEST(TanhLanes, MatchReferenceAtBranchThresholds) {
+  // tanhf's own thresholds on |x|: 2^-55, 1, 22, Inf.
+  std::vector<std::uint32_t> edges{0x24000000u, 0x3f800000u, 0x41b00000u,
+                                   0x7f800000u};
+  // expm1f's thresholds on |a| (0.5 ln2, 1.5 ln2, 2^-25, 27 ln2, 88.7)
+  // reach tanhf through a = +-2|x|, at half of each: one exponent less.
+  for (const std::uint32_t a : {0x3eb17218u, 0x3f851592u, 0x33000000u,
+                                0x4195b844u, 0x42b17218u}) {
+    edges.push_back(a - 0x00800000u);
+  }
+  // expm1f's reduction multiple k = (int)(a/ln2 +- 1/2) picks among its
+  // finishing branches (k < 23, k > 56, k <= -2): the first float of
+  // every k tanhf reaches, found by bisection on |x| in [0.25 ln2, 22).
+  const auto k_of = [](std::uint32_t w) {
+    const float ax = from_word(w);
+    const float a = ax >= 1.0f ? 2.0f * ax : -2.0f * ax;
+    return static_cast<int>(1.4426950216f * a + (a < 0 ? -0.5f : 0.5f));
+  };
+  const std::uint32_t lo_w = 0x3e317218u, hi_w = 0x41b00000u;
+  for (std::uint32_t w = lo_w; w < hi_w;) {
+    const int k = k_of(w);
+    std::uint32_t lo = w, hi = hi_w;  // first word whose k differs
+    while (hi - lo > 1) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      (k_of(mid) == k ? lo : hi) = mid;
+    }
+    edges.push_back(hi);
+    w = hi;
+  }
+  std::vector<float> xs;
+  for (const std::uint32_t e : edges) {
+    for (std::uint32_t w = e - 16; w <= e + 16; ++w) {
+      xs.push_back(from_word(w));
+      xs.push_back(from_word(w | 0x80000000u));
+    }
+  }
+  expect_lanes_match_reference(xs, "branch thresholds");
+}
+
+TEST(TanhLanes, MatchReferenceAtZerosDenormalsInfinitiesAndNaNs) {
+  std::vector<float> xs;
+  for (const std::uint32_t w :
+       {0x00000000u, 0x00000001u, 0x00000002u, 0x0000ffffu, 0x00400000u,
+        0x007ffffeu, 0x007fffffu, 0x00800000u, 0x7f7fffffu, 0x7f800000u,
+        0x7f800001u, 0x7fa00000u, 0x7fbfffffu, 0x7fc00000u, 0x7fc12345u,
+        0x7fffffffu}) {
+    xs.push_back(from_word(w));
+    xs.push_back(from_word(w | 0x80000000u));
+  }
+  expect_lanes_match_reference(xs, "special values");
+}
+
+TEST(TanhLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
+  // Inputs from every branch, all distinct, so a lane read from the
+  // wrong element or left over from an earlier vector shows.
+  std::vector<float> pool;
+  Rng rng(7);
+  for (std::size_t i = 0; pool.size() < 5 * kTanhLanes; ++i) {
+    const float mag = static_cast<float>(rng.uniform()) * (i % 3 == 0 ? 30 : 2);
+    pool.push_back(i % 2 ? -mag : mag);
+  }
+  pool[1] = std::numeric_limits<float>::infinity();
+  pool[kTanhLanes + 2] = std::numeric_limits<float>::quiet_NaN();
+  pool[2 * kTanhLanes + 3] = 0x1p-60f;
+  const float sentinel = from_word(0x7fc0beefu);
+  for (std::size_t off = 0; off < kTanhLanes; ++off) {
+    for (std::size_t n = 0; n <= 3 * kTanhLanes; ++n) {
+      const std::string where =
+          "n " + std::to_string(n) + " offset " + std::to_string(off);
+      // Buffers that end at n: a read or write past it is a heap
+      // overflow under ASan.
+      std::vector<float> in(pool.begin(), pool.begin() + off + n);
+      std::vector<float> out(off + n, sentinel);
+      tanh_n(in.data() + off, out.data() + off, n);
+      // Slack after n, which must keep its sentinels; and in place.
+      std::vector<float> padded(off + n + kTanhLanes, sentinel);
+      tanh_n(in.data() + off, padded.data() + off, n);
+      std::vector<float> inplace = in;
+      tanh_n(inplace.data() + off, inplace.data() + off, n);
+      for (std::size_t i = 0; i < off + n + kTanhLanes; ++i) {
+        const bool live = i >= off && i < off + n;
+        const std::uint32_t want =
+            live ? word(eva::test::tanhf_reference(in[i])) : word(sentinel);
+        ASSERT_EQ(word(padded[i]), want) << where << " index " << i;
+        if (i < off + n) {
+          ASSERT_EQ(word(out[i]), want) << where << " index " << i;
+          ASSERT_EQ(word(inplace[i]), live ? want : word(in[i]))
+              << where << " in place, index " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(TensorStorageDeathTest, DeadAndTailReadsAreReported) {
