@@ -30,6 +30,7 @@
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
 #include "nn/walk.hpp"
+#include "opt/ga.hpp"
 #include "serve/service.hpp"
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
@@ -461,6 +462,20 @@ void BM_FomEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FomEvaluation)->Unit(benchmark::kMicrosecond);
+
+// One GA sizing of the bench netlist at the default GaConfig, at pool
+// width 1: 245 evaluations of one prepared circuit, each generation's DC
+// points solved kLanes to a group.
+void BM_SizeTopology(benchmark::State& state) {
+  const auto nl = bench_netlist();
+  set_num_threads(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        opt::size_topology(nl, circuit::CircuitType::OpAmp, {}).perf.fom);
+  }
+  set_num_threads(0);
+}
+BENCHMARK(BM_SizeTopology)->Unit(benchmark::kMillisecond);
 
 void BM_DatasetGenerate(benchmark::State& state) {
   Rng rng(7);

@@ -204,7 +204,9 @@ class CktGnnLike final : public TopologyGenerator {
     std::string out = "d2";
     const int extra = rng.range(0, 2);
     for (int s = 0; s < extra; ++s) {
-      const std::string next = "s" + std::to_string(s);
+      // Appended, not "s" + ...: GCC 12's -Wrestrict misreads that insert.
+      std::string next = "s";
+      next += std::to_string(s);
       b.mos(LK, out, next, lrail);
       if (rng.chance(0.7)) {
         b.two(R, next, irail);

@@ -114,7 +114,11 @@ std::string Netlist::to_spice() const {
         break;
       }
     }
-    if (name.empty()) name = "n" + std::to_string(anon++);
+    if (name.empty()) {
+      // Appended, not "n" + ...: GCC 12's -Wrestrict misreads that insert.
+      name += 'n';
+      name += std::to_string(anon++);
+    }
     net_names[i] = std::move(name);
   }
   auto net_name_of = [&](const PinRef& p) -> std::string {

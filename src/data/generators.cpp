@@ -35,6 +35,14 @@ void bias_net(NetBuilder& b, Rng& rng, const std::string& bias,
   }
 }
 
+/// Ring-node name: `prefix` then the decimal `i`. Appending, where
+/// ring_node("r", i) would insert, keeps GCC 12's -Wrestrict from
+/// misreading libstdc++'s insert as an overlapping copy.
+std::string ring_node(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 }  // namespace
 
 Netlist gen_opamp(Rng& rng) {
@@ -215,13 +223,13 @@ Netlist gen_pll(Rng& rng) {
   // Ring oscillator (3 or 5 stages) with control coupling.
   const int stages = rng.chance(0.5) ? 3 : 5;
   for (int i = 0; i < stages; ++i) {
-    const std::string in = "r" + std::to_string(i);
-    const std::string out = "r" + std::to_string((i + 1) % stages);
+    const std::string in = ring_node("r", i);
+    const std::string out = ring_node("r", (i + 1) % stages);
     b.mos(N, in, out, "VSS");
     b.mos(P, in, out, "VDD");
   }
   b.two(R, "ctrl", "r0");  // VCO control coupling
-  b.io("r" + std::to_string(stages - 1), IoPin::Vout1);
+  b.io(ring_node("r", stages - 1), IoPin::Vout1);
   return b.take();
 }
 
@@ -346,8 +354,8 @@ Netlist gen_vco(Rng& rng) {
     // Free-running ring oscillator.
     const int stages = rng.chance(0.5) ? 3 : 5;
     for (int i = 0; i < stages; ++i) {
-      const std::string in = "r" + std::to_string(i);
-      const std::string out = "r" + std::to_string((i + 1) % stages);
+      const std::string in = ring_node("r", i);
+      const std::string out = ring_node("r", (i + 1) % stages);
       b.mos(N, in, out, "VSS");
       b.mos(P, in, out, "VDD");
     }

@@ -6,9 +6,8 @@
 
 namespace eva::opt {
 
-GaResult ga_optimize(
-    int dim, const std::function<double(const std::vector<double>&)>& fitness,
-    const GaConfig& cfg) {
+GaResult ga_optimize(int dim, const BatchFitness& fitness,
+                     const GaConfig& cfg) {
   EVA_REQUIRE(dim > 0, "ga_optimize: dim must be positive");
   EVA_REQUIRE(cfg.population >= 4, "ga_optimize: population too small");
   Rng rng(cfg.seed);
@@ -25,11 +24,19 @@ GaResult ga_optimize(
   // Seed one individual at the center (default-ish sizing).
   std::fill(pop[0].genome.begin(), pop[0].genome.end(), 0.5);
 
-  auto eval_all = [&](std::vector<Individual>& p) {
-    parallel_for(0, p.size(),
-                 [&](std::size_t i) { p[i].fit = fitness(p[i].genome); });
+  // Scores pop[from..] in one batch.
+  std::vector<const std::vector<double>*> genomes;
+  std::vector<double> fit;
+  auto evaluate = [&](std::size_t from) {
+    genomes.clear();
+    for (std::size_t i = from; i < pop.size(); ++i) {
+      genomes.push_back(&pop[i].genome);
+    }
+    fit.assign(genomes.size(), 0.0);
+    fitness(genomes, fit);
+    for (std::size_t i = from; i < pop.size(); ++i) pop[i].fit = fit[i - from];
   };
-  eval_all(pop);
+  evaluate(0);
 
   auto better = [](const Individual& a, const Individual& b) {
     return a.fit > b.fit;
@@ -72,9 +79,8 @@ GaResult ga_optimize(
       next.push_back(std::move(child));
     }
     pop = std::move(next);
-    // Elites keep their fitness; re-evaluate the offspring.
-    parallel_for(static_cast<std::size_t>(cfg.elites), pop.size(),
-                 [&](std::size_t i) { pop[i].fit = fitness(pop[i].genome); });
+    // Elites keep their fitness; evaluate the offspring.
+    evaluate(static_cast<std::size_t>(cfg.elites));
   }
   std::sort(pop.begin(), pop.end(), better);
   res.best = pop.front().genome;
@@ -83,20 +89,49 @@ GaResult ga_optimize(
   return res;
 }
 
+GaResult ga_optimize(
+    int dim, const std::function<double(const std::vector<double>&)>& fitness,
+    const GaConfig& cfg) {
+  const auto batch = [&](std::span<const std::vector<double>* const> genomes,
+                         std::span<double> fit) {
+    parallel_for(0, genomes.size(),
+                 [&](std::size_t i) { fit[i] = fitness(*genomes[i]); });
+  };
+  return ga_optimize(dim, BatchFitness(batch), cfg);
+}
+
 SizingResult size_topology(const circuit::Netlist& nl,
                            circuit::CircuitType target, const GaConfig& cfg) {
   SizingResult out;
   const int dim = nl.num_devices();
   if (dim == 0) return out;
 
-  auto fitness = [&](const std::vector<double>& genome) -> double {
-    const auto sizing = spice::sizing_from_unit(nl, genome);
-    const auto perf = spice::evaluate(nl, sizing, target);
-    return perf.ok ? perf.fom : -1.0;
+  const spice::Evaluator evaluator(nl, target);
+  // One lane group of candidates per pool task: each group's DC points
+  // are solved side by side, and the grouping does not depend on the
+  // pool's width.
+  const auto fitness = [&](std::span<const std::vector<double>* const> genomes,
+                           std::span<double> fit) {
+    const std::size_t groups = (genomes.size() + spice::kLanes - 1) /
+                               spice::kLanes;
+    parallel_for(0, groups, [&](std::size_t g) {
+      const std::size_t first = g * spice::kLanes;
+      const std::size_t n = std::min(spice::kLanes, genomes.size() - first);
+      std::vector<spice::Sizing> sizings;
+      sizings.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        sizings.push_back(evaluator.sizing_from_unit(*genomes[first + i]));
+      }
+      std::vector<spice::Performance> perf(n);
+      evaluator.evaluate(sizings, perf);
+      for (std::size_t i = 0; i < n; ++i) {
+        fit[first + i] = perf[i].ok ? perf[i].fom : -1.0;
+      }
+    });
   };
-  const GaResult ga = ga_optimize(dim, fitness, cfg);
-  out.sizing = spice::sizing_from_unit(nl, ga.best);
-  out.perf = spice::evaluate(nl, out.sizing, target);
+  const GaResult ga = ga_optimize(dim, BatchFitness(fitness), cfg);
+  out.sizing = evaluator.sizing_from_unit(ga.best);
+  out.perf = evaluator.evaluate(out.sizing);
   out.ok = out.perf.ok;
   return out;
 }

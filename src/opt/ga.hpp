@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "circuit/classify.hpp"
@@ -33,7 +34,20 @@ struct GaResult {
   std::vector<double> history;    // best fitness per generation
 };
 
+/// Fitness of a batch of genomes: fit[i] for *genomes[i]. The GA hands it
+/// a whole generation at once (the initial population, then each
+/// generation's offspring), so it may score them side by side.
+using BatchFitness =
+    std::function<void(std::span<const std::vector<double>* const> genomes,
+                       std::span<double> fit)>;
+
 /// Maximize `fitness` over [0,1]^dim.
+[[nodiscard]] GaResult ga_optimize(int dim, const BatchFitness& fitness,
+                                   const GaConfig& cfg);
+
+/// The same search with a per-genome fitness, run over the pool one
+/// genome at a time: returns what the batch form returns for the same
+/// scores.
 [[nodiscard]] GaResult ga_optimize(
     int dim, const std::function<double(const std::vector<double>&)>& fitness,
     const GaConfig& cfg);

@@ -16,9 +16,9 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <complex>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -78,15 +78,105 @@ struct SolveResult {
   bool deadline_exceeded = false;  // gave up on the wall-clock/attempt caps
 };
 
-/// DC + AC simulation of one sized netlist.
+/// Technology-like constants of the behavioural device models.
+namespace model {
+inline constexpr double kVthN = 0.5;
+inline constexpr double kVthP = 0.5;
+inline constexpr double kKpN = 2.0e-4;   // A/V^2 per W/L
+inline constexpr double kKpP = 8.0e-5;
+inline constexpr double kMosL = 1.0e-6;  // fixed channel length
+inline constexpr double kLambda = 0.1;
+inline constexpr double kDiodeIs = 1e-14;
+inline constexpr double kVt = 0.02585;
+inline constexpr double kBjtBeta = 100.0;
+inline constexpr double kBjtVa = 50.0;
+inline constexpr double kIndDcRes = 1.0;  // inductor DC series resistance
+// Converter-mode switch on- and off-resistance.
+inline constexpr double kSwitchOn = 2.0;
+inline constexpr double kSwitchOff = 1e8;
+}  // namespace model
+
+/// What every simulation of one netlist shares, whatever its sizing: the
+/// netlist -> MNA mapping, built once per topology (DESIGN.md §6,
+/// "Mini-SPICE DC solve"). Unknowns are the non-ground nets' voltages,
+/// then one branch current per voltage source.
 ///
 /// Preconditions: the netlist must be structurally valid (all pins in
-/// nets, VSS present). Construction performs the netlist -> MNA mapping;
-/// solve_dc() runs Newton; ac_sweep() requires a converged DC point.
+/// nets, VSS present); construction throws Error on a malformed one.
+struct PreparedCircuit {
+  struct Device {
+    circuit::DeviceKind kind{};
+    int n[4] = {-1, -1, -1, -1};  // node per pin (-1 = ground)
+    bool clk_gate = false;        // gate driven by a clock net
+    bool clk_is_phase1 = false;   // ... by CLK1 (vs CLK2)
+  };
+  struct Source {
+    int node = -1;
+    circuit::IoPin bias{};  // the IO pin whose bias forces the net
+    double ac = 0.0;  // AC drive amplitude (real: in-phase or inverted)
+  };
+
+  explicit PreparedCircuit(const circuit::Netlist& nl);
+
+  /// DC value of source `s` under `opts`.
+  [[nodiscard]] static double source_dc(const Source& s,
+                                        const SimOptions& opts);
+
+  int num_nodes = 0;  // non-ground nets
+  std::vector<Device> devices;
+  std::vector<Source> sources;
+  // IREF attachments: node plus current direction (+1 injects into the
+  // net — an NMOS-diode reference; -1 sinks out of it — a PMOS-diode
+  // reference, which must pull current from the mirror).
+  std::vector<std::pair<int, double>> iref_nodes;
+  std::vector<int> out_nodes;  // nets carrying VOUT pins
+  // Node of the net carrying each IO pin (-1: the ground net, or unused).
+  std::array<int, circuit::kNumIoPins> io_node{};
+  int vdd_source = -1;  // index into sources of the VDD source
+
+  [[nodiscard]] std::size_t num_unknowns() const {
+    return static_cast<std::size_t>(num_nodes) + sources.size();
+  }
+};
+
+/// The DC operating point of one sizing: node voltages then source
+/// currents (all zero unless result.converged), and how the solve went.
+struct DcPoint {
+  std::vector<double> v;
+  SolveResult result;
+};
+
+/// Newton DC solves of one circuit at many sizings: out[i] for
+/// sizes[i] (one value per device). The candidates share one MNA pattern,
+/// so they are solved side by side, kLanes to a group, and each is bitwise
+/// the solve of it alone (DESIGN.md §6, "Mini-SPICE DC solve"): a lane
+/// that converges freezes, the iteration cap, the attempt cap and source
+/// stepping are per lane, and the last few lanes of a group finish at
+/// width 1. Every candidate counts in the metrics as one
+/// Simulator::solve_dc() does, and meets the `spice_dc` fault site in
+/// candidate order before its solve. The wall-clock deadline is one per
+/// group.
+void solve_dc_batch(const PreparedCircuit& circuit,
+                    std::span<const std::vector<double>* const> sizes,
+                    const SimOptions& opts, std::span<DcPoint> out);
+
+/// DC + AC simulation of one sized netlist.
+///
+/// Preconditions: as PreparedCircuit's. Construction from a netlist
+/// performs the netlist -> MNA mapping; construction from a prepared
+/// circuit only takes the sizing. solve_dc() runs Newton; ac_sweep()
+/// requires a converged DC point.
 class Simulator {
  public:
   Simulator(const circuit::Netlist& nl, const Sizing& sizing,
             SimOptions opts = {});
+  /// `circuit` must outlive the simulator.
+  Simulator(const PreparedCircuit& circuit, const Sizing& sizing,
+            SimOptions opts = {});
+  /// A simulator at the DC point solve_dc_batch found for this circuit,
+  /// sizing and options, as if solve_dc() had just returned it.
+  Simulator(const PreparedCircuit& circuit, const Sizing& sizing,
+            SimOptions opts, DcPoint dc);
 
   /// Newton DC solve (with source-stepping fallback). Returns success.
   /// Iteration counts, fallback use and failure detail are recorded in
@@ -95,7 +185,7 @@ class Simulator {
   [[nodiscard]] bool solve_dc();
 
   /// Detail of the most recent solve_dc() call.
-  [[nodiscard]] const SolveResult& dc_result() const { return dc_result_; }
+  [[nodiscard]] const SolveResult& dc_result() const { return dc_.result; }
 
   /// Voltage of the net containing the given IO pin at the DC point.
   /// Requires a converged DC solve. Returns 0 for the ground net.
@@ -111,55 +201,21 @@ class Simulator {
                                               double f_hi = 1e10,
                                               int points = 61) const;
 
-  [[nodiscard]] int num_nodes() const { return num_nodes_; }
-  [[nodiscard]] bool dc_converged() const { return dc_converged_; }
+  [[nodiscard]] int num_nodes() const { return c_->num_nodes; }
+  [[nodiscard]] bool dc_converged() const { return dc_.result.converged; }
 
  private:
-  struct DeviceCtx {
-    circuit::DeviceKind kind{};
-    double size = 0.0;
-    int n[4] = {-1, -1, -1, -1};  // node per pin (-1 = ground)
-    bool clk_gate = false;        // gate driven by a clock net
-    bool clk_is_phase1 = false;   // ... by CLK1 (vs CLK2)
-  };
-  struct VSource {
-    int node = -1;
-    double dc = 0.0;
-    double ac = 0.0;  // AC drive amplitude (real: in-phase or inverted)
-  };
-
-  [[nodiscard]] bool newton(double source_scale);
-  /// True once the solve_dc() wall-clock deadline has passed (marks the
-  /// result; checked once per Newton iteration).
-  [[nodiscard]] bool dc_deadline_hit();
-  void stamp_dc(DenseMatrix<double>& mat, std::vector<double>& rhs,
-                const std::vector<double>& v, double source_scale) const;
   /// Frequency-independent part of the AC system at the DC point:
   /// conductances `g` (everything but capacitors and inductors) and
   /// capacitances `c`, so that A(w) = G + jwC plus the inductor branches.
   void stamp_small_signal(DenseMatrix<double>& g,
                           DenseMatrix<double>& c) const;
 
-  const circuit::Netlist* nl_;
+  std::unique_ptr<const PreparedCircuit> owned_;  // built from a netlist
+  const PreparedCircuit* c_;
   SimOptions opts_;
-  std::chrono::steady_clock::time_point dc_deadline_{};
-  bool dc_deadline_armed_ = false;
-  int num_nodes_ = 0;   // non-ground nets
-  int num_vsrc_ = 0;
-  std::vector<DeviceCtx> devs_;
-  std::vector<VSource> vsrcs_;
-  // IREF attachments: node plus current direction (+1 injects into the
-  // net — an NMOS-diode reference; -1 sinks out of it — a PMOS-diode
-  // reference, which must pull current from the mirror).
-  std::vector<std::pair<int, double>> iref_nodes_;
-  std::vector<int> out_nodes_;  // nets carrying VOUT pins
-  // Node of the net carrying each IO pin (-1: the ground net, or unused).
-  std::array<int, circuit::kNumIoPins> io_node_{};
-  int in1_node_ = -1, in2_node_ = -1;
-  int vdd_src_ = -1;  // index into vsrcs_ of the VDD source
-  std::vector<double> v_;  // solution: node voltages then source currents
-  bool dc_converged_ = false;
-  SolveResult dc_result_;
+  std::vector<double> size_;  // per device, as the sizing gave it
+  DcPoint dc_;  // the most recent DC solve
 };
 
 /// Why a netlist failed (or passed) the validity predicate. Lets the

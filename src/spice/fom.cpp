@@ -38,14 +38,10 @@ Performance sanitize(Performance perf) {
   return perf;
 }
 
-Performance eval_smallsignal(const Netlist& nl, const Sizing& sz,
-                             const SimOptions& base) {
+/// Small-signal figures at a converged DC point.
+Performance smallsignal_perf(const Simulator& sim, const SimOptions& opts) {
   Performance perf;
-  SimOptions opts = base;
-  opts.converter_mode = false;
   try {
-    Simulator sim(nl, sz, opts);
-    if (!sim.solve_dc()) return perf;
     perf.power_w = std::max(sim.supply_power(), 1e-9);
     const auto sweep = sim.ac_sweep(1.0, 1e10, std::max(opts.ac_points, 2));
     if (sweep.empty()) return perf;
@@ -96,23 +92,86 @@ Performance eval_smallsignal(const Netlist& nl, const Sizing& sz,
   return perf;
 }
 
-Performance eval_converter(const Netlist& nl, const Sizing& sz,
-                           const SimOptions& base) {
-  Performance perf;
-  SimOptions opts = base;
-  opts.converter_mode = true;
+}  // namespace
+
+Evaluator::Evaluator(const Netlist& nl, CircuitType type,
+                     const SimOptions& base)
+    : type_(type), base_(base), space_(sizing_space(nl)) {
+  if (!circuit::structurally_valid(nl)) return;
   try {
+    circuit_.emplace(nl);
+  } catch (const Error&) {
+    circuit_.reset();
+  }
+  if (!nl.uses_io(circuit::IoPin::Vout1)) {
+    converter_out_ = circuit::IoPin::Vout2;
+  }
+}
+
+Performance Evaluator::evaluate(const Sizing& sizing) const {
+  Performance perf;
+  evaluate({&sizing, 1}, {&perf, 1});
+  return perf;
+}
+
+void Evaluator::evaluate(std::span<const Sizing> sizings,
+                         std::span<Performance> out) const {
+  EVA_REQUIRE(sizings.size() == out.size(), "evaluate: batch size mismatch");
+  std::fill(out.begin(), out.end(), Performance{});
+  if (!circuit_) return;
+  const PreparedCircuit& c = *circuit_;
+  // Candidates whose sizing fits the netlist; the others fail unsolved.
+  std::vector<std::size_t> todo;
+  std::vector<const std::vector<double>*> sizes;
+  for (std::size_t i = 0; i < sizings.size(); ++i) {
+    if (sizings[i].value.size() != c.devices.size()) continue;
+    todo.push_back(i);
+    sizes.push_back(&sizings[i].value);
+  }
+  std::vector<DcPoint> dc(todo.size());
+  SimOptions opts = base_;
+
+  if (type_ != CircuitType::PowerConverter) {
+    opts.converter_mode = false;
+    solve_dc_batch(c, sizes, opts, dc);
+    for (std::size_t k = 0; k < todo.size(); ++k) {
+      if (!dc[k].result.converged) continue;
+      const std::size_t i = todo[k];
+      out[i] = sanitize(smallsignal_perf(
+          Simulator(c, sizings[i], opts, std::move(dc[k])), opts));
+    }
+    return;
+  }
+
+  // Converters: two-phase quasi-static averaged analysis. Phase B solves
+  // only the candidates whose phase A converged.
+  opts.converter_mode = true;
+  opts.phase_a = true;
+  solve_dc_batch(c, sizes, opts, dc);
+  std::vector<std::size_t> both;
+  std::vector<const std::vector<double>*> sizes_b;
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    if (!dc[k].result.converged) continue;
+    both.push_back(k);
+    sizes_b.push_back(sizes[k]);
+  }
+  SimOptions opts_b = opts;
+  opts_b.phase_a = false;
+  std::vector<DcPoint> dc_b(both.size());
+  solve_dc_batch(c, sizes_b, opts_b, dc_b);
+  for (std::size_t j = 0; j < both.size(); ++j) {
+    if (!dc_b[j].result.converged) continue;
+    const std::size_t k = both[j];
+    const std::size_t i = todo[k];
+    const Simulator phase_a(c, sizings[i], opts, std::move(dc[k]));
+    const Simulator phase_b(c, sizings[i], opts_b, std::move(dc_b[j]));
     double vout_sum = 0.0;
     double pin_sum = 0.0;
-    for (const bool phase_a : {true, false}) {
-      opts.phase_a = phase_a;
-      Simulator sim(nl, sz, opts);
-      if (!sim.solve_dc()) return perf;
-      vout_sum += sim.io_voltage(nl.uses_io(circuit::IoPin::Vout1)
-                                     ? circuit::IoPin::Vout1
-                                     : circuit::IoPin::Vout2);
-      pin_sum += sim.supply_power();
+    for (const Simulator* sim : {&phase_a, &phase_b}) {
+      vout_sum += sim->io_voltage(converter_out_);
+      pin_sum += sim->supply_power();
     }
+    Performance perf;
     const double vout = vout_sum / 2.0;
     const double pin = std::max(pin_sum / 2.0, 1e-12);
     const double pout = vout * vout / opts.load_res;
@@ -121,21 +180,13 @@ Performance eval_converter(const Netlist& nl, const Sizing& sz,
     perf.power_w = pin;
     perf.fom = std::abs(perf.ratio) * perf.efficiency * 4.0;
     perf.ok = true;
-  } catch (const Error&) {
-    perf.ok = false;
+    out[i] = sanitize(perf);
   }
-  return perf;
 }
-
-}  // namespace
 
 Performance evaluate(const Netlist& nl, const Sizing& sizing,
                      CircuitType type, const SimOptions& base) {
-  if (!circuit::structurally_valid(nl)) return {};
-  if (type == CircuitType::PowerConverter) {
-    return sanitize(eval_converter(nl, sizing, base));
-  }
-  return sanitize(eval_smallsignal(nl, sizing, base));
+  return Evaluator(nl, type, base).evaluate(sizing);
 }
 
 Performance evaluate_default(const Netlist& nl, CircuitType type) {

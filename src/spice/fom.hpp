@@ -10,6 +10,9 @@
 // for reasonable converters (substitution documented in DESIGN.md §4).
 #pragma once
 
+#include <optional>
+#include <span>
+
 #include "circuit/classify.hpp"
 #include "spice/engine.hpp"
 
@@ -30,8 +33,42 @@ struct Performance {
   double efficiency = 0.0;  // Pout / Pin
 };
 
-/// Evaluate a sized topology as circuit type `type`. Never throws on
-/// non-convergence — returns ok = false.
+/// One topology prepared for evaluation as one circuit type: the structure
+/// verdict, the MNA mapping and the sizing bounds are built once, so each
+/// evaluation only stamps its own device values. Const methods may run
+/// concurrently.
+class Evaluator {
+ public:
+  Evaluator(const circuit::Netlist& nl, circuit::CircuitType type,
+            const SimOptions& base = {});
+
+  /// Performance at one sizing. Never throws on non-convergence — returns
+  /// ok = false.
+  [[nodiscard]] Performance evaluate(const Sizing& sizing) const;
+
+  /// out[i] = evaluate(sizings[i]) for every i, bit for bit, with the DC
+  /// operating points solved side by side (DESIGN.md §6, "Mini-SPICE DC
+  /// solve").
+  void evaluate(std::span<const Sizing> sizings,
+                std::span<Performance> out) const;
+
+  /// sizing_from_unit over this topology's bounds.
+  [[nodiscard]] Sizing sizing_from_unit(const std::vector<double>& u) const {
+    return spice::sizing_from_unit(space_, u);
+  }
+
+ private:
+  circuit::CircuitType type_;
+  SimOptions base_;
+  // Empty when the netlist is structurally invalid or cannot be mapped:
+  // every evaluation then fails without a solve.
+  std::optional<PreparedCircuit> circuit_;
+  circuit::IoPin converter_out_ = circuit::IoPin::Vout1;
+  std::vector<SizeBounds> space_;
+};
+
+/// Evaluate a sized topology as circuit type `type`: an Evaluator used
+/// once. Never throws on non-convergence — returns ok = false.
 [[nodiscard]] Performance evaluate(const circuit::Netlist& nl,
                                    const Sizing& sizing,
                                    circuit::CircuitType type,

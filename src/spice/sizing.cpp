@@ -48,7 +48,11 @@ Sizing default_sizing(const circuit::Netlist& nl) {
 
 Sizing sizing_from_unit(const circuit::Netlist& nl,
                         const std::vector<double>& u) {
-  const auto space = sizing_space(nl);
+  return sizing_from_unit(sizing_space(nl), u);
+}
+
+Sizing sizing_from_unit(const std::vector<SizeBounds>& space,
+                        const std::vector<double>& u) {
   EVA_REQUIRE(u.size() == space.size(), "sizing_from_unit length mismatch");
   Sizing s;
   s.value.reserve(space.size());

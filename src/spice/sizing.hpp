@@ -38,4 +38,8 @@ struct SizeBounds {
 [[nodiscard]] Sizing sizing_from_unit(const circuit::Netlist& nl,
                                       const std::vector<double>& u);
 
+/// The same decoding over bounds sizing_space already gave.
+[[nodiscard]] Sizing sizing_from_unit(const std::vector<SizeBounds>& space,
+                                      const std::vector<double>& u);
+
 }  // namespace eva::spice

@@ -10,6 +10,17 @@
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
+// The quantized kernels' AVX-512 intrinsics, at file scope. GCC 12's own
+// headers report their `__Y` temporaries as maybe uninitialized wherever an
+// intrinsic inlines (nine reports in this file); those reports carry the
+// header's location, so the warning is off for this include alone.
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VNNI__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 namespace eva::tensor {
 
 namespace {
@@ -209,7 +220,6 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VNNI__)
 #define EVA_QKERNELS_AVX512 1
-#include <immintrin.h>
 #endif
 
 namespace {

@@ -97,7 +97,9 @@ TEST(Mutate, GrowsDeviceCount) {
   const int before = nl.num_devices();
   int grew = 0;
   for (int i = 0; i < 5; ++i) grew += mutate(nl, rng);
-  if (grew > 0) EXPECT_GT(nl.num_devices(), before);
+  if (grew > 0) {
+    EXPECT_GT(nl.num_devices(), before);
+  }
 }
 
 // --- dataset ---------------------------------------------------------------

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "circuit/canon.hpp"
 #include "data/builder.hpp"
@@ -10,6 +12,7 @@
 #include "eval/metrics.hpp"
 #include "opt/ga.hpp"
 #include "spice/fom.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -90,6 +93,54 @@ TEST(Ga, SizeTopologyEmptyNetlist) {
   Netlist empty;
   const auto res = opt::size_topology(empty, CircuitType::OpAmp, {});
   EXPECT_FALSE(res.ok);
+}
+
+TEST(Ga, BatchFitnessMatchesPerGenome) {
+  // The per-genome form adapts to the batch form: the same scores give the
+  // same search, bit for bit.
+  const auto score = [](const std::vector<double>& x) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      s -= (x[i] - 0.3) * (x[i] - 0.3) * static_cast<double>(i + 1);
+    }
+    return s;
+  };
+  const opt::BatchFitness batch =
+      [&](std::span<const std::vector<double>* const> genomes,
+          std::span<double> fit) {
+        for (std::size_t i = 0; i < genomes.size(); ++i) {
+          fit[i] = score(*genomes[i]);
+        }
+      };
+  opt::GaConfig cfg;
+  cfg.seed = 77;
+  const auto a = opt::ga_optimize(5, score, cfg);
+  const auto b = opt::ga_optimize(5, batch, cfg);
+  EXPECT_EQ(a.best, b.best);
+  EXPECT_EQ(std::memcmp(&a.best_fitness, &b.best_fitness, sizeof(double)), 0);
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.history[i], &b.history[i], sizeof(double)), 0);
+  }
+}
+
+TEST(Ga, SizeTopologyBitwiseAcrossPoolWidths) {
+  // Lane groups are spread over the pool; the grouping depends only on the
+  // generation, so one and four workers size every topology alike.
+  Rng rng(41);
+  for (const auto type : {CircuitType::OpAmp, CircuitType::Bandgap,
+                          CircuitType::PowerConverter}) {
+    const Netlist nl = data::generate(type, rng);
+    set_num_threads(1);
+    const auto one = opt::size_topology(nl, type, {});
+    set_num_threads(4);
+    const auto four = opt::size_topology(nl, type, {});
+    set_num_threads(0);
+    EXPECT_EQ(one.ok, four.ok) << circuit::type_name(type);
+    EXPECT_EQ(one.sizing.value, four.sizing.value) << circuit::type_name(type);
+    EXPECT_EQ(std::memcmp(&one.perf.fom, &four.perf.fom, sizeof(double)), 0)
+        << circuit::type_name(type);
+  }
 }
 
 // --- MMD ----------------------------------------------------------------------

@@ -12,6 +12,8 @@
 #include "circuit/validity.hpp"
 #include "data/builder.hpp"
 #include "data/generators.hpp"
+#include "dc_reference.hpp"
+#include "obs/metrics.hpp"
 #include "spice/engine.hpp"
 #include "spice/fom.hpp"
 #include "spice/mna.hpp"
@@ -23,6 +25,7 @@ using namespace eva::spice;
 using namespace eva::circuit;
 using eva::Rng;
 using eva::data::NetBuilder;
+using eva::spice::reference::lu_solve;
 
 // --- dense LU ---------------------------------------------------------------
 
@@ -982,6 +985,95 @@ TEST(Fom, GeneratedConvertersEvaluate) {
     ok += perf.ok;
   }
   EXPECT_GE(ok, 5);
+}
+
+bool same_perf(const Performance& a, const Performance& b) {
+  return a.ok == b.ok && same_bits(a.fom, b.fom) && same_bits(a.gain, b.gain) &&
+         same_bits(a.gain_db, b.gain_db) && same_bits(a.bw_hz, b.bw_hz) &&
+         same_bits(a.ugbw_hz, b.ugbw_hz) && same_bits(a.power_w, b.power_w) &&
+         same_bits(a.ratio, b.ratio) && same_bits(a.efficiency, b.efficiency);
+}
+
+/// Sizings at the unit cube's center and corners plus random points.
+std::vector<Sizing> sizings_for(const Netlist& nl, Rng& rng, std::size_t n) {
+  const auto space = sizing_space(nl);
+  std::vector<Sizing> out{default_sizing(nl),
+                          sizing_from_unit(nl, std::vector<double>(space.size(), 0.0)),
+                          sizing_from_unit(nl, std::vector<double>(space.size(), 1.0))};
+  while (out.size() < n) {
+    std::vector<double> u(space.size());
+    for (double& x : u) x = rng.uniform();
+    out.push_back(sizing_from_unit(nl, u));
+  }
+  return out;
+}
+
+TEST(Fom, PreparedEvaluatorRepeatsBitwise) {
+  // One prepared circuit evaluated at A, B, then A again gives A's bits
+  // both times, equal to a fresh evaluate: no state leaks between calls.
+  Rng rng(31);
+  for (int t = 0; t < eva::circuit::kNumCircuitTypes; ++t) {
+    const auto type = static_cast<CircuitType>(t);
+    const Netlist nl = eva::data::generate(type, rng);
+    const auto sz = sizings_for(nl, rng, 4);
+    const Evaluator ev(nl, type);
+    for (std::size_t b = 1; b < sz.size(); ++b) {
+      const Performance first = ev.evaluate(sz[0]);
+      (void)ev.evaluate(sz[b]);
+      const Performance again = ev.evaluate(sz[0]);
+      EXPECT_TRUE(same_perf(first, again)) << type_name(type) << " B=" << b;
+      EXPECT_TRUE(same_perf(first, evaluate(nl, sz[0], type)))
+          << type_name(type) << " B=" << b;
+    }
+  }
+}
+
+TEST(Fom, BatchEvaluateMatchesSingleBitwise) {
+  // A batch solves its DC points side by side; every result must be the
+  // single-candidate evaluate's, whatever its place in the batch.
+  Rng rng(32);
+  const std::size_t sizes[] = {1, kLanes - 1, kLanes, kLanes + 1};
+  for (int t = 0; t < eva::circuit::kNumCircuitTypes; ++t) {
+    const auto type = static_cast<CircuitType>(t);
+    const Netlist nl = eva::data::generate(type, rng);
+    const auto pool = sizings_for(nl, rng, kLanes + 1);
+    std::vector<Performance> want;
+    for (const auto& s : pool) want.push_back(evaluate(nl, s, type));
+    const Evaluator ev(nl, type);
+    for (const std::size_t b : sizes) {
+      for (std::size_t rot = 0; rot < pool.size(); ++rot) {
+        std::vector<Sizing> batch;
+        for (std::size_t j = 0; j < b; ++j) {
+          batch.push_back(pool[(rot + j) % pool.size()]);
+        }
+        std::vector<Performance> got(b);
+        ev.evaluate(batch, got);
+        for (std::size_t j = 0; j < b; ++j) {
+          EXPECT_TRUE(same_perf(got[j], want[(rot + j) % pool.size()]))
+              << type_name(type) << " batch " << b << " rotation " << rot
+              << " slot " << j << ": fom " << got[j].fom << " vs "
+              << want[(rot + j) % pool.size()].fom;
+        }
+      }
+    }
+  }
+}
+
+TEST(Fom, StructurallyInvalidRunsNoSolve) {
+  NetBuilder b;
+  b.rails();
+  b.io("out", IoPin::Vout1);
+  b.two(DeviceKind::Resistor, "VDD", "out");  // VOUT has no path to VSS
+  const Netlist nl = b.take();
+  ASSERT_FALSE(structurally_valid(nl));
+  const auto before = eva::obs::counter("spice.dc_solves").value();
+  const Evaluator ev(nl, CircuitType::OpAmp);
+  std::vector<Sizing> batch(3, default_sizing(nl));
+  std::vector<Performance> got(3);
+  ev.evaluate(batch, got);
+  for (const auto& p : got) EXPECT_FALSE(p.ok);
+  EXPECT_FALSE(evaluate(nl, default_sizing(nl), CircuitType::OpAmp).ok);
+  EXPECT_EQ(eva::obs::counter("spice.dc_solves").value(), before);
 }
 
 TEST(Fom, InvalidNetlistNotOk) {
