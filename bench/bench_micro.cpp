@@ -164,6 +164,34 @@ void BM_TensorMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
+// One layer's causal attention, forward and backward, at the pretrain
+// shape (batch 8, d_model 64, 2 heads) and pool width 1: q, k and v in,
+// the context out, its gradient back to q, k and v. The argument is the
+// sequence length; items_per_second == tokens/sec.
+void BM_CausalAttention(benchmark::State& state) {
+  set_num_threads(1);
+  constexpr int kBatch = 8, kC = 64, kHeads = 2;
+  const int T = static_cast<int>(state.range(0));
+  Rng rng(46);
+  const tensor::Shape shape{kBatch, T, kC};
+  auto q = tensor::Tensor::randn(shape, rng, 1.0f);
+  auto k = tensor::Tensor::randn(shape, rng, 1.0f);
+  auto v = tensor::Tensor::randn(shape, rng, 1.0f);
+  auto g = tensor::Tensor::randn(shape, rng, 1.0f, false);
+  for (auto _ : state) {
+    auto loss = tensor::sum_all(
+        tensor::mul(tensor::causal_attention(q, k, v, kHeads), g));
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch * T);
+  set_num_threads(0);
+}
+BENCHMARK(BM_CausalAttention)
+    ->Arg(32)->Arg(100)->Arg(255)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // The training rows take the thread pool's width as their argument:
 // /1 runs every parallel region inline, so a run pinned to one CPU times
 // one thread; /0 is the hardware default.

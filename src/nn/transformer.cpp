@@ -113,23 +113,14 @@ void TransformerLM::set_inference_quant(QuantKind kind) {
                                     static_cast<std::size_t>(cfg_.vocab));
 }
 
-Tensor TransformerLM::block_forward(const Tensor& x, const Block& blk, int T,
+Tensor TransformerLM::block_forward(const Tensor& x, const Block& blk,
                                     bool training, Rng* dropout_rng) const {
-  const int H = cfg_.n_heads;
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(cfg_.d_model / cfg_.n_heads));
-
   // Attention sublayer.
   Tensor h = layernorm(x, blk.ln1_g, blk.ln1_b);
   Tensor q = add(matmul(h, blk.wq), blk.bq);
   Tensor k = add(matmul(h, blk.wk), blk.bk);
   Tensor v = add(matmul(h, blk.wv), blk.bv);
-  Tensor qh = split_heads(q, H);
-  Tensor kh = split_heads(k, H);
-  Tensor vh = split_heads(v, H);
-  Tensor scores = mul_scalar(matmul(qh, transpose_last(kh)), scale);
-  Tensor probs = causal_softmax(scores, T);
-  Tensor ctx = merge_heads(matmul(probs, vh), H);
+  Tensor ctx = causal_attention(q, k, v, cfg_.n_heads);
   Tensor att = add(matmul(ctx, blk.wo), blk.bo);
   if (training && dropout_rng != nullptr && cfg_.dropout > 0.0f) {
     att = dropout(att, cfg_.dropout, *dropout_rng, true);
@@ -162,7 +153,7 @@ Tensor TransformerLM::forward_hidden(const std::vector<int>& tokens, int B,
   }
   x = add(x, embedding(pos_emb_, pos, B, T));
   for (const auto& blk : blocks_) {
-    x = block_forward(x, blk, T, training, dropout_rng);
+    x = block_forward(x, blk, training, dropout_rng);
   }
   return layernorm(x, lnf_g_, lnf_b_);
 }

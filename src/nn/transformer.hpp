@@ -135,8 +135,7 @@ class TransformerLM {
   };
 
   [[nodiscard]] tensor::Tensor block_forward(const tensor::Tensor& x,
-                                             const Block& blk, int T,
-                                             bool training,
+                                             const Block& blk, bool training,
                                              Rng* dropout_rng) const;
 
   ModelConfig cfg_;

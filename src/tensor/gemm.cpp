@@ -25,13 +25,15 @@ namespace eva::tensor {
 
 namespace {
 
-/// FLOP accounting for every kernel entry (2*M*K*N per GEMM). One relaxed
+/// FLOP accounting for every kernel entry (2*M*K*N per GEMM, or twice
+/// the multiply-adds of the tiles a causal product runs). One relaxed
 /// striped add per call; bench_micro and the trainer read the counter to
 /// report GFLOP/s without re-deriving shapes.
 void count_flops(std::size_t m, std::size_t k, std::size_t n) {
   static obs::Counter& flops = obs::counter("tensor.gemm_flops");
   flops.add(static_cast<std::int64_t>(2 * m * k * n));
 }
+void count_macs(std::size_t macs) { count_flops(macs, 1, 1); }
 
 // Register tile: MR rows x NR columns of C. NR = 32 floats = two 64-byte
 // cache lines per row, picked empirically: with AVX2/AVX-512 the full
@@ -196,6 +198,70 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
         }
       },
       kNr);
+}
+
+void gemm_nt_causal(const float* A, std::size_t lda, const float* B,
+                    std::size_t ldb, float* S, std::size_t T, std::size_t K) {
+  std::size_t macs = 0;
+  float bt[kKc * kNr];
+  for (std::size_t nb = 0; nb < T; nb += kNr) {
+    const std::size_t nr = std::min(kNr, T - nb);
+    for (std::size_t kb = 0; kb < K; kb += kKc) {
+      const std::size_t kc = std::min(kKc, K - kb);
+      for (std::size_t j = 0; j < nr; ++j) {
+        const float* src = B + (nb + j) * ldb + kb;
+        for (std::size_t k = 0; k < kc; ++k) bt[k * kNr + j] = src[k];
+      }
+      // nb is a multiple of kMr: the first row tile reaching column nb
+      // starts there.
+      for (std::size_t i0 = nb; i0 < T; i0 += kMr) {
+        const std::size_t mr = std::min(kMr, T - i0);
+        const std::size_t cols = std::min(nr, i0 + mr - nb);
+        micro_kernel(kc, A + i0 * lda + kb, lda, 1, bt, kNr, S + i0 * T + nb,
+                     T, mr, cols);
+        macs += mr * cols * kc;
+      }
+    }
+  }
+  count_macs(macs);
+}
+
+void gemm_nn_causal(const float* P, const float* B, std::size_t ldb, float* C,
+                    std::size_t ldc, std::size_t T, std::size_t N) {
+  std::size_t macs = 0;
+  for (std::size_t i0 = 0; i0 < T; i0 += kMr) {
+    const std::size_t mr = std::min(kMr, T - i0);
+    const std::size_t i1 = i0 + mr;
+    for (std::size_t kb = 0; kb < i1; kb += kKc) {
+      const std::size_t kc = std::min(kKc, i1 - kb);
+      for (std::size_t nb = 0; nb < N; nb += kNr) {
+        const std::size_t nr = std::min(kNr, N - nb);
+        micro_kernel(kc, P + i0 * T + kb, T, 1, B + kb * ldb + nb, ldb,
+                     C + i0 * ldc + nb, ldc, mr, nr);
+      }
+    }
+    macs += mr * i1 * N;
+  }
+  count_macs(macs);
+}
+
+void gemm_tn_causal(const float* P, const float* B, std::size_t ldb, float* C,
+                    std::size_t ldc, std::size_t T, std::size_t N) {
+  std::size_t macs = 0;
+  for (std::size_t i0 = 0; i0 < T; i0 += kMr) {
+    const std::size_t mr = std::min(kMr, T - i0);
+    // The reduction starts at i0 but its panels stay on multiples of kKc.
+    for (std::size_t kb = i0; kb < T; kb = (kb / kKc + 1) * kKc) {
+      const std::size_t kc = std::min((kb / kKc + 1) * kKc, T) - kb;
+      for (std::size_t nb = 0; nb < N; nb += kNr) {
+        const std::size_t nr = std::min(kNr, N - nb);
+        micro_kernel(kc, P + kb * T + i0, 1, T, B + kb * ldb + nb, ldb,
+                     C + i0 * ldc + nb, ldc, mr, nr);
+      }
+    }
+    macs += mr * (T - i0) * N;
+  }
+  count_macs(macs);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,6 +47,33 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
 void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
              std::size_t M, std::size_t N);
 
+// --- Lower-triangle products of causal attention -------------------------
+// One head per call, serial (tensor::causal_attention runs heads under
+// parallel_for). S and P are T x T, row-major with leading dimension T;
+// P is zero above the diagonal. The other operands are row-major with
+// leading dimension ld, so a head's columns of a (B,T,C) tensor are read
+// and written in place at ld = C. Rows go in the micro-kernel's 8-row
+// tiles, and a tile of rows [i0, i1) runs only the terms that can reach
+// a causal output: columns or reduction indices below i1, or from i0 on
+// for the transposed product. Every term skipped is a multiple of a zero
+// of P (or of the masked scores) that the full-square GEMM adds onto its
+// accumulator, and every element keeps the full GEMM's reduction order
+// and 256-index panels, so on finite input each result is bitwise what
+// gemm_nn / gemm_nt / gemm_tn give over the whole square.
+// tensor.gemm_flops counts the tiles run.
+
+/// S(T,T) += A(T,K) @ B(T,K)^T, row tile [i0, i1) over columns [0, i1).
+void gemm_nt_causal(const float* A, std::size_t lda, const float* B,
+                    std::size_t ldb, float* S, std::size_t T, std::size_t K);
+
+/// C(T,N) += P(T,T) @ B(T,N), row tile [i0, i1) reducing over [0, i1).
+void gemm_nn_causal(const float* P, const float* B, std::size_t ldb, float* C,
+                    std::size_t ldc, std::size_t T, std::size_t N);
+
+/// C(T,N) += P(T,T)^T @ B(T,N), row tile [i0, i1) reducing over [i0, T).
+void gemm_tn_causal(const float* P, const float* B, std::size_t ldb, float* C,
+                    std::size_t ldc, std::size_t T, std::size_t N);
+
 /// Y(n,out) ~= epilogue(X(n,in) @ dequant(W) [+ bias]) for a quantized
 /// weight matrix W(in,out), within the tier's documented error bound.
 /// Overwrites Y; bias must be non-null for the kBias/kBiasGelu

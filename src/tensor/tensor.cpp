@@ -546,12 +546,6 @@ Tensor log_t(const Tensor& a) {
       [](float x, float) { return 1.0f / x; });
 }
 
-Tensor tanh_t(const Tensor& a) {
-  return unary_op(
-      a, "tanh", [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
-}
-
 Tensor sigmoid(const Tensor& a) {
   return unary_op(
       a, "sigmoid", [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
@@ -806,83 +800,6 @@ Tensor reshape(const Tensor& a, Shape shape) {
   return Tensor{out};
 }
 
-namespace {
-
-// Index map between (B,T,H,D) packed as (B,T,H*D) and (B*H,T,D).
-void heads_copy(const float* src, float* dst, std::size_t B, std::size_t T,
-                std::size_t H, std::size_t D, bool splitting) {
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t t = 0; t < T; ++t) {
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t merged = ((b * T + t) * H + h) * D;
-        const std::size_t split = ((b * H + h) * T + t) * D;
-        const float* s = src + (splitting ? merged : split);
-        float* d = dst + (splitting ? split : merged);
-        for (std::size_t k = 0; k < D; ++k) d[k] = s[k];
-      }
-    }
-  }
-}
-
-void heads_accum(const float* src, float* dst, std::size_t B, std::size_t T,
-                 std::size_t H, std::size_t D, bool splitting) {
-  // Backward of heads_copy: accumulate through the inverse index map.
-  for (std::size_t b = 0; b < B; ++b) {
-    for (std::size_t t = 0; t < T; ++t) {
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t merged = ((b * T + t) * H + h) * D;
-        const std::size_t split = ((b * H + h) * T + t) * D;
-        const float* s = src + (splitting ? split : merged);
-        float* d = dst + (splitting ? merged : split);
-        for (std::size_t k = 0; k < D; ++k) d[k] += s[k];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Tensor split_heads(const Tensor& a, int heads) {
-  auto an = a.node();
-  EVA_ASSERT(an, "undefined operand");
-  const Shape& s = an->shape;
-  EVA_REQUIRE(s.size() == 3, "split_heads needs (B,T,C)");
-  EVA_REQUIRE(s[2] % heads == 0, "channels not divisible by heads");
-  const auto B = static_cast<std::size_t>(s[0]);
-  const auto T = static_cast<std::size_t>(s[1]);
-  const auto H = static_cast<std::size_t>(heads);
-  const auto D = static_cast<std::size_t>(s[2] / heads);
-  auto out = make_result({s[0] * heads, s[1], s[2] / heads}, "split_heads", {an});
-  heads_copy(an->data.data(), out->data.data(), B, T, H, D, true);
-  if (out->requires_grad) {
-    out->backward = [an, B, T, H, D](Node& self) {
-      heads_accum(self.grad.data(), an->grad.data(), B, T, H, D, true);
-    };
-  }
-  return Tensor{out};
-}
-
-Tensor merge_heads(const Tensor& a, int heads) {
-  auto an = a.node();
-  EVA_ASSERT(an, "undefined operand");
-  const Shape& s = an->shape;
-  EVA_REQUIRE(s.size() == 3, "merge_heads needs (B*H,T,D)");
-  EVA_REQUIRE(s[0] % heads == 0, "batch not divisible by heads");
-  const auto B = static_cast<std::size_t>(s[0] / heads);
-  const auto T = static_cast<std::size_t>(s[1]);
-  const auto H = static_cast<std::size_t>(heads);
-  const auto D = static_cast<std::size_t>(s[2]);
-  auto out =
-      make_result({s[0] / heads, s[1], s[2] * heads}, "merge_heads", {an});
-  heads_copy(an->data.data(), out->data.data(), B, T, H, D, false);
-  if (out->requires_grad) {
-    out->backward = [an, B, T, H, D](Node& self) {
-      heads_accum(self.grad.data(), an->grad.data(), B, T, H, D, false);
-    };
-  }
-  return Tensor{out};
-}
-
 // ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
@@ -948,46 +865,19 @@ Tensor masked_mean(const Tensor& a, const std::vector<float>& mask) {
 
 namespace {
 
-// Shared softmax forward over independent rows with per-row valid length.
-// valid_len(r) gives the number of leading entries that participate; the
-// rest get probability 0.
-template <typename ValidFn>
-void softmax_rows(const float* x, float* y, std::size_t rows, std::size_t cols,
-                  ValidFn valid_len) {
-  parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t v = valid_len(r);
-      const float* xr = x + r * cols;
-      float* yr = y + r * cols;
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::size_t c = 0; c < v; ++c) mx = std::max(mx, xr[c]);
-      float z = 0.0f;
-      for (std::size_t c = 0; c < v; ++c) {
-        yr[c] = std::exp(xr[c] - mx);
-        z += yr[c];
-      }
-      const float inv = 1.0f / z;
-      for (std::size_t c = 0; c < v; ++c) yr[c] *= inv;
-      for (std::size_t c = v; c < cols; ++c) yr[c] = 0.0f;
-    }
-  });
-}
-
-template <typename ValidFn>
-void softmax_backward_rows(const float* y, const float* g, float* gx,
-                           std::size_t rows, std::size_t cols,
-                           ValidFn valid_len) {
-  parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t v = valid_len(r);
-      const float* yr = y + r * cols;
-      const float* gr = g + r * cols;
-      float* gxr = gx + r * cols;
-      float dot = 0.0f;
-      for (std::size_t c = 0; c < v; ++c) dot += yr[c] * gr[c];
-      for (std::size_t c = 0; c < v; ++c) gxr[c] += yr[c] * (gr[c] - dot);
-    }
-  });
+/// Softmax of the first v entries of a row of cols (x and y may be the
+/// same row); the other cols - v entries get probability 0.
+void softmax_row(const float* x, float* y, std::size_t v, std::size_t cols) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::size_t c = 0; c < v; ++c) mx = std::max(mx, x[c]);
+  float z = 0.0f;
+  for (std::size_t c = 0; c < v; ++c) {
+    y[c] = std::exp(x[c] - mx);
+    z += y[c];
+  }
+  const float inv = 1.0f / z;
+  for (std::size_t c = 0; c < v; ++c) y[c] *= inv;
+  for (std::size_t c = v; c < cols; ++c) y[c] = 0.0f;
 }
 
 }  // namespace
@@ -999,36 +889,109 @@ Tensor softmax_lastdim(const Tensor& a) {
   const auto cols = static_cast<std::size_t>(s.back());
   const std::size_t rows = an->numel() / cols;
   auto out = make_result(s, "softmax", {an});
-  softmax_rows(an->data.data(), out->data.data(), rows, cols,
-               [cols](std::size_t) { return cols; });
+  const float* x = an->data.data();
+  float* y = out->data.data();
+  parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      softmax_row(x + r * cols, y + r * cols, cols, cols);
+    }
+  });
   if (out->requires_grad) {
     out->backward = [an, rows, cols](Node& self) {
-      softmax_backward_rows(self.data.data(), self.grad.data(),
-                            an->grad.data(), rows, cols,
-                            [cols](std::size_t) { return cols; });
+      const float* yv = self.data.data();
+      const float* g = self.grad.data();
+      float* gx = an->grad.data();
+      parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          const float* yr = yv + r * cols;
+          const float* gr = g + r * cols;
+          float* gxr = gx + r * cols;
+          float dot = 0.0f;
+          for (std::size_t c = 0; c < cols; ++c) dot += yr[c] * gr[c];
+          for (std::size_t c = 0; c < cols; ++c) {
+            gxr[c] += yr[c] * (gr[c] - dot);
+          }
+        }
+      });
     };
   }
   return Tensor{out};
 }
 
-Tensor causal_softmax(const Tensor& scores, int seq_len) {
-  auto an = scores.node();
-  EVA_ASSERT(an, "undefined operand");
-  const Shape& s = an->shape;
-  const auto cols = static_cast<std::size_t>(s.back());
-  EVA_REQUIRE(cols == static_cast<std::size_t>(seq_len),
-              "causal_softmax last dim must equal seq_len");
-  const std::size_t rows = an->numel() / cols;
-  EVA_REQUIRE(rows % cols == 0,
-              "causal_softmax rows must be a multiple of seq_len");
-  const auto T = static_cast<std::size_t>(seq_len);
-  auto valid = [T](std::size_t r) { return (r % T) + 1; };
-  auto out = make_result(s, "causal_softmax", {an});
-  softmax_rows(an->data.data(), out->data.data(), rows, cols, valid);
+Tensor causal_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                        int heads) {
+  auto qn = q.node();
+  auto kn = k.node();
+  auto vn = v.node();
+  EVA_ASSERT(qn && kn && vn, "undefined operand");
+  const Shape& s = qn->shape;
+  EVA_REQUIRE(s.size() == 3 && same_shape(s, kn->shape) &&
+                  same_shape(s, vn->shape),
+              "causal_attention needs q, k and v of one (B,T,C) shape, got " +
+                  shape_str(s) + ", " + shape_str(kn->shape) + ", " +
+                  shape_str(vn->shape));
+  EVA_REQUIRE(heads > 0 && s[2] % heads == 0,
+              "causal_attention: " + std::to_string(heads) +
+                  " heads do not divide " + std::to_string(s[2]) +
+                  " channels");
+  const auto T = static_cast<std::size_t>(s[1]);
+  const auto C = static_cast<std::size_t>(s[2]);
+  const auto H = static_cast<std::size_t>(heads);
+  const std::size_t D = C / H;
+  const std::size_t BH = static_cast<std::size_t>(s[0]) * H;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(D));
+  auto out = make_result(s, "causal_attention", {qn, kn, vn});
+  // P of every (batch, head), zero above the diagonal, kept for backward.
+  auto probs = std::make_shared<Storage>(BH * T * T);
+  // Head h of batch b starts at this offset of a (B,T,C) tensor.
+  const auto head = [T, C, H, D](std::size_t bh) {
+    return bh / H * T * C + bh % H * D;
+  };
+  parallel_for(0, BH, [&](std::size_t bh) {
+    const std::size_t o = head(bh);
+    float* p = probs->data() + bh * T * T;
+    gemm_nt_causal(qn->data.data() + o, C, kn->data.data() + o, C, p, T, D);
+    for (std::size_t i = 0; i < T; ++i) {
+      float* row = p + i * T;
+      for (std::size_t c = 0; c <= i; ++c) row[c] *= scale;
+      softmax_row(row, row, i + 1, T);
+    }
+    gemm_nn_causal(p, vn->data.data() + o, C, out->data.data() + o, C, T, D);
+  });
   if (out->requires_grad) {
-    out->backward = [an, rows, cols, valid](Node& self) {
-      softmax_backward_rows(self.data.data(), self.grad.data(),
-                            an->grad.data(), rows, cols, valid);
+    out->backward = [qn, kn, vn, probs, head, BH, T, C, D,
+                     scale](Node& self) {
+      const float* g = self.grad.data();
+      parallel_for(0, BH, [&](std::size_t bh) {
+        const std::size_t o = head(bh);
+        const float* p = probs->data() + bh * T * T;
+        if (vn->requires_grad) {
+          gemm_tn_causal(p, g + o, C, vn->grad.data() + o, C, T, D);
+        }
+        if (!qn->requires_grad && !kn->requires_grad) return;
+        // dP = G V^T on the lower band; then per row the softmax backward
+        // and the score scale, in place, leave dS, zero above the diagonal.
+        Storage ds(T * T);
+        gemm_nt_causal(g + o, C, vn->data.data() + o, C, ds.data(), T, D);
+        for (std::size_t i = 0; i < T; ++i) {
+          const float* pr = p + i * T;
+          float* dr = ds.data() + i * T;
+          float dot = 0.0f;
+          for (std::size_t c = 0; c <= i; ++c) dot += pr[c] * dr[c];
+          for (std::size_t c = 0; c <= i; ++c) {
+            dr[c] = pr[c] * (dr[c] - dot) * scale;
+          }
+          std::fill(dr + i + 1, dr + T, 0.0f);
+        }
+        if (qn->requires_grad) {
+          gemm_nn_causal(ds.data(), kn->data.data() + o, C,
+                         qn->grad.data() + o, C, T, D);
+        }
+        if (kn->requires_grad) {
+          gemm_tn_causal(ds.data(), qn->data.data() + o, C,
+                         kn->grad.data() + o, C, T, D);
+        }
+      });
     };
   }
   return Tensor{out};

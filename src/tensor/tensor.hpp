@@ -8,7 +8,7 @@
 //  * float32 dense tensors of rank 1..3 (vector / matrix / batched matrix),
 //  * a dynamic tape: each op records parents and a backward closure,
 //  * fused domain ops (softmax / layernorm / cross-entropy / embedding /
-//    causal attention softmax) so the graph stays small and fast,
+//    causal attention) so the graph stays small and fast,
 //  * multi-threaded matmul via eva::parallel_chunks.
 //
 // Conventions: a Tensor is a cheap shared handle (shared_ptr to a Node).
@@ -152,7 +152,6 @@ class Tensor {
 [[nodiscard]] Tensor neg(const Tensor& a);
 [[nodiscard]] Tensor exp_t(const Tensor& a);
 [[nodiscard]] Tensor log_t(const Tensor& a);  // requires strictly positive
-[[nodiscard]] Tensor tanh_t(const Tensor& a);
 [[nodiscard]] Tensor sigmoid(const Tensor& a);
 [[nodiscard]] Tensor relu(const Tensor& a);
 /// GELU, tanh approximation (as used by GPT-style transformers).
@@ -171,10 +170,6 @@ class Tensor {
 [[nodiscard]] Tensor transpose_last(const Tensor& a);
 /// Same data, new shape (copies; numel must match).
 [[nodiscard]] Tensor reshape(const Tensor& a, Shape shape);
-/// (B,T,H*D) -> (B*H,T,D): head split for multi-head attention.
-[[nodiscard]] Tensor split_heads(const Tensor& a, int heads);
-/// (B*H,T,D) -> (B,T,H*D): inverse of split_heads.
-[[nodiscard]] Tensor merge_heads(const Tensor& a, int heads);
 
 // --- Reductions ----------------------------------------------------------
 [[nodiscard]] Tensor sum_all(const Tensor& a);
@@ -187,9 +182,17 @@ class Tensor {
 // --- Fused NN ops ---------------------------------------------------------
 /// Softmax over the last dim.
 [[nodiscard]] Tensor softmax_lastdim(const Tensor& a);
-/// Softmax over the last dim with a causal mask: input (B,T,T) (or (R,T)
-/// where R is a multiple of T); row r attends to columns [0, r mod T].
-[[nodiscard]] Tensor causal_softmax(const Tensor& scores, int seq_len);
+/// Multi-head causal self-attention of (B,T,C) projections q, k, v with
+/// `heads` heads of C/heads channels each (channel block h is head h):
+/// per head softmax(q k^T / sqrt(C/heads)) v, where position t attends to
+/// positions 0..t, merged back to (B,T,C). One node: it computes only the
+/// causal (lower) triangle and keeps the probabilities for the backward
+/// pass; on finite input every output and gradient is bitwise that of
+/// the head split, batched-matmul and causal-softmax chain it replaces
+/// (DESIGN.md §6 "Causal attention"). Throws eva::Error unless q, k and
+/// v share one rank-3 shape whose C is a multiple of heads.
+[[nodiscard]] Tensor causal_attention(const Tensor& q, const Tensor& k,
+                                      const Tensor& v, int heads);
 [[nodiscard]] Tensor log_softmax_lastdim(const Tensor& a);
 /// LayerNorm over the last dim with learnable gamma/beta (shape = lastdim).
 [[nodiscard]] Tensor layernorm(const Tensor& x, const Tensor& gamma,

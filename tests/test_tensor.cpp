@@ -22,6 +22,7 @@
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "attention_reference.hpp"
 #include "tanh_reference.hpp"
 
 namespace {
@@ -124,7 +125,6 @@ TEST(Tensor, UnaryOpsForward) {
   auto x = Tensor::from({3}, {-1.0f, 0.0f, 1.0f});
   EXPECT_NEAR(relu(x).data()[0], 0.0f, 1e-6);
   EXPECT_NEAR(relu(x).data()[2], 1.0f, 1e-6);
-  EXPECT_NEAR(tanh_t(x).data()[2], std::tanh(1.0f), 1e-6);
   EXPECT_NEAR(sigmoid(x).data()[1], 0.5f, 1e-6);
   EXPECT_NEAR(exp_t(x).data()[2], std::exp(1.0f), 1e-5);
   EXPECT_NEAR(square(x).data()[0], 1.0f, 1e-6);
@@ -134,7 +134,6 @@ TEST(Tensor, UnaryOpsForward) {
 TEST(Tensor, UnaryGradChecks) {
   Rng rng(5);
   auto x = Tensor::randn({8}, rng, 0.7f);
-  grad_check(x, [](const Tensor& t) { return sum_all(tanh_t(t)); });
   grad_check(x, [](const Tensor& t) { return sum_all(sigmoid(t)); });
   grad_check(x, [](const Tensor& t) { return sum_all(gelu(t)); });
   grad_check(x, [](const Tensor& t) { return sum_all(square(t)); });
@@ -353,21 +352,6 @@ TEST(Tensor, ReshapeRoundTrip) {
   });
 }
 
-TEST(Tensor, SplitMergeHeadsInverse) {
-  Rng rng(10);
-  auto x = Tensor::randn({2, 3, 4}, rng, 1.0f);  // B=2 T=3 C=4, H=2
-  auto s = split_heads(x, 2);
-  EXPECT_EQ(s.shape(), (Shape{4, 3, 2}));
-  auto m = merge_heads(s, 2);
-  ASSERT_EQ(m.shape(), x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    EXPECT_FLOAT_EQ(m.data()[i], x.data()[i]);
-  }
-  grad_check(x, [](const Tensor& t) {
-    return sum_all(square(split_heads(t, 2)));
-  });
-}
-
 TEST(Tensor, SoftmaxRowsSumToOne) {
   Rng rng(11);
   auto x = Tensor::randn({3, 5}, rng, 2.0f);
@@ -382,29 +366,6 @@ TEST(Tensor, SoftmaxRowsSumToOne) {
     w.data()[2] = 1.0f;
     w.data()[7] = -2.0f;
     return sum_all(mul(softmax_lastdim(t), w));
-  });
-}
-
-TEST(Tensor, CausalSoftmaxMasksFuture) {
-  auto x = Tensor::full({1, 3, 3}, 1.0f, true);
-  auto s = causal_softmax(x, 3);
-  // Row 0 attends only to col 0.
-  EXPECT_NEAR(s.data()[0], 1.0f, 1e-6);
-  EXPECT_NEAR(s.data()[1], 0.0f, 1e-6);
-  // Row 1: two valid entries of equal score.
-  EXPECT_NEAR(s.data()[3], 0.5f, 1e-6);
-  EXPECT_NEAR(s.data()[4], 0.5f, 1e-6);
-  EXPECT_NEAR(s.data()[5], 0.0f, 1e-6);
-}
-
-TEST(Tensor, CausalSoftmaxGrad) {
-  Rng rng(12);
-  auto x = Tensor::randn({2, 3, 3}, rng, 1.0f);  // (B*H=2, T=3, T=3)
-  grad_check(x, [](const Tensor& t) {
-    auto w = Tensor::from({2, 3, 3},
-                          {1, 0, 0, -1, 2, 0, 0.5f, 1, -2,
-                           0, 1, 0, 2, -1, 0, 1, 0.5f, 1});
-    return sum_all(mul(causal_softmax(t, 3), w));
   });
 }
 
@@ -645,8 +606,7 @@ struct MiniModel {
       opt.zero_grad();
       Tensor x = embedding(params[0], tokens, kB, T);
       Tensor h = layernorm(x, params[1], params[2]);
-      Tensor att = causal_softmax(matmul(h, transpose_last(h)), T);
-      h = add(x, matmul(att, h));
+      h = add(x, causal_attention(h, h, h, 2));
       h = dropout(gelu(matmul(h, params[3])), 0.1f, rng, true);
       Tensor logits = reshape(matmul(h, params[4]), {kB * T, kV});
       Tensor loss = cross_entropy(logits, tokens);
@@ -769,9 +729,9 @@ TEST(Tensor, BroadcastOpsMatchModuloReference) {
 }
 
 /// Loss and every parameter gradient, as bits, of one training step of a
-/// small attention + MLP block whose elementwise ops cover every operand
-/// kind: a (T,C) position table, (C) and (4C) biases, a (C) gate, a
-/// scalar score scale and same-shape residuals.
+/// small two-head causal attention + MLP block whose elementwise ops cover
+/// every operand kind: a (T,C) position table, (C) and (4C) biases, a (C)
+/// gate, a scalar attention scale and same-shape residuals.
 std::vector<std::vector<std::uint32_t>> attention_mlp_step() {
   constexpr int kB = 4, kT = 48, kC = 32, kV = 40;
   Rng rng(29);
@@ -793,10 +753,9 @@ std::vector<std::vector<std::uint32_t>> attention_mlp_step() {
 
   const Tensor x = add(embedding(params[0], tokens, kB, kT), params[1]);
   Tensor h = layernorm(x, params[2], params[3]);
-  const Tensor scores = mul(matmul(matmul(h, params[4]),
-                                   transpose_last(matmul(h, params[5]))),
-                            Tensor::scalar(0.18f));
-  h = add(x, matmul(causal_softmax(scores, kT), h));
+  const Tensor att = causal_attention(matmul(h, params[4]),
+                                      matmul(h, params[5]), h, 2);
+  h = add(x, mul(att, Tensor::scalar(0.18f)));
   const Tensor m = add(
       matmul(gelu(add(matmul(h, params[6]), params[7])), params[8]),
       params[9]);
@@ -822,6 +781,163 @@ TEST(Tensor, TrainingStepBitwiseAcrossPoolWidths) {
         << (k == 0 ? std::string("loss")
                    : "gradient of parameter " + std::to_string(k - 1));
   }
+}
+
+// ------------------------------------------------------- causal attention
+
+using Attend = Tensor (*)(const Tensor&, const Tensor&, const Tensor&, int);
+
+/// The output and the q, k and v gradients, as bits, of `attend` on seeded
+/// (B,T,heads*D) projections, backpropagated from sum(out * w) so that the
+/// output's gradient is exactly the seeded w.
+std::vector<std::vector<std::uint32_t>> attention_bits(Attend attend, int B,
+                                                       int heads, int D,
+                                                       int T) {
+  const Shape shape{B, T, heads * D};
+  const std::size_t n = shape_numel(shape);
+  const auto seed =
+      static_cast<std::uint64_t>(((B * 7 + heads) * 97 + D) * 331 + T);
+  const Tensor q = Tensor::from(shape, seeded(n, seed), true);
+  const Tensor k = Tensor::from(shape, seeded(n, seed + 1), true);
+  const Tensor v = Tensor::from(shape, seeded(n, seed + 2), true);
+  const Tensor out = attend(q, k, v, heads);
+  sum_all(mul(out, Tensor::from(shape, seeded(n, seed + 3)))).backward();
+  return {bits(out.data()), bits(q.grad()), bits(k.grad()), bits(v.grad())};
+}
+
+class CausalAttentionBitwise : public ::testing::TestWithParam<int> {};
+
+// Row tiles of 8 and K-panels of 256: lengths on, next to and across both.
+INSTANTIATE_TEST_SUITE_P(SeqLen, CausalAttentionBitwise,
+                         ::testing::Values(1, 2, 7, 8, 9, 31, 33, 100, 255,
+                                           256, 257, 300));
+
+TEST_P(CausalAttentionBitwise, MatchesTheChainItReplaced) {
+  const int T = GetParam();
+  const char* what[] = {"output", "q gradient", "k gradient", "v gradient"};
+  for (int B : {1, 3}) {
+    for (int heads : {1, 2, 6}) {
+      for (int D : {16, 32, 64}) {
+        const auto op = attention_bits(causal_attention, B, heads, D, T);
+        const auto ref =
+            attention_bits(reference::causal_attention, B, heads, D, T);
+        for (std::size_t i = 0; i < op.size(); ++i) {
+          EXPECT_TRUE(op[i] == ref[i]) << what[i] << " at B " << B << ", "
+                                       << heads << " heads, D " << D;
+        }
+      }
+    }
+  }
+}
+
+TEST(CausalAttention, LaterKeysAndValuesLeaveEarlierRowsBitwiseUnchanged) {
+  constexpr int kB = 2, kT = 19, kHeads = 2, kC = 16;
+  const Shape shape{kB, kT, kC};
+  const std::size_t n = shape_numel(shape);
+  const std::vector<float> q = seeded(n, 61), k = seeded(n, 62),
+                           v = seeded(n, 63);
+  const auto attend = [&](const std::vector<float>& k2,
+                          const std::vector<float>& v2) {
+    const Tensor out =
+        causal_attention(Tensor::from(shape, q), Tensor::from(shape, k2),
+                         Tensor::from(shape, v2), kHeads);
+    return std::vector<float>(out.data().begin(), out.data().end());
+  };
+  const std::vector<float> base = attend(k, v);
+  for (int t : {0, 7, 8, 18}) {
+    for (bool at_v : {false, true}) {
+      std::vector<float> k2 = k, v2 = v;
+      std::vector<float>& changed = at_v ? v2 : k2;
+      for (int b = 0; b < kB; ++b) {
+        for (int c = 0; c < kC; ++c) changed[(b * kT + t) * kC + c] += 1.5f;
+      }
+      const std::vector<float> out = attend(k2, v2);
+      const std::string where =
+          std::string(at_v ? "v" : "k") + " changed at " + std::to_string(t);
+      for (int b = 0; b < kB; ++b) {
+        const std::size_t row = static_cast<std::size_t>(b * kT * kC);
+        const std::size_t split = row + static_cast<std::size_t>(t * kC);
+        const std::size_t end = row + static_cast<std::size_t>(kT * kC);
+        EXPECT_EQ(bits({out.data() + row, split - row}),
+                  bits({base.data() + row, split - row}))
+            << where << ", batch " << b;
+        // Row t itself sees the change (at t = 0 a k change cancels out
+        // of a one-entry softmax, so only v counts there).
+        if (at_v || t > 0) {
+          EXPECT_NE(bits({out.data() + split, end - split}),
+                    bits({base.data() + split, end - split}))
+              << where << ", batch " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(CausalAttention, FiniteDifferenceGradients) {
+  for (int T : {1, 3, 9}) {
+    for (int heads : {1, 2}) {
+      const Shape shape{2, T, 4};
+      const std::size_t n = shape_numel(shape);
+      const auto seed = static_cast<std::uint64_t>(70 + 10 * T + heads);
+      Tensor q = Tensor::from(shape, seeded(n, seed), true);
+      Tensor k = Tensor::from(shape, seeded(n, seed + 1), true);
+      Tensor v = Tensor::from(shape, seeded(n, seed + 2), true);
+      const Tensor w = Tensor::from(shape, seeded(n, seed + 3));
+      SCOPED_TRACE("T " + std::to_string(T) + ", " + std::to_string(heads) +
+                   " heads");
+      grad_check(q, [&](const Tensor& x) {
+        return sum_all(mul(causal_attention(x, k, v, heads), w));
+      });
+      grad_check(k, [&](const Tensor& x) {
+        return sum_all(mul(causal_attention(q, x, v, heads), w));
+      });
+      grad_check(v, [&](const Tensor& x) {
+        return sum_all(mul(causal_attention(q, k, x, heads), w));
+      });
+    }
+  }
+}
+
+TEST(CausalAttention, RejectsHeadsThatDoNotDivideChannelsAndUnequalShapes) {
+  const Tensor x = Tensor::zeros({2, 5, 6});
+  EXPECT_NO_THROW((void)causal_attention(x, x, x, 3));
+  EXPECT_THROW((void)causal_attention(x, x, x, 4), eva::Error);
+  EXPECT_THROW((void)causal_attention(x, x, x, 0), eva::Error);
+  const Tensor longer = Tensor::zeros({2, 6, 6});
+  const Tensor wider = Tensor::zeros({2, 5, 12});
+  const Tensor batched = Tensor::zeros({3, 5, 6});
+  EXPECT_THROW((void)causal_attention(x, longer, x, 2), eva::Error);
+  EXPECT_THROW((void)causal_attention(x, x, wider, 2), eva::Error);
+  EXPECT_THROW((void)causal_attention(batched, x, x, 2), eva::Error);
+  const Tensor flat = Tensor::zeros({10, 6});
+  EXPECT_THROW((void)causal_attention(flat, flat, flat, 2), eva::Error);
+}
+
+TEST(CausalAttention, CountsTheFlopsOfTheTilesItRuns) {
+  // B 2, T 19, 2 heads of D 8. Rows go in tiles of 8, 8 and 3, which
+  // reach columns 8, 16 and 19, so each of the six products (QK^T and
+  // P V forward; dP, dQ, dK and dV backward) runs 8*8 + 8*16 + 3*19 = 249
+  // rows x columns per head, times D multiply-adds of 2 FLOPs. The full
+  // square would be 19*19 = 361.
+  constexpr int kB = 2, kT = 19, kHeads = 2, kD = 8;
+  const Shape shape{kB, kT, kHeads * kD};
+  const std::size_t n = shape_numel(shape);
+  const Tensor q = Tensor::from(shape, seeded(n, 81), true);
+  const Tensor k = Tensor::from(shape, seeded(n, 82), true);
+  const Tensor v = Tensor::from(shape, seeded(n, 83), true);
+  obs::Counter& flops = obs::counter("tensor.gemm_flops");
+  const std::int64_t per_product = 2 * kB * kHeads * kD * 249;
+  std::int64_t before = flops.value();
+  const Tensor out = causal_attention(q, k, v, kHeads);
+  EXPECT_EQ(flops.value() - before, 2 * per_product) << "forward";
+  before = flops.value();
+  sum_all(out).backward();
+  EXPECT_EQ(flops.value() - before, 4 * per_product) << "backward";
+  // Without a gradient for q and k only P V and dV remain.
+  before = flops.value();
+  const Tensor v2 = Tensor::from(shape, seeded(n, 83), true);
+  sum_all(causal_attention(q.detach(), k.detach(), v2, kHeads)).backward();
+  EXPECT_EQ(flops.value() - before, 3 * per_product) << "v alone";
 }
 
 /// GELU's value and derivative as written before the forward pass kept
