@@ -1,7 +1,6 @@
 #include "circuit/netlist.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace eva::circuit {
@@ -81,16 +80,6 @@ bool Netlist::uses_io(IoPin p) const {
     }
   }
   return false;
-}
-
-std::vector<IoPin> Netlist::io_pins() const {
-  std::set<IoPin> seen;
-  for (const auto& net : nets_) {
-    for (const auto& pin : net) {
-      if (pin.is_io()) seen.insert(pin.io);
-    }
-  }
-  return {seen.begin(), seen.end()};
 }
 
 std::string Netlist::pin_name(const PinRef& pin) const {

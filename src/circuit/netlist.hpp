@@ -60,9 +60,6 @@ class Netlist {
   /// True if the given IO pin appears in some net.
   [[nodiscard]] bool uses_io(IoPin p) const;
 
-  /// All IO pins that appear in some net.
-  [[nodiscard]] std::vector<IoPin> io_pins() const;
-
   [[nodiscard]] int num_devices() const {
     return static_cast<int>(devices_.size());
   }

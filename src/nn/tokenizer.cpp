@@ -90,14 +90,4 @@ std::vector<int> Tokenizer::encode_tour(
   return ids;
 }
 
-std::vector<PinToken> Tokenizer::decode_ids(const std::vector<int>& ids) const {
-  std::vector<PinToken> tour;
-  tour.reserve(ids.size());
-  for (int id : ids) {
-    if (id == kEos || id == kPad) break;
-    tour.push_back(decode(id));
-  }
-  return tour;
-}
-
 }  // namespace eva::nn

@@ -46,16 +46,11 @@ class Tokenizer {
   [[nodiscard]] int encode_io(circuit::IoPin p) const;
   /// Inverse of encode. Requires a non-special id.
   [[nodiscard]] circuit::PinToken decode(int id) const;
-  [[nodiscard]] bool is_special(int id) const { return id < kFirstPin; }
   [[nodiscard]] const std::string& name(int id) const;
 
   /// Encode an Euler tour as ids, appending EOS.
   [[nodiscard]] std::vector<int> encode_tour(
       const std::vector<circuit::PinToken>& tour) const;
-  /// Decode ids back to pin tokens, stopping at EOS/pad. Returns nullopt-
-  /// like empty vector only for empty input; unknown ids throw.
-  [[nodiscard]] std::vector<circuit::PinToken> decode_ids(
-      const std::vector<int>& ids) const;
 
   /// Token id that every sequence starts with (VSS).
   [[nodiscard]] int start_token() const { return encode_io(circuit::IoPin::Vss); }

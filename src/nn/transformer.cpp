@@ -176,21 +176,14 @@ Tensor TransformerLM::forward(const std::vector<int>& tokens, int B, int T,
 
 namespace {
 
-void layernorm_inplace(float* x, std::span<const float> g,
-                       std::span<const float> b, int n) {
-  float mu = 0;
-  for (int i = 0; i < n; ++i) mu += x[i];
-  mu /= static_cast<float>(n);
-  float var = 0;
-  for (int i = 0; i < n; ++i) {
-    const float d = x[i] - mu;
-    var += d * d;
-  }
-  var /= static_cast<float>(n);
-  const float is = 1.0f / std::sqrt(var + 1e-5f);
-  for (int i = 0; i < n; ++i) {
-    x[i] = (x[i] - mu) * is * g[static_cast<std::size_t>(i)] +
-           b[static_cast<std::size_t>(i)];
+/// Layernorm of n rows of C floats from x into y (y may be x), through
+/// the training op's row kernel.
+void layernorm_rows(const float* x, std::span<const float> g,
+                    std::span<const float> b, float* y, std::size_t n,
+                    std::size_t C) {
+  for (std::size_t i = 0; i < n; ++i) {
+    tensor::layernorm_row(x + i * C, g.data(), b.data(), y + i * C,
+                          y + i * C, C);
   }
 }
 
@@ -340,11 +333,8 @@ void TransformerLM::infer_step_batched(BatchedCache& cache,
     const Block& blk = blocks_[l];
     const QuantBlock* qb = qblocks_.empty() ? nullptr : &qblocks_[l];
     // ln1 per row, then fused q/k/v projections for all rows at once.
-    ws.h = ws.x;
-    for (std::size_t i = 0; i < n; ++i) {
-      layernorm_inplace(ws.h.data() + i * Cz, blk.ln1_g.data(),
-                        blk.ln1_b.data(), C);
-    }
+    layernorm_rows(ws.x.data(), blk.ln1_g.data(), blk.ln1_b.data(),
+                   ws.h.data(), n, Cz);
     linear_batched(ws.h.data(), qb ? &qb->wq : nullptr, blk.wq.data(),
                    blk.bq.data(), ws.q.data(), n, C, C, Epilogue::kBias);
     linear_batched(ws.h.data(), qb ? &qb->wk : nullptr, blk.wk.data(),
@@ -383,11 +373,8 @@ void TransformerLM::infer_step_batched(BatchedCache& cache,
     for (std::size_t i = 0; i < n * Cz; ++i) ws.x[i] += ws.att[i];
 
     // MLP, fused across rows (GELU fused into the up-projection).
-    ws.h = ws.x;
-    for (std::size_t i = 0; i < n; ++i) {
-      layernorm_inplace(ws.h.data() + i * Cz, blk.ln2_g.data(),
-                        blk.ln2_b.data(), C);
-    }
+    layernorm_rows(ws.x.data(), blk.ln2_g.data(), blk.ln2_b.data(),
+                   ws.h.data(), n, Cz);
     linear_batched(ws.h.data(), qb ? &qb->w1 : nullptr, blk.w1.data(),
                    blk.b1.data(), ws.ff.data(), n, C, cfg_.d_ff,
                    Epilogue::kBiasGelu);
@@ -397,9 +384,8 @@ void TransformerLM::infer_step_batched(BatchedCache& cache,
     for (std::size_t i = 0; i < n * Cz; ++i) ws.x[i] += ws.att[i];
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    layernorm_inplace(ws.x.data() + i * Cz, lnf_g_.data(), lnf_b_.data(), C);
-  }
+  layernorm_rows(ws.x.data(), lnf_g_.data(), lnf_b_.data(), ws.x.data(), n,
+                 Cz);
   logits.resize(n * static_cast<std::size_t>(cfg_.vocab));
   linear_batched(ws.x.data(), qlm_head_.empty() ? nullptr : &qlm_head_,
                  lm_head_.data(), {}, logits.data(), n, C, cfg_.vocab,

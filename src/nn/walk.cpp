@@ -57,14 +57,6 @@ std::vector<int> WalkLegality::floating_pins() const {
   return out;
 }
 
-bool WalkLegality::would_short(int cand, int vss_tok, int vdd_tok) {
-  if (cand == Tokenizer::kEos || cand == Tokenizer::kPad || prev_ < 0) {
-    return false;
-  }
-  const std::int8_t* left = cycle_edge(prev_, cand);
-  return !(left && *left > 0) && hop_shorts_supplies(cand, vss_tok, vdd_tok);
-}
-
 bool WalkLegality::illegal_transition(int cand, int vss_tok, int vdd_tok) {
   if (cand == Tokenizer::kEos || cand == Tokenizer::kPad || prev_ < 0) {
     return false;

@@ -34,11 +34,6 @@ class WalkLegality {
   /// would decode as floating), ascending. Excludes the current position.
   [[nodiscard]] std::vector<int> floating_pins() const;
 
-  /// True if emitting `cand` next would create a supply short. A
-  /// transition that consumes a device-cycle edge is never a net edge and
-  /// cannot short anything.
-  [[nodiscard]] bool would_short(int cand, int vss_tok, int vdd_tok);
-
   /// Combined transition legality for sampled tokens: no supply shorts,
   /// at most one distinct same-device net-edge pin pair per device (a
   /// diode connection; more would mean the model is re-walking a consumed

@@ -300,15 +300,6 @@ bool write_metrics_if_configured() {
   return write_metrics(path);
 }
 
-void reset_metrics() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (auto& [k, c] : r.counters) c->reset();
-  for (auto& [k, g] : r.gauges) g->reset();
-  for (auto& [k, h] : r.histograms) h->reset();
-  for (auto& [k, h] : r.sliding) h->reset();
-}
-
 namespace {
 
 std::mutex& export_mu() {

@@ -12,8 +12,8 @@
 //   static obs::Counter& tokens = obs::counter("sampler.tokens");
 //   tokens.add(n);
 //
-// References stay valid for the process lifetime; reset_metrics() (tests)
-// zeroes values but never deallocates.
+// References stay valid for the process lifetime: the registry never
+// deallocates.
 //
 // Export: metrics_to_json() renders {"counters":{...},"gauges":{...},
 // "histograms":{name:{count,min,max,mean,p50,p90,p99}}}; when
@@ -160,10 +160,6 @@ bool write_metrics(const std::string& path);
 /// Write to $EVA_METRICS_FILE if set (also runs automatically at process
 /// exit). Returns false when unset or on I/O failure.
 bool write_metrics_if_configured();
-
-/// Zero every registered metric (values only; objects stay alive so
-/// cached references in hot paths never dangle). For tests.
-void reset_metrics();
 
 /// Export metrics + trace to their configured files right now.
 /// Serialized against concurrent callers (the periodic flusher, the

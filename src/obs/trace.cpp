@@ -81,11 +81,6 @@ void set_trace_enabled(bool on) {
   state().enabled.store(on, std::memory_order_relaxed);
 }
 
-void reload_trace_env() {
-  const char* path = std::getenv("EVA_TRACE_FILE");
-  set_trace_enabled(path && *path);
-}
-
 namespace detail {
 
 std::uint64_t trace_now_us() noexcept {

@@ -22,8 +22,6 @@ namespace eva::obs {
 [[nodiscard]] bool trace_enabled() noexcept;
 /// Programmatic override (tests, selective tracing of one phase).
 void set_trace_enabled(bool on);
-/// Re-read EVA_TRACE_FILE to decide the enabled default. For tests.
-void reload_trace_env();
 
 namespace detail {
 [[nodiscard]] std::uint64_t trace_now_us() noexcept;

@@ -6,6 +6,7 @@
 
 #include "circuit/pingraph.hpp"
 #include "circuit/validity.hpp"
+#include "nn/sampler.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "spice/engine.hpp"
@@ -102,16 +103,8 @@ LabelingResult label_dataset(const data::Dataset& ds, const nn::Tokenizer& tok,
           rng.index(static_cast<std::size_t>(tok.vocab_size() - 2)));
     }
     // Keep only genuinely invalid corruptions.
-    const auto netlist = [&]() -> bool {
-      try {
-        const auto tour = tok.decode_ids(ids);
-        const auto res = circuit::decode_tour(tour);
-        return res.ok && circuit::structurally_valid(res.netlist);
-      } catch (const Error&) {
-        return false;
-      }
-    }();
-    if (!netlist) {
+    const auto dec = nn::ids_to_netlist_checked(tok, ids);
+    if (!dec.ok() || !circuit::structurally_valid(*dec.netlist)) {
       out.examples.push_back(RankedExample{std::move(ids), RankClass::Invalid});
     }
   }
@@ -155,13 +148,8 @@ double RewardModel::score(const std::vector<int>& ids) const {
 
 double RewardModel::reward(const std::vector<int>& ids) const {
   // Rule-based checker: decodable + structurally valid + simulatable.
-  try {
-    const auto tour = tok_->decode_ids(ids);
-    const auto res = circuit::decode_tour(tour);
-    if (!res.ok || !spice::simulatable(res.netlist)) {
-      return rank_reward(RankClass::Invalid);
-    }
-  } catch (const Error&) {
+  const auto dec = nn::ids_to_netlist_checked(*tok_, ids);
+  if (!dec.ok() || !spice::simulatable(*dec.netlist)) {
     return rank_reward(RankClass::Invalid);
   }
   double s = score(ids);

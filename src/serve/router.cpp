@@ -203,8 +203,8 @@ CircuitBreaker::State CircuitBreaker::state() const {
   return state_;
 }
 
-const char* CircuitBreaker::state_name() const {
-  switch (state()) {
+const char* CircuitBreaker::state_name(State s) {
+  switch (s) {
     case State::kClosed: return "closed";
     case State::kOpen: return "open";
     case State::kHalfOpen: return "half_open";
@@ -544,11 +544,7 @@ std::string Router::stats_json() const {
     out += "{\"addr\": ";
     obs::json_string_into(out, snap.addr);
     out += ", \"breaker\": \"";
-    switch (snap.breaker) {
-      case CircuitBreaker::State::kClosed: out += "closed"; break;
-      case CircuitBreaker::State::kOpen: out += "open"; break;
-      case CircuitBreaker::State::kHalfOpen: out += "half_open"; break;
-    }
+    out += CircuitBreaker::state_name(snap.breaker);
     out += "\", \"healthy\": ";
     out += snap.healthy ? "true" : "false";
     out += ", \"failures\": ";

@@ -64,8 +64,6 @@ class HashRing {
   /// successors, each member exactly once.
   [[nodiscard]] std::vector<std::size_t> preference(std::uint64_t key) const;
 
-  [[nodiscard]] std::size_t member_count() const { return n_members_; }
-
  private:
   std::vector<std::pair<std::uint64_t, std::size_t>> points_;  // sorted
   std::size_t n_members_;
@@ -102,7 +100,8 @@ class CircuitBreaker {
   bool record_failure(std::chrono::steady_clock::time_point now);
 
   [[nodiscard]] State state() const;
-  [[nodiscard]] const char* state_name() const;
+  /// "closed", "open" or "half_open", as the router's stats name it.
+  [[nodiscard]] static const char* state_name(State s);
 
  private:
   mutable std::mutex mu_;

@@ -15,15 +15,11 @@
 // the remaining connections and joins their threads.
 //
 // Fault sites (EVA_FAULT, util/fault.hpp): `serve_accept` drops a
-// freshly accepted connection; `serve_slow_client` trickles a
-// connection's responses out in tiny chunks (both drawn on the
-// acceptor, in accept order); `serve_conn_drop` hangs up after reading
-// a request without answering; `serve_partial_write` emits a truncated
-// response line then hangs up; `serve_stall` sits on a request for
-// EVA_SERVE_STALL_FAULT_MS before answering; `replica_crash` kills the
-// whole process (_Exit — what a SIGKILL looks like to peers). The last
-// four exist so the router's failover/retry/hedging paths are exercised
-// deterministically in tests and in the chaos gate.
+// freshly accepted connection (drawn on the acceptor, in accept order);
+// `serve_conn_drop` hangs up after reading a request without answering;
+// `serve_partial_write` emits a truncated response line then hangs up.
+// The last two exercise the router's failover and retry paths and
+// client-side retry (eva_loadgen --retry) deterministically.
 #pragma once
 
 #include <string>
@@ -67,8 +63,7 @@ class JsonLineServer {
 
  private:
   /// Answer one parsed line on `fd`; false hangs up.
-  bool answer(int fd, bool slow, const std::string& line,
-              const ParsedLine& parsed);
+  bool answer(int fd, const std::string& line, const ParsedLine& parsed);
 
   GenerationService* service_;
   LineServer lines_;

@@ -1,6 +1,5 @@
 #include "serve/sidecar.hpp"
 
-#include <algorithm>
 #include <functional>
 
 #include "obs/json.hpp"
@@ -47,6 +46,7 @@ std::string put_json(bool stored) {
 
 CacheSidecar::CacheSidecar(SidecarConfig cfg)
     : cfg_(std::move(cfg)),
+      cache_(cfg_.max_entries, "cache."),
       lines_("cache", cfg_.bind_addr, cfg_.port, cfg_.idle_ms) {}
 
 CacheSidecar::~CacheSidecar() { stop(); }
@@ -68,19 +68,15 @@ bool CacheSidecar::answer(int fd, const std::string&, ParsedLine& parsed) {
   static obs::Counter& refused = obs::counter("cache.put_refused");
   switch (parsed.kind) {
     case ParsedLine::Kind::kCacheGet: {
-      std::string value;
-      if (get(parsed.key, &value)) {
-        hits.add();
-        return net::send_line(fd, hit_json(parsed.key, value));
-      }
-      misses.add();
-      return net::send_line(fd, miss_json(parsed.key));
+      const auto value = cache_.get(parsed.key);
+      return net::send_line(fd, value ? hit_json(parsed.key, *value)
+                                      : miss_json(parsed.key));
     }
     case ParsedLine::Kind::kCachePut: {
       const bool ok = parsed.value.size() <= cfg_.max_value_bytes;
       if (ok) {
         puts.add();
-        put(parsed.key, std::move(parsed.value));
+        cache_.put(parsed.key, std::move(parsed.value));
       } else {
         refused.add();
       }
@@ -106,35 +102,6 @@ bool CacheSidecar::answer(int fd, const std::string&, ParsedLine& parsed) {
       fd, bad_request_json("generation requests are answered by replicas"));
 }
 
-bool CacheSidecar::get(const std::string& key, std::string* value) {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  *value = it->second->second;
-  return true;
-}
-
-void CacheSidecar::put(const std::string& key, std::string value) {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(value);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(value));
-  index_[key] = lru_.begin();
-  while (lru_.size() > std::max<std::size_t>(1, cfg_.max_entries)) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    obs::counter("cache.evictions").add();
-  }
-}
-
-std::size_t CacheSidecar::size() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return lru_.size();
-}
+std::size_t CacheSidecar::size() const { return cache_.size(); }
 
 }  // namespace eva::serve

@@ -27,12 +27,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "serve/line_server.hpp"
+#include "serve/result_cache.hpp"
 
 namespace eva::serve {
 
@@ -68,17 +66,10 @@ class CacheSidecar {
  private:
   /// Answer one parsed line on `fd`; false hangs up.
   bool answer(int fd, const std::string& line, ParsedLine& parsed);
-  [[nodiscard]] bool get(const std::string& key, std::string* value);
-  void put(const std::string& key, std::string value);
 
   SidecarConfig cfg_;
-
-  // Bounded LRU: front of lru_ = most recently used.
-  mutable std::mutex cache_mu_;
-  std::list<std::pair<std::string, std::string>> lru_;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, std::string>>::iterator>
-      index_;
+  /// cache.hits / cache.misses / cache.evictions, cache.size gauge.
+  BoundedLru<std::string, std::string> cache_;
 
   LineServer lines_;  // last: its connection threads use the cache above
 };

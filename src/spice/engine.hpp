@@ -202,7 +202,6 @@ class Simulator {
                                               int points = 61) const;
 
   [[nodiscard]] int num_nodes() const { return c_->num_nodes; }
-  [[nodiscard]] bool dc_converged() const { return dc_.result.converged; }
 
  private:
   /// Frequency-independent part of the AC system at the DC point:

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 
 // The quantized kernels' AVX-512 intrinsics, at file scope. GCC 12's own

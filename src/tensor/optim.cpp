@@ -24,26 +24,6 @@ double clip_grad_norm(std::vector<Tensor>& params, double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].numel(), 0.0f);
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto data = params_[i].data();
-    auto grad = params_[i].grad();
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + grad[j];
-      data[j] -= lr_ * vel[j];
-    }
-  }
-}
-
 AdamW::AdamW(std::vector<Tensor> params, Config cfg)
     : params_(std::move(params)), cfg_(cfg) {
   m_.resize(params_.size());

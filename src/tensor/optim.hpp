@@ -1,6 +1,5 @@
-// Gradient-descent optimizers over parameter lists, plus global-norm
-// gradient clipping. Used by LM pretraining, reward-model training, PPO
-// and DPO fine-tuning.
+// AdamW over a parameter list, plus global-norm gradient clipping. Used
+// by LM pretraining, reward-model training, PPO and DPO fine-tuning.
 #pragma once
 
 #include <vector>
@@ -15,23 +14,6 @@ void zero_grads(std::vector<Tensor>& params);
 /// Clip gradients so the global L2 norm is at most max_norm.
 /// Returns the pre-clip norm.
 double clip_grad_norm(std::vector<Tensor>& params, double max_norm);
-
-/// Plain SGD with optional momentum.
-class Sgd {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-
-  void step();
-  void zero_grad() { zero_grads(params_); }
-  void set_lr(float lr) { lr_ = lr; }
-  [[nodiscard]] float lr() const { return lr_; }
-
- private:
-  std::vector<Tensor> params_;
-  std::vector<std::vector<float>> velocity_;
-  float lr_;
-  float momentum_;
-};
 
 /// AdamW (decoupled weight decay), the paper-standard transformer optimizer.
 class AdamW {

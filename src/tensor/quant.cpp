@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "tensor/tanh.hpp"
 #include "util/error.hpp"
 
 namespace eva::tensor {
@@ -108,23 +107,6 @@ void QuantMatrix::dequantize(float* out) const {
     for (std::size_t c = 0; c < cols; ++c) {
       out[r * cols + c] = static_cast<float>(q8[r * cols + c]) * scale[c];
     }
-  }
-}
-
-void gelu_approx_n(float* y, std::size_t n) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  // u and y are computed here, with this file's (contracting) flags, a
-  // stack chunk at a time; only tanh(u) runs in tanh.cpp.
-  constexpr std::size_t kChunk = 256;
-  float t[kChunk];
-  for (std::size_t lo = 0; lo < n; lo += kChunk) {
-    const std::size_t m = std::min(kChunk, n - lo);
-    float* v = y + lo;
-    for (std::size_t i = 0; i < m; ++i) {
-      t[i] = kC * (v[i] + 0.044715f * v[i] * v[i] * v[i]);
-    }
-    tanh_n(t, t, m);
-    for (std::size_t i = 0; i < m; ++i) v[i] = 0.5f * v[i] * (1.0f + t[i]);
   }
 }
 

@@ -83,14 +83,9 @@ struct QuantMatrix {
 
 /// Epilogue applied by the quantized kernels after the K reduction, per
 /// output strip while it is still in cache: the rescale and bias add as
-/// the strip is stored, then for kBiasGelu one gelu_approx_n pass over
-/// the stored strip.
+/// the strip is stored, then for kBiasGelu one gelu_approx_n pass
+/// (tensor/tensor.hpp) over the stored strip, the GELU the f32 path and
+/// training run.
 enum class Epilogue { kNone, kBias, kBiasGelu };
-
-/// The tanh-approximation GELU used across the inference path, in place
-/// over y[0, n): y = 0.5 y (1 + tanh(sqrt(2/pi) (y + 0.044715 y^3))),
-/// with the tanh in lanes (tensor/tanh.hpp). One function for the fused
-/// epilogue and the unfused f32 path, so the two are bitwise identical.
-void gelu_approx_n(float* y, std::size_t n);
 
 }  // namespace eva::tensor

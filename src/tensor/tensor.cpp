@@ -552,15 +552,34 @@ Tensor sigmoid(const Tensor& a) {
       [](float, float y) { return y * (1.0f - y); });
 }
 
-Tensor relu(const Tensor& a) {
-  return unary_op(
-      a, "relu", [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
+namespace {
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+
+}  // namespace
+
+void gelu_approx_n(const float* x, float* y, std::size_t n, float* t) {
+  // u and y are computed here, with this file's (contracting) flags, a
+  // stack chunk at a time; tanh(u) runs in lanes (tensor/tanh.hpp),
+  // straight into `t` when given.
+  constexpr std::size_t kChunk = 256;
+  float u[kChunk];
+  for (std::size_t c = 0; c < n; c += kChunk) {
+    const std::size_t m = std::min(kChunk, n - c);
+    const float* xc = x + c;
+    for (std::size_t i = 0; i < m; ++i) {
+      u[i] = kGeluC * (xc[i] + kGeluA * xc[i] * xc[i] * xc[i]);
+    }
+    float* tc = t ? t + c : u;
+    tanh_n(u, tc, m);
+    for (std::size_t i = 0; i < m; ++i) {
+      y[c + i] = 0.5f * xc[i] * (1.0f + tc[i]);
+    }
+  }
 }
 
 Tensor gelu(const Tensor& a) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   auto an = a.node();
   EVA_ASSERT(an, "undefined operand");
   auto out = make_result(an->shape, "gelu", {an});
@@ -572,23 +591,7 @@ Tensor gelu(const Tensor& a) {
   float* py = out->data.data();
   float* pt = kept ? kept->data() : nullptr;
   parallel_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-    // u and y are computed here, with this file's (contracting) flags, a
-    // stack chunk at a time; tanh(u) runs in lanes (tensor/tanh.hpp),
-    // straight into the kept buffer with grad.
-    constexpr std::size_t kChunk = 256;
-    float u[kChunk];
-    for (std::size_t c = lo; c < hi; c += kChunk) {
-      const std::size_t m = std::min(kChunk, hi - c);
-      const float* x = px + c;
-      for (std::size_t i = 0; i < m; ++i) {
-        u[i] = kC * (x[i] + kA * x[i] * x[i] * x[i]);
-      }
-      float* t = pt ? pt + c : u;
-      tanh_n(u, t, m);
-      for (std::size_t i = 0; i < m; ++i) {
-        py[c + i] = 0.5f * x[i] * (1.0f + t[i]);
-      }
-    }
+    gelu_approx_n(px + lo, py + lo, hi - lo, pt ? pt + lo : nullptr);
   });
   if (out->requires_grad) {
     out->backward = [an, kept, n](Node& self) {
@@ -600,7 +603,7 @@ Tensor gelu(const Tensor& a) {
         for (std::size_t i = lo; i < hi; ++i) {
           const float x = px2[i];
           const float t = pt2[i];
-          const float du = kC * (1.0f + 3.0f * kA * x * x);
+          const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
           gx[i] += g[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
         }
       });
@@ -837,28 +840,6 @@ Tensor mean_all(const Tensor& a) {
   return Tensor{out};
 }
 
-Tensor masked_mean(const Tensor& a, const std::vector<float>& mask) {
-  auto an = a.node();
-  EVA_ASSERT(an, "undefined operand");
-  EVA_REQUIRE(mask.size() == an->numel(), "masked_mean mask size mismatch");
-  double msum = 0.0;
-  for (float m : mask) msum += m;
-  const float denom = msum > 0.0 ? static_cast<float>(msum) : 1.0f;
-  auto out = make_result({1}, "masked_mean", {an});
-  double acc = 0.0;
-  for (std::size_t i = 0; i < an->numel(); ++i) acc += an->data[i] * mask[i];
-  out->data[0] = static_cast<float>(acc) / denom;
-  if (out->requires_grad) {
-    out->backward = [an, mask, denom](Node& self) {
-      const float g = self.grad[0] / denom;
-      for (std::size_t i = 0; i < an->numel(); ++i) {
-        an->grad[i] += g * mask[i];
-      }
-    };
-  }
-  return Tensor{out};
-}
-
 // ---------------------------------------------------------------------------
 // Fused NN ops
 // ---------------------------------------------------------------------------
@@ -1040,6 +1021,25 @@ Tensor log_softmax_lastdim(const Tensor& a) {
   return Tensor{out};
 }
 
+float layernorm_row(const float* x, const float* gamma, const float* beta,
+                    float* xhat, float* y, std::size_t C, float eps) {
+  float mu = 0.0f;
+  for (std::size_t c = 0; c < C; ++c) mu += x[c];
+  mu /= static_cast<float>(C);
+  float var = 0.0f;
+  for (std::size_t c = 0; c < C; ++c) {
+    const float d = x[c] - mu;
+    var += d * d;
+  }
+  var /= static_cast<float>(C);
+  const float is = 1.0f / std::sqrt(var + eps);
+  for (std::size_t c = 0; c < C; ++c) {
+    xhat[c] = (x[c] - mu) * is;
+    y[c] = xhat[c] * gamma[c] + beta[c];
+  }
+  return is;
+}
+
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                  float eps) {
   auto xn = x.node();
@@ -1061,24 +1061,8 @@ Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   float* py = out->data.data();
   parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
-      const float* xr = px + r * C;
-      float mu = 0.0f;
-      for (std::size_t c = 0; c < C; ++c) mu += xr[c];
-      mu /= static_cast<float>(C);
-      float var = 0.0f;
-      for (std::size_t c = 0; c < C; ++c) {
-        const float d = xr[c] - mu;
-        var += d * d;
-      }
-      var /= static_cast<float>(C);
-      const float is = 1.0f / std::sqrt(var + eps);
-      (*istd)[r] = is;
-      float* hr = xhat->data() + r * C;
-      float* yr = py + r * C;
-      for (std::size_t c = 0; c < C; ++c) {
-        hr[c] = (xr[c] - mu) * is;
-        yr[c] = hr[c] * pg[c] + pb[c];
-      }
+      (*istd)[r] = layernorm_row(px + r * C, pg, pb, xhat->data() + r * C,
+                                 py + r * C, C, eps);
     }
   });
 
@@ -1176,17 +1160,8 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets,
   const float* x = ln->data.data();
   parallel_chunks(0, N, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
-      const float* xr = x + r * V;
       float* pr = probs->data() + r * V;
-      float mx = xr[0];
-      for (std::size_t c = 1; c < V; ++c) mx = std::max(mx, xr[c]);
-      float z = 0.0f;
-      for (std::size_t c = 0; c < V; ++c) {
-        pr[c] = std::exp(xr[c] - mx);
-        z += pr[c];
-      }
-      const float inv = 1.0f / z;
-      for (std::size_t c = 0; c < V; ++c) pr[c] *= inv;
+      softmax_row(x + r * V, pr, V, V);
       if (targets[r] != ignore_index) {
         EVA_ASSERT(targets[r] >= 0 && targets[r] < static_cast<int>(V),
                    "cross_entropy target out of range");

@@ -153,7 +153,6 @@ class Tensor {
 [[nodiscard]] Tensor exp_t(const Tensor& a);
 [[nodiscard]] Tensor log_t(const Tensor& a);  // requires strictly positive
 [[nodiscard]] Tensor sigmoid(const Tensor& a);
-[[nodiscard]] Tensor relu(const Tensor& a);
 /// GELU, tanh approximation (as used by GPT-style transformers).
 [[nodiscard]] Tensor gelu(const Tensor& a);
 [[nodiscard]] Tensor square(const Tensor& a);
@@ -174,10 +173,6 @@ class Tensor {
 // --- Reductions ----------------------------------------------------------
 [[nodiscard]] Tensor sum_all(const Tensor& a);
 [[nodiscard]] Tensor mean_all(const Tensor& a);
-/// Mean weighted by a per-element constant mask (no grad through mask):
-/// sum(a*mask)/max(1,sum(mask)). Used for padded-token losses.
-[[nodiscard]] Tensor masked_mean(const Tensor& a,
-                                 const std::vector<float>& mask);
 
 // --- Fused NN ops ---------------------------------------------------------
 /// Softmax over the last dim.
@@ -214,6 +209,26 @@ class Tensor {
 /// `training` is false or p == 0.
 [[nodiscard]] Tensor dropout(const Tensor& a, float p, Rng& rng,
                              bool training);
+
+// --- Row kernels (no autograd) ---------------------------------------------
+// The forward arithmetic of gelu and layernorm. The decode step
+// (nn::TransformerLM::infer_step_batched) and the quantized epilogue call
+// them too, so training and decoding compute both bit for bit alike.
+
+/// The tanh-approximation GELU over n floats: y = 0.5 x (1 + t) with
+/// t = tanh(sqrt(2/pi) (x + 0.044715 x^3)), the tanh in lanes
+/// (tensor/tanh.hpp). `t`, when given, receives the tanh values (gelu
+/// keeps them for its backward pass). y may be x.
+void gelu_approx_n(const float* x, float* y, std::size_t n,
+                   float* t = nullptr);
+/// In place: y = GELU(y).
+inline void gelu_approx_n(float* y, std::size_t n) { gelu_approx_n(y, y, n); }
+
+/// One layernorm row of C floats: xhat = (x - mean) / sqrt(var + eps) and
+/// y = xhat * gamma + beta. Returns 1 / sqrt(var + eps). xhat may be y,
+/// and y may be x.
+float layernorm_row(const float* x, const float* gamma, const float* beta,
+                    float* xhat, float* y, std::size_t C, float eps = 1e-5f);
 
 // --- Storage cache ---------------------------------------------------------
 /// Bytes of the cached storage blocks (DESIGN.md §6 "Tensor storage"):

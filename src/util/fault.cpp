@@ -103,11 +103,6 @@ void set_spec(std::string_view spec) {
   parse_spec_locked(st, spec);
 }
 
-void reload_env() {
-  const char* spec = std::getenv("EVA_FAULT");
-  set_spec(spec ? spec : "");
-}
-
 std::uint64_t occurrences(std::string_view site) {
   FaultState& st = state();
   std::lock_guard<std::mutex> lk(st.mu);

@@ -17,10 +17,9 @@
 // Sites in use: io_write (util/io atomic writer), ckpt_write /
 // ckpt_bitflip (train/checkpoint), nan_grad (train/run, every trainer),
 // spice_dc (spice/engine), fom_nan (spice/fom), reward_nan
-// (rl/reward_model), serve_accept / serve_slow_client / serve_conn_drop /
-// serve_partial_write / serve_stall / replica_crash (serve/server — the
-// network-failure family the router's failover and the chaos gate are
-// tested against; replica_crash _Exit()s the whole process).
+// (rl/reward_model), serve_accept / serve_conn_drop / serve_partial_write
+// (serve/server — the network-failure family the router's failover and
+// client-side retry are tested against).
 //
 // With no spec active, should_fire is one relaxed atomic load.
 #pragma once
@@ -41,9 +40,6 @@ namespace eva::fault {
 /// Install a spec programmatically (tests). Resets all occurrence
 /// counters; an empty spec disables injection entirely.
 void set_spec(std::string_view spec);
-
-/// Re-read EVA_FAULT from the environment (also resets counters).
-void reload_env();
 
 /// Occurrences seen so far for a site (tests / diagnostics).
 [[nodiscard]] std::uint64_t occurrences(std::string_view site);

@@ -81,12 +81,14 @@ TEST(Tokenizer, TourRoundTripThroughIds) {
       {20, 20, 4, 4, 10, 10, 6, 6});
   const auto tour = circuit::encode_tour(nl, rng);
   const auto ids = tok.encode_tour(tour);
+  ASSERT_EQ(ids.size(), tour.size() + 1);
   EXPECT_EQ(ids.back(), Tokenizer::kEos);
-  const auto back = tok.decode_ids(ids);
-  ASSERT_EQ(back.size(), tour.size());
-  const auto res = circuit::decode_tour(back);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(circuit::canonical_hash(res.netlist), circuit::canonical_hash(nl));
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    EXPECT_EQ(tok.decode(ids[i]), tour[i]) << i;
+  }
+  const auto res = ids_to_netlist_checked(tok, ids);
+  ASSERT_TRUE(res.ok()) << res.message;
+  EXPECT_EQ(circuit::canonical_hash(*res.netlist), circuit::canonical_hash(nl));
 }
 
 // --- transformer ---------------------------------------------------------

@@ -80,15 +80,8 @@ TEST(Labeling, InvalidExamplesAreActuallyInvalid) {
   const auto res = label_dataset(fx.ds, fx.tok, cfg);
   for (const auto& e : res.examples) {
     if (e.rank != RankClass::Invalid) continue;
-    bool valid = false;
-    try {
-      const auto tour = fx.tok.decode_ids(e.ids);
-      const auto dec = circuit::decode_tour(tour);
-      valid = dec.ok && circuit::structurally_valid(dec.netlist);
-    } catch (const Error&) {
-      valid = false;
-    }
-    EXPECT_FALSE(valid);
+    const auto dec = nn::ids_to_netlist_checked(fx.tok, e.ids);
+    EXPECT_FALSE(dec.ok() && circuit::structurally_valid(*dec.netlist));
   }
 }
 
@@ -118,6 +111,9 @@ TEST(RewardModelTest, RewardAppliesValidityRule) {
   RewardModel rm(fx.model, fx.tok, rng);
   // Garbage sequence: reward must be the Invalid rank (-1.0).
   EXPECT_DOUBLE_EQ(rm.reward({fx.tok.start_token()}), -1.0);
+  // So must a sequence with an id outside the vocabulary.
+  EXPECT_DOUBLE_EQ(
+      rm.reward({fx.tok.start_token(), fx.tok.vocab_size()}), -1.0);
 }
 
 TEST(RewardModelTest, ScoreWithinRange) {

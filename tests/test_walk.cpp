@@ -71,11 +71,6 @@ class Lockstep {
     check(a == b, "mask");
     return a;
   }
-  void would_short(int cand) {
-    check(flat_.would_short(cand, vss_, vdd_) ==
-              ref_.would_short(cand, vss_, vdd_),
-          "would_short", cand);
-  }
   bool illegal_transition(int cand) {
     const bool a = flat_.illegal_transition(cand, vss_, vdd_);
     check(a == ref_.illegal_transition(cand, vss_, vdd_),
@@ -171,10 +166,7 @@ TEST_F(WalkEquivalence, CorpusToursTeacherForced) {
         for (int k = 0; k < kRandomCandidates; ++k) {
           cands.push_back(rng.range(0, tok.vocab_size() - 1));
         }
-        for (const int cand : cands) {
-          s.would_short(cand);
-          (void)s.illegal_transition(cand);
-        }
+        for (const int cand : cands) (void)s.illegal_transition(cand);
         if (ids[i] == Tokenizer::kEos) break;
         s.on_token(ids[i]);
       }
@@ -224,7 +216,6 @@ TEST_F(WalkEquivalence, RandomWalksUntilForcedClosure) {
           }
           if (logits[static_cast<std::size_t>(cand)] < 0.0f) continue;
           next = cand;
-          s.would_short(next);
           if (!s.illegal_transition(next)) break;
           logits[static_cast<std::size_t>(next)] = -1e30f;
         }
