@@ -359,7 +359,10 @@ BENCHMARK(BM_WalkLegality)->Unit(benchmark::kMillisecond)->UseRealTime();
 // Batch generation on an identical 24-sequence workload through the
 // continuous-batching BatchedDecoder at several widths.
 // items_per_second == sampled tokens/sec, so the ratio between widths
-// is the end-to-end speedup of batching.
+// is the end-to-end speedup of batching. The first argument is the
+// decode width, the second the pool width, as in the training rows: /1
+// runs every parallel region inline, so a run pinned to one CPU times
+// one thread; /0 is the hardware default.
 
 nn::SampleOptions batch_bench_opts() {
   nn::SampleOptions opts;
@@ -379,6 +382,7 @@ nn::ModelConfig batch_bench_config(int vocab) {
 constexpr int kBatchBenchSeqs = 24;
 
 void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
+  set_num_threads(static_cast<std::size_t>(state.range(1)));
   const nn::Tokenizer tok({4, 4, 2, 2, 2, 2, 2, 2});
   Rng rng(30);
   nn::ModelConfig cfg = batch_bench_config(tok.vocab_size());
@@ -397,6 +401,7 @@ void bm_sample_batch_decoder(benchmark::State& state, tensor::QuantKind quant) {
   }
   state.SetItemsProcessed(tokens);
   state.SetLabel(tensor::quant_kind_name(quant));
+  set_num_threads(0);
 }
 // The quantized decode trajectory: int8 weight-quantized by default
 // here (EVA_QUANT overrides the tier). Serving itself defaults to f32;
@@ -405,7 +410,10 @@ void BM_SampleBatchDecoder(benchmark::State& state) {
   bm_sample_batch_decoder(
       state, tensor::quant_kind_from_env(tensor::QuantKind::kInt8));
 }
-BENCHMARK(BM_SampleBatchDecoder)->Arg(1)->Arg(8)->Arg(16)
+BENCHMARK(BM_SampleBatchDecoder)
+    ->Args({1, 1})->Args({1, 0})
+    ->Args({8, 1})->Args({8, 0})
+    ->Args({16, 1})->Args({16, 0})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 // The f32 trajectory, kept as its own family so the quantization win
@@ -413,7 +421,10 @@ BENCHMARK(BM_SampleBatchDecoder)->Arg(1)->Arg(8)->Arg(16)
 void BM_SampleBatchDecoderF32(benchmark::State& state) {
   bm_sample_batch_decoder(state, tensor::QuantKind::kF32);
 }
-BENCHMARK(BM_SampleBatchDecoderF32)->Arg(1)->Arg(8)->Arg(16)
+BENCHMARK(BM_SampleBatchDecoderF32)
+    ->Args({1, 1})->Args({1, 0})
+    ->Args({8, 1})->Args({8, 0})
+    ->Args({16, 1})->Args({16, 0})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -1,16 +1,13 @@
-// Bounded retry with exponential backoff and deterministic jitter.
+// Exponential backoff with deterministic jitter: a delay schedule only.
 //
 // One policy object is shared by every layer that retries over the
 // network: the router's per-attempt failover delays, eva_serve_client's
-// --retry flag, and eva_loadgen's reject/transport retry loop. The
-// jitter is a pure function of (seed, attempt) — splitmix64, no global
-// RNG — so a retry schedule is reproducible run-to-run, which keeps the
-// chaos gate's goodput numbers stable and lets tests assert exact
-// bounds.
-//
-// Header-only and dependency-free on purpose: the standalone tools
-// (tools/eva_serve_client, tools/eva_loadgen) include it without
-// linking any eva library.
+// --retry flag, and eva_loadgen's reject/transport retry loop. Each
+// caller keeps its own retry budget (the router's max_attempts, the
+// tools' --retry). The jitter is a pure function of (seed, attempt) —
+// splitmix64, no global RNG — so a retry schedule is reproducible
+// run-to-run, which keeps the chaos gate's goodput numbers stable and
+// lets tests assert exact bounds.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +19,6 @@ namespace eva::serve {
 /// deterministically from [0.5, 1.0). Attempt k is 1-based: the delay
 /// *before* the k-th retry (i.e. after the k-th failure).
 struct BackoffPolicy {
-  int max_retries = 3;     // additional attempts after the first
   double base_ms = 10.0;   // delay scale for the first retry
   double max_ms = 500.0;   // exponential growth cap
 

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 namespace eva::serve::net {
 
@@ -80,6 +81,17 @@ int connect_with_deadline(const std::string& host, int port,
   }
   ::fcntl(fd, F_SETFL, flags);  // back to blocking
   return fd;
+}
+
+int connect_retrying(const std::string& host, int port, double window_ms) {
+  const auto give_up =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::milli>(window_ms));
+  for (;;) {
+    const int fd = connect_with_deadline(host, port, 1000.0);
+    if (fd >= 0 || Clock::now() >= give_up) return fd;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
 }
 
 LineReader::Result LineReader::read_line(std::string& line,

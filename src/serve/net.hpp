@@ -1,8 +1,9 @@
 // Shared socket plumbing for the serving fleet (server, router, cache
-// sidecar): hardened write/read helpers and deadline-aware client
-// connects. Everything here is robust against the failure modes the
-// chaos gate injects — partial writes, EINTR/EAGAIN, peers that vanish
-// mid-line (EPIPE/ECONNRESET), and peers that stall forever.
+// sidecar) and its clients (tools/eva_loadgen, tools/eva_serve_client):
+// hardened write/read helpers and deadline-aware client connects.
+// Everything here is robust against the failure modes the chaos gate
+// injects — partial writes, EINTR/EAGAIN, peers that vanish mid-line
+// (EPIPE/ECONNRESET), and peers that stall forever.
 #pragma once
 
 #include <chrono>
@@ -15,7 +16,7 @@ using Clock = std::chrono::steady_clock;
 
 /// Ignore SIGPIPE process-wide. A write to a half-closed socket must
 /// surface as EPIPE from send(), never as a process-killing signal —
-/// every serving binary calls this before touching a socket. Idempotent.
+/// every serving binary and client calls this first. Idempotent.
 void ignore_sigpipe();
 
 /// Write all of `data`, absorbing EINTR and short writes; on
@@ -34,6 +35,12 @@ void ignore_sigpipe();
 /// port outside 0-65535 is -1 without a connect.
 [[nodiscard]] int connect_with_deadline(const std::string& host, int port,
                                         double timeout_ms);
+
+/// connect_with_deadline, tried again every 100 ms until `window_ms`
+/// has passed: for a client launched beside its server, which may not
+/// be listening yet. Returns the connected fd or -1.
+[[nodiscard]] int connect_retrying(const std::string& host, int port,
+                                   double window_ms);
 
 /// Buffered '\n'-framed line reader over one fd with an absolute
 /// deadline per read_line call. A line longer than `max_line` bytes is

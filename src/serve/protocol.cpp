@@ -13,14 +13,18 @@ namespace {
 
 /// Minimal recursive-descent-free scanner for one flat JSON object.
 /// Accepts string / number / true / false / null values only; nesting is
-/// a parse error (the protocol is intentionally flat).
+/// a parse error (the protocol is intentionally flat). A `reply` scanner
+/// reads what our own writers send back instead: strings are bounded
+/// only by the line, and a nested object or array is kept as raw text.
 class FlatJsonScanner {
  public:
-  explicit FlatJsonScanner(std::string_view s) : s_(s) {}
+  explicit FlatJsonScanner(std::string_view s, bool reply = false)
+      : s_(s), reply_(reply) {}
 
   struct Field {
     std::string key;
-    enum class Kind { kString, kNumber, kBool, kNull } kind = Kind::kNull;
+    enum class Kind { kString, kNumber, kBool, kNull, kNested } kind =
+        Kind::kNull;
     std::string str;
     double num = 0.0;
     bool b = false;
@@ -83,6 +87,7 @@ class FlatJsonScanner {
 
   bool parse_string(std::string& out, std::size_t max_len = kMaxString) {
     if (!consume('"')) return fail("expected string");
+    if (reply_) max_len = s_.size();
     out.clear();
     while (pos_ < s_.size()) {
       const char c = s_[pos_++];
@@ -125,7 +130,10 @@ class FlatJsonScanner {
       return parse_string(f.str,
                           f.key == "value" ? kMaxCacheValue : kMaxString);
     }
-    if (c == '{' || c == '[') return fail("nested values not allowed");
+    if (c == '{' || c == '[') {
+      if (!reply_) return fail("nested values not allowed");
+      return parse_nested(f);
+    }
     if (s_.substr(pos_, 4) == "true") {
       f.kind = Field::Kind::kBool;
       f.b = true;
@@ -162,8 +170,30 @@ class FlatJsonScanner {
     return true;
   }
 
+  /// One nested object or array, strings and all, kept as raw text.
+  bool parse_nested(Field& f) {
+    const std::size_t start = pos_;
+    std::string skipped;
+    for (int depth = 0; pos_ < s_.size();) {
+      const char c = s_[pos_];
+      if (c == '"') {
+        if (!parse_string(skipped)) return false;
+        continue;
+      }
+      ++pos_;
+      if (c == '{' || c == '[') ++depth;
+      if ((c == '}' || c == ']') && --depth == 0) {
+        f.kind = Field::Kind::kNested;
+        f.str = std::string(s_.substr(start, pos_ - start));
+        return true;
+      }
+    }
+    return fail("unterminated nested value");
+  }
+
   static constexpr std::size_t kMaxString = 256;
   std::string_view s_;
+  bool reply_;
   std::size_t pos_ = 0;
   std::string err_;
 };
@@ -346,6 +376,58 @@ std::string bad_request_json(std::string_view error) {
   obs::json_string_into(out, error);
   out += "}";
   return out;
+}
+
+std::optional<Terminator> read_terminator(std::string_view line) {
+  using Kind = FlatJsonScanner::Field::Kind;
+  Terminator t;
+  bool done = false;
+  std::string stages;
+  FlatJsonScanner scanner(line, /*reply=*/true);
+  const bool ok = scanner.scan([&](const FlatJsonScanner::Field& f) {
+    if (f.key == "done" && f.kind == Kind::kBool) {
+      done = f.b;
+    } else if (f.key == "status" && f.kind == Kind::kString) {
+      t.status = f.str;
+    } else if (f.key == "stages" && f.kind == Kind::kNested) {
+      stages = f.str;
+    } else if (f.kind == Kind::kNumber) {
+      if (f.key == "retry_after_ms") t.retry_after_ms = f.num;
+      if (f.key == "latency_ms") t.latency_ms = f.num;
+      if (f.key == "tokens") t.tokens = f.num;
+    }
+  });
+  if (!ok || !done) return std::nullopt;
+  if (!stages.empty()) {
+    Terminator::Stages st;
+    FlatJsonScanner(stages).scan([&](const FlatJsonScanner::Field& f) {
+      if (f.key == "queue_ms") st.queue_ms = f.num;
+      if (f.key == "decode_ms") st.decode_ms = f.num;
+      if (f.key == "cache_ms") st.cache_ms = f.num;
+      if (f.key == "verify_ms") st.verify_ms = f.num;
+    });
+    t.stages = st;
+  }
+  return t;
+}
+
+ResponseEnd read_response(
+    net::LineReader& in, net::Clock::time_point deadline,
+    const std::function<void(const std::string&)>& on_line,
+    Terminator* done) {
+  std::string line;
+  for (;;) {
+    const auto rc = in.read_line(line, deadline);
+    if (rc == net::LineReader::Result::kTimeout) return ResponseEnd::kTimeout;
+    if (rc != net::LineReader::Result::kLine) return ResponseEnd::kClosed;
+    if (line.empty()) continue;
+    if (line.front() != '{' || line.back() != '}') return ResponseEnd::kTorn;
+    on_line(line);
+    if (auto t = read_terminator(line)) {
+      if (done) *done = std::move(*t);
+      return ResponseEnd::kDone;
+    }
+  }
 }
 
 }  // namespace eva::serve

@@ -39,12 +39,17 @@
 // The "value" string (a whole multi-line response payload, JSON-escaped)
 // is the one protocol field allowed to exceed the 256-byte string cap —
 // it is bounded by kMaxCacheValue instead.
+//
+// The client half (read_terminator, read_response) lives next to the
+// writers: the router, eva_loadgen and eva_serve_client read through it.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "serve/net.hpp"
 #include "serve/service.hpp"
 
 namespace eva::serve {
@@ -87,5 +92,45 @@ struct ParsedLine {
 /// Terminator for a request that never reached the service (parse
 /// failure).
 [[nodiscard]] std::string bad_request_json(std::string_view error);
+
+/// What a client reads off a terminator line.
+struct Terminator {
+  struct Stages {
+    double queue_ms = 0.0, decode_ms = 0.0, cache_ms = 0.0, verify_ms = 0.0;
+  };
+  std::string status;
+  std::optional<double> retry_after_ms;  // rejected and unavailable lines
+  double latency_ms = 0.0;
+  double tokens = 0.0;
+  std::optional<Stages> stages;  // ok and timeout lines
+
+  /// A rejected or unavailable answer: the request did no work, and a
+  /// client may send it again after retry_after_ms.
+  [[nodiscard]] bool backpressure() const {
+    return status == "rejected" || status == "unavailable";
+  }
+};
+
+/// The terminator `line` carries, or nullopt when it is not one (an
+/// item line, or not a JSON object). Reads whole replies, nested
+/// objects (stats, stages) included.
+[[nodiscard]] std::optional<Terminator> read_terminator(std::string_view line);
+
+/// How read_response ended.
+enum class ResponseEnd {
+  kDone,     // the terminator arrived
+  kTorn,     // a line that is not one {...} object
+  kTimeout,  // `deadline` passed first
+  kClosed,   // EOF, a read error or an over-long line
+};
+
+/// Read one response: hand each line, up to and including its
+/// terminator, to `on_line`, and the terminator to `*done` when non-null.
+/// Empty lines are skipped; a torn line is not handed on. The
+/// connection is unusable after anything but kDone.
+[[nodiscard]] ResponseEnd read_response(
+    net::LineReader& in, net::Clock::time_point deadline,
+    const std::function<void(const std::string&)>& on_line,
+    Terminator* done = nullptr);
 
 }  // namespace eva::serve

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 
 #include "obs/json.hpp"
@@ -40,29 +39,6 @@ bool split_addr(std::string_view addr, std::string* host, int* port) {
   *host = std::string(addr.substr(0, colon));
   *port = p;
   return true;
-}
-
-/// Extract `"key": "<value>"` from a response line. Status values are
-/// ASCII identifiers emitted by our own serializers — no escapes.
-std::string json_field_string(const std::string& line, const char* key) {
-  const std::string pat = std::string("\"") + key + "\": \"";
-  const std::size_t p = line.find(pat);
-  if (p == std::string::npos) return "";
-  const std::size_t start = p + pat.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
-double json_field_number(const std::string& line, const char* key,
-                         double fallback) {
-  const std::string pat = std::string("\"") + key + "\": ";
-  const std::size_t p = line.find(pat);
-  if (p == std::string::npos) return fallback;
-  const char* s = line.c_str() + p + pat.size();
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  return end == s ? fallback : v;
 }
 
 /// Terminator the router synthesizes when it sheds a request before
@@ -222,7 +198,6 @@ struct Router::ForwardOutcome {
   enum class Kind { kOk, kReject, kTransport, kTimeout };
   Kind kind = Kind::kTransport;
   std::string payload;  // full multi-line response, each line '\n'-terminated
-  double retry_after_ms = 0.0;
   std::string error;
 };
 
@@ -319,15 +294,11 @@ bool Router::probe(Replica& r) {
   const int fd =
       net::connect_with_deadline(r.host, r.port, cfg_.probe_timeout_ms);
   if (fd < 0) return false;
-  bool ok = net::send_line(fd, "{\"cmd\": \"stats\"}");
-  if (ok) {
-    net::LineReader reader(fd);
-    std::string line;
-    const auto rc = reader.read_line(
-        line, Clock::now() + ms_duration(cfg_.probe_timeout_ms));
-    ok = rc == net::LineReader::Result::kLine &&
-         line.find("\"done\"") != std::string::npos;
-  }
+  net::LineReader reader(fd);
+  const bool ok =
+      net::send_line(fd, "{\"cmd\": \"stats\"}") &&
+      read_response(reader, Clock::now() + ms_duration(cfg_.probe_timeout_ms),
+                    [](const std::string&) {}) == ResponseEnd::kDone;
   ::close(fd);
   return ok;
 }
@@ -459,52 +430,39 @@ Router::ForwardOutcome Router::forward_once(Replica& r,
     out.error = "connect failed: " + r.addr;
     return out;
   }
+  net::LineReader reader(fd);
+  Terminator done;
+  // The whole response is buffered before the client sees one byte, and
+  // every buffered line must look like a complete JSON object: a replica
+  // dying mid-line (serve_partial_write) is a transport failure here,
+  // never a torn line downstream.
+  const auto buffer = [&out](const std::string& resp) {
+    out.payload += resp;
+    out.payload += '\n';
+  };
   if (!net::send_line(fd, line)) {
     out.error = "write failed: " + r.addr;
   } else {
-    net::LineReader reader(fd);
-    std::string resp;
-    for (;;) {
-      const auto rc = reader.read_line(resp, deadline);
-      if (rc == net::LineReader::Result::kLine) {
-        if (resp.empty()) continue;
-        // The whole response is buffered before the client sees one
-        // byte, and every buffered line must look like a complete JSON
-        // object — a replica dying mid-line (serve_partial_write) is a
-        // transport failure here, never a torn line downstream.
-        if (resp.front() != '{' || resp.back() != '}') {
-          out.error = "malformed replica line: " + r.addr;
-          break;
+    switch (read_response(reader, deadline, buffer, &done)) {
+      case ResponseEnd::kDone:
+        if (done.status == "shutdown") {
+          // The replica is draining and did no work: retryable.
+          out.error = "replica draining: " + r.addr;
+        } else {
+          out.kind = done.status == "rejected" ? ForwardOutcome::Kind::kReject
+                                               : ForwardOutcome::Kind::kOk;
         }
-        out.payload += resp;
-        out.payload += '\n';
-        if (resp.find("\"done\"") != std::string::npos) {
-          const std::string status = json_field_string(resp, "status");
-          if (status == "rejected") {
-            out.kind = ForwardOutcome::Kind::kReject;
-            out.retry_after_ms = json_field_number(
-                resp, "retry_after_ms", cfg_.shed_retry_after_ms);
-          } else if (status == "shutdown") {
-            // The replica is draining and did no work: retryable.
-            out.kind = ForwardOutcome::Kind::kTransport;
-            out.error = "replica draining: " + r.addr;
-            out.payload.clear();
-          } else {
-            out.kind = ForwardOutcome::Kind::kOk;
-          }
-          break;
-        }
-      } else if (rc == net::LineReader::Result::kTimeout) {
+        break;
+      case ResponseEnd::kTorn:
+        out.error = "malformed replica line: " + r.addr;
+        break;
+      case ResponseEnd::kTimeout:
         out.kind = ForwardOutcome::Kind::kTimeout;
         out.error = "replica timeout: " + r.addr;
         break;
-      } else {
-        out.error = (rc == net::LineReader::Result::kEof
-                         ? "connection closed mid-response: "
-                         : "read error: ") +
-                    r.addr;
+      case ResponseEnd::kClosed:
+        out.error = "connection closed mid-response: " + r.addr;
         break;
-      }
     }
   }
   if (out.kind != ForwardOutcome::Kind::kOk &&

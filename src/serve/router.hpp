@@ -123,7 +123,7 @@ struct RouterConfig {
   double probe_timeout_ms = 500.0;    // stats-probe budget
   double replica_timeout_ms = 5000.0; // per-attempt budget EVA_ROUTER_TIMEOUT_MS
   int max_attempts = 4;               // dispatch attempts per request
-  BackoffPolicy backoff{/*max_retries=*/3, /*base_ms=*/5.0, /*max_ms=*/100.0};
+  BackoffPolicy backoff{/*base_ms=*/5.0, /*max_ms=*/100.0};
   int breaker_threshold = 3;          // consecutive failures -> open
   double breaker_cooldown_ms = 1000.0;
   std::size_t max_inflight = 256;     // shed above (EVA_ROUTER_MAX_INFLIGHT)

@@ -340,7 +340,6 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
 }
 
 void GenerationService::finish(Pending& p, Response&& r) {
-  static obs::Histogram& lat_h = obs::histogram("serve.latency_ms");
   static obs::SlidingHistogram& e2e_h = obs::sliding_histogram("serve.e2e_ms");
   static obs::Counter& completed = obs::counter("serve.completed");
   static obs::Counter& deadline_c = obs::counter("serve.deadline_exceeded");
@@ -351,7 +350,6 @@ void GenerationService::finish(Pending& p, Response&& r) {
   r.timeline = p.timeline;
   const bool ok = r.status == Status::kOk;
   if (ok) {
-    lat_h.record(r.latency_ms);
     e2e_h.record(r.latency_ms);
     completed.add();
   }

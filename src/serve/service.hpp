@@ -20,10 +20,11 @@
 //    scheduler polls) stops admission but completes every request
 //    already admitted before the scheduler exits.
 //
-// Instrumentation: serve.queue_depth gauge, serve.latency_ms histogram
-// (p50/p99 in the metrics export), serve.{submitted,completed,rejected,
-// timeouts} counters, serve.request spans, and the serve.cache_* family
-// from ResultCache.
+// Instrumentation: serve.queue_depth gauge, the serve.e2e_ms sliding
+// histogram of ok latencies (window and since-start percentiles in the
+// metrics export and the stats snapshot), serve.{submitted,completed,
+// rejected,timeouts} counters, serve.request spans, and the
+// serve.cache_* family from ResultCache.
 #pragma once
 
 #include <atomic>

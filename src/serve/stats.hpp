@@ -18,7 +18,8 @@ namespace eva::serve {
 /// The stats object: rolling-window (last 10 s) and since-start
 /// count/mean/p50/p90/p99 for every request stage and the end-to-end
 /// latency, queue depths per priority, batch occupancy, cache hit rate,
-/// request status counters, and per-backend GEMM dispatch counts.
+/// request status counters, the active quant tier, and gemm_flops (the
+/// tensor.gemm_flops counter).
 [[nodiscard]] std::string stats_json(const GenerationService& svc);
 
 /// One protocol line answering {"cmd":"stats"}: a terminator object

@@ -8,9 +8,6 @@
 // `fallback`. Configuration is read in each binary's main, never in a
 // default member initializer, so a default-built config struct does not
 // depend on the environment.
-//
-// Header-only and dependency-free on purpose: the standalone tools
-// (tools/eva_loadgen) include it without linking any eva library.
 #pragma once
 
 #include <climits>

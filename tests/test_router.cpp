@@ -237,7 +237,7 @@ RouterConfig fast_router(std::vector<std::string> backends) {
   cfg.health_interval_ms = 50.0;
   cfg.probe_timeout_ms = 300.0;
   cfg.replica_timeout_ms = 2000.0;
-  cfg.backoff = BackoffPolicy{3, 1.0, 5.0};  // keep test failovers snappy
+  cfg.backoff = BackoffPolicy{1.0, 5.0};  // keep test failovers snappy
   cfg.breaker_cooldown_ms = 200.0;
   return cfg;
 }
@@ -308,7 +308,7 @@ TEST(HashRingTest, SeededRequestsPinReplicasUnseededSpread) {
 // --- backoff -----------------------------------------------------------------
 
 TEST(BackoffTest, DelaysAreJitteredBoundedAndDeterministic) {
-  const BackoffPolicy p{5, 10.0, 80.0};
+  const BackoffPolicy p{10.0, 80.0};
   EXPECT_EQ(p.delay_ms(0, 1), 0.0);
   double prev_cap = 0.0;
   for (int k = 1; k <= 6; ++k) {

@@ -294,9 +294,11 @@ TEST(Service, SigtermDrainCompletesAdmittedRequests) {
 TEST(Service, LatencyHistogramRecordsCompletions) {
   ServeFixture f(fast_config());
   f.service.start();
-  const auto before = obs::histogram("serve.latency_ms").snapshot().count;
+  const auto before =
+      obs::sliding_histogram("serve.e2e_ms").total_snapshot().count;
   (void)f.service.submit({}).response.get();
-  const auto after = obs::histogram("serve.latency_ms").snapshot().count;
+  const auto after =
+      obs::sliding_histogram("serve.e2e_ms").total_snapshot().count;
   EXPECT_GT(after, before);
 }
 
@@ -626,20 +628,37 @@ TEST(Protocol, TerminatorCarriesRequestIdAndStages) {
   EXPECT_NE(d.find("\"tokens\": 96"), std::string::npos);
   EXPECT_NE(d.find("\"queue_ms\": 0.5"), std::string::npos);
   EXPECT_NE(d.find("\"decode_ms\": 10"), std::string::npos);
+  // The client half reads back what the writer wrote.
+  const auto t = read_terminator(d);
+  ASSERT_TRUE(t.has_value()) << d;
+  EXPECT_EQ(t->status, "ok");
+  EXPECT_EQ(t->latency_ms, 12.5);
+  EXPECT_EQ(t->tokens, 96.0);
+  EXPECT_FALSE(t->retry_after_ms.has_value());
+  ASSERT_TRUE(t->stages.has_value());
+  EXPECT_EQ(t->stages->queue_ms, 0.5);
+  EXPECT_EQ(t->stages->decode_ms, 10.0);
 
   // Rejected requests never entered the queue: no stage object.
   Response rej;
   rej.status = Status::kRejected;
+  rej.retry_after_ms = 40.0;
   rej.timeline.request_id = 18;
   const std::string dr = done_to_json(rej);
   EXPECT_TRUE(eva::testutil::json_valid(dr)) << dr;
   EXPECT_NE(dr.find("\"request_id\": 18"), std::string::npos);
   EXPECT_EQ(dr.find("\"stages\""), std::string::npos);
+  const auto tr = read_terminator(dr);
+  ASSERT_TRUE(tr.has_value()) << dr;
+  EXPECT_EQ(tr->status, "rejected");
+  EXPECT_EQ(tr->retry_after_ms, 40.0);
+  EXPECT_FALSE(tr->stages.has_value());
 
   Item item;
   item.netlist = "M1";
   const std::string j = item_to_json(item, 17);
   EXPECT_NE(j.find("\"request_id\": 17"), std::string::npos);
+  EXPECT_FALSE(read_terminator(j).has_value()) << j;
 }
 
 // --- Live stats snapshot ------------------------------------------------------

@@ -28,35 +28,27 @@
 //               [--retry N] [--retry-base-ms B]
 //               [--seed S] [--out PATH] [--strict]
 //
-// Environment defaults: EVA_LOADGEN_RATE, EVA_LOADGEN_DURATION_SEC,
-// EVA_LOADGEN_CONNS, EVA_LOADGEN_RETRY, EVA_LOADGEN_OUT.
-//
 // --retry N re-sends a request up to N more times when its terminator
 // is "rejected"/"unavailable" (waiting the larger of the server's
 // retry_after_ms hint and an exponential-backoff delay from
 // serve/backoff.hpp — the same policy the router applies internally) or
 // when the transport fails mid-response (reconnect + resend). Every
-// response line is also checked for protocol integrity: a line that is
-// not a complete JSON object counts as "malformed" in the output JSON,
-// and any malformed line fails the run — the chaos gate's
-// zero-corruption assertion.
+// response line is also checked for protocol integrity (read_response,
+// serve/protocol.hpp): a line that is not a complete JSON object counts
+// as "malformed" in the output JSON, and any malformed line fails the
+// run — the chaos gate's zero-corruption assertion.
 //
 // Exit code: 0 when every request got a terminator and no line was
 // malformed; with --strict, also requires every terminator to be "ok"
 // (the CI gate runs at a low rate where timeouts/rejects mean a
 // regression).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <random>
@@ -65,24 +57,31 @@
 #include <vector>
 
 #include "serve/backoff.hpp"
+#include "serve/net.hpp"
+#include "serve/protocol.hpp"
 #include "util/env.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+namespace net = eva::serve::net;
+using Clock = net::Clock;
+using eva::serve::ResponseEnd;
+
+constexpr double kConnectWindowMs = 5000.0;
+constexpr auto kNoDeadline = Clock::time_point::max();
 
 // --- config ------------------------------------------------------------------
 
-using eva::env_double;
-using eva::env_int;
+using eva::mean;
 using eva::parse_double;
 using eva::parse_int;
 
 struct Config {
   std::string host = "127.0.0.1";
   int port = 7077;
-  double rate = env_double("EVA_LOADGEN_RATE", 4.0);        // req/s offered
-  double duration_s = env_double("EVA_LOADGEN_DURATION_SEC", 5.0);
+  double rate = 4.0;         // req/s offered
+  double duration_s = 5.0;
   int n = 1;                 // topologies per request
   double temperature = 0.0;  // 0 = server default
   double deadline_ms = 0.0;  // 0 = none
@@ -92,91 +91,13 @@ struct Config {
                                    // = server default type
   double warm_frac = 0.5;    // fraction reusing the warm seed pool
   int warm_seeds = 8;        // pool size: smaller = warmer
-  int conns = env_int("EVA_LOADGEN_CONNS", 16, 1);
-  int retry = env_int("EVA_LOADGEN_RETRY", 0, 0);
+  int conns = 16;
+  int retry = 0;
   double retry_base_ms = 25.0;  // backoff base for --retry
   std::uint64_t seed = 1;    // arrival + mix RNG
-  std::string out = [] {
-    const char* v = std::getenv("EVA_LOADGEN_OUT");
-    return std::string(v && *v ? v : "BENCH_loadgen.json");
-  }();
+  std::string out = "BENCH_loadgen.json";
   bool strict = false;
 };
-
-// --- tiny line-oriented client ----------------------------------------------
-
-int connect_to(const std::string& host, int port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return -1;
-  const auto give_up = Clock::now() + std::chrono::seconds(5);
-  while (Clock::now() < give_up) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  return -1;
-}
-
-bool send_line(int fd, const std::string& line) {
-  std::string out = line;
-  out += '\n';
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t k = ::send(fd, out.data() + off, out.size() - off, 0);
-    if (k <= 0) return false;
-    off += static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-/// Read one \n-terminated line (buffered in `buf`); false on EOF/error.
-bool read_line(int fd, std::string& buf, std::string& line) {
-  char chunk[4096];
-  for (;;) {
-    const std::size_t nl = buf.find('\n');
-    if (nl != std::string::npos) {
-      line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
-      return true;
-    }
-    const ssize_t k = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (k <= 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(k));
-  }
-}
-
-// --- minimal value extraction from a response line ---------------------------
-// The server's terminator keys are unique within a line, so flat string
-// search is exact enough here (this binary intentionally links nothing).
-
-bool find_number(const std::string& line, const std::string& key,
-                 double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
-  return true;
-}
-
-std::string find_string(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t start = at + needle.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
 
 // --- per-request record ------------------------------------------------------
 
@@ -186,16 +107,12 @@ struct Shot {
 };
 
 struct Outcome {
-  std::string status;       // "" = transport failure before a terminator
+  eva::serve::Terminator done;  // status "" = transport failure
   double client_ms = 0.0;   // send -> terminator observed
-  double server_ms = 0.0;   // terminator latency_ms
   double skew_ms = 0.0;     // scheduled -> actually sent (client-side lag)
-  double queue_ms = 0.0, decode_ms = 0.0, cache_ms = 0.0, verify_ms = 0.0;
-  double tokens = 0.0;
   int items_valid = 0;
   int retries = 0;    // extra attempts this request consumed
   int malformed = 0;  // response lines that were not complete JSON objects
-  bool has_stages = false;
 };
 
 struct Aggregate {
@@ -203,21 +120,9 @@ struct Aggregate {
   std::vector<Outcome> outcomes;
 };
 
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return xs[lo] + (xs[hi] - xs[lo]) * frac;
-}
-
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (const double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
+/// util/stats' percentile, with 0 for an empty series.
+double percentile_or_0(const std::vector<double>& xs, double p) {
+  return xs.empty() ? 0.0 : eva::percentile(xs, p);
 }
 
 void percentiles_json(FILE* f, const char* key,
@@ -225,8 +130,8 @@ void percentiles_json(FILE* f, const char* key,
   std::fprintf(f,
                "\"%s\": {\"count\": %zu, \"mean\": %.6g, \"p50\": %.6g, "
                "\"p90\": %.6g, \"p99\": %.6g, \"max\": %.6g}",
-               key, xs.size(), mean(xs), percentile(xs, 50.0),
-               percentile(xs, 90.0), percentile(xs, 99.0),
+               key, xs.size(), mean(xs), percentile_or_0(xs, 50.0),
+               percentile_or_0(xs, 90.0), percentile_or_0(xs, 99.0),
                xs.empty() ? 0.0 : *std::max_element(xs.begin(), xs.end()));
 }
 
@@ -241,17 +146,21 @@ struct Dispatcher {
 
 void worker_loop(const Config& cfg, int widx, Dispatcher& disp,
                  Aggregate& agg) {
-  const eva::serve::BackoffPolicy backoff{cfg.retry, cfg.retry_base_ms,
-                                          1000.0};
-  int fd = connect_to(cfg.host, cfg.port);
-  std::string buf;
+  const eva::serve::BackoffPolicy backoff{cfg.retry_base_ms, 1000.0};
+  int fd = net::connect_retrying(cfg.host, cfg.port, kConnectWindowMs);
+  net::LineReader reader(fd);
   std::uint64_t attempt_seq = 0;
+  const auto backoff_ms = [&](int attempt) {
+    return backoff.delay_ms(attempt + 1,
+                            cfg.seed ^ static_cast<std::uint64_t>(widx) << 32 ^
+                                ++attempt_seq);
+  };
   for (;;) {
     std::pair<Shot, Clock::time_point> job;
     {
       std::unique_lock<std::mutex> lk(disp.mu);
       disp.cv.wait(lk, [&] { return disp.closed || !disp.ready.empty(); });
-      if (disp.ready.empty()) return;  // closed and drained
+      if (disp.ready.empty()) break;  // closed and drained
       job = std::move(disp.ready.front());
       disp.ready.pop_front();
     }
@@ -260,71 +169,44 @@ void worker_loop(const Config& cfg, int widx, Dispatcher& disp,
                                                            job.second)
                      .count();
     const auto t0 = Clock::now();
-    bool got_done = false;
+    const auto count_valid = [&oc](const std::string& line) {
+      if (line.find("\"valid\": true") != std::string::npos) ++oc.items_valid;
+    };
     for (int attempt = 0; attempt <= cfg.retry; ++attempt) {
       if (attempt > 0) ++oc.retries;
-      if (fd < 0) fd = connect_to(cfg.host, cfg.port);  // lazy reconnect
-      if (fd < 0) break;
-      got_done = false;
-      oc.status.clear();
-      std::string done_line;
-      if (send_line(fd, job.first.payload)) {
-        std::string line;
-        oc.items_valid = 0;
-        while (read_line(fd, buf, line)) {
-          // Integrity check: every line the server emits must be one
-          // complete JSON object — a torn line (e.g. a replica killed
-          // mid-write) is protocol corruption and fails the whole run.
-          if (line.empty() || line.front() != '{' || line.back() != '}') {
-            ++oc.malformed;
-            break;
-          }
-          if (line.find("\"valid\": true") != std::string::npos) {
-            ++oc.items_valid;
-          }
-          if (line.find("\"done\"") == std::string::npos) continue;
-          got_done = true;
-          done_line = line;
-          oc.client_ms =
-              std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                  .count();
-          oc.status = find_string(line, "status");
-          find_number(line, "latency_ms", &oc.server_ms);
-          double v = 0.0;
-          oc.has_stages = find_number(line, "queue_ms", &oc.queue_ms);
-          find_number(line, "decode_ms", &oc.decode_ms);
-          find_number(line, "cache_ms", &oc.cache_ms);
-          find_number(line, "verify_ms", &oc.verify_ms);
-          if (find_number(line, "tokens", &v)) oc.tokens = v;
-          break;
-        }
+      if (fd < 0) {  // lazy reconnect
+        fd = net::connect_retrying(cfg.host, cfg.port, kConnectWindowMs);
+        reader = net::LineReader(fd);
       }
-      if (!got_done) {
+      if (fd < 0) break;
+      oc.done = {};
+      oc.items_valid = 0;
+      ResponseEnd end = ResponseEnd::kClosed;
+      if (net::send_line(fd, job.first.payload)) {
+        end = eva::serve::read_response(reader, kNoDeadline, count_valid,
+                                        &oc.done);
+      }
+      // A torn line (e.g. a replica killed mid-write) is protocol
+      // corruption and fails the whole run.
+      if (end == ResponseEnd::kTorn) ++oc.malformed;
+      if (end != ResponseEnd::kDone) {
         // Transport failure: drop the connection so the retry (or the
         // next job) reconnects from scratch.
-        if (fd >= 0) ::close(fd);
+        ::close(fd);
         fd = -1;
-        buf.clear();
         if (attempt < cfg.retry) {
           std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(backoff.delay_ms(
-                  attempt + 1,
-                  cfg.seed ^ static_cast<std::uint64_t>(widx) << 32 ^
-                      ++attempt_seq)));
+              std::chrono::duration<double, std::milli>(backoff_ms(attempt)));
         }
         continue;
       }
+      oc.client_ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
       // Backpressure terminators are retryable while budget remains,
       // waiting the larger of the server's hint and the backoff delay.
-      if ((oc.status == "rejected" || oc.status == "unavailable") &&
-          attempt < cfg.retry) {
-        double hint_ms = 0.0;
-        find_number(done_line, "retry_after_ms", &hint_ms);
-        const double wait_ms = std::max(
-            hint_ms,
-            backoff.delay_ms(attempt + 1,
-                             cfg.seed ^ static_cast<std::uint64_t>(widx) << 32 ^
-                                 ++attempt_seq));
+      if (oc.done.backpressure() && attempt < cfg.retry) {
+        const double wait_ms = std::max(oc.done.retry_after_ms.value_or(0.0),
+                                        backoff_ms(attempt));
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(wait_ms));
         continue;
@@ -334,7 +216,7 @@ void worker_loop(const Config& cfg, int widx, Dispatcher& disp,
     std::lock_guard<std::mutex> lk(agg.mu);
     agg.outcomes.push_back(std::move(oc));
   }
-  // not reached; fd cleanup below
+  if (fd >= 0) ::close(fd);
 }
 
 // --- payload synthesis -------------------------------------------------------
@@ -374,6 +256,7 @@ std::string make_payload(const Config& cfg, std::mt19937_64& rng,
 }  // namespace
 
 int main(int argc, char** argv) {
+  net::ignore_sigpipe();
   Config cfg;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -475,15 +358,16 @@ int main(int argc, char** argv) {
 
   // Post-run: the server's own live snapshot, embedded verbatim.
   std::string stats_line;
-  {
-    const int fd = connect_to(cfg.host, cfg.port);
-    if (fd >= 0) {
-      std::string buf;
-      if (send_line(fd, "{\"cmd\":\"stats\"}")) {
-        read_line(fd, buf, stats_line);
-      }
-      ::close(fd);
+  if (const int fd = net::connect_retrying(cfg.host, cfg.port,
+                                           kConnectWindowMs);
+      fd >= 0) {
+    net::LineReader reader(fd);
+    if (net::send_line(fd, "{\"cmd\":\"stats\"}")) {
+      (void)eva::serve::read_response(
+          reader, kNoDeadline,
+          [&stats_line](const std::string& line) { stats_line = line; });
     }
+    ::close(fd);
   }
 
   // Aggregate.
@@ -498,27 +382,28 @@ int main(int argc, char** argv) {
     skew_ms.push_back(oc.skew_ms);
     n_retries += oc.retries;
     n_malformed += oc.malformed;
-    if (oc.status.empty()) {
+    const std::string& status = oc.done.status;
+    if (status.empty()) {
       ++n_transport;
       continue;
     }
-    if (oc.status == "ok") {
+    if (status == "ok") {
       ++n_ok;
       client_ms.push_back(oc.client_ms);
-      server_ms.push_back(oc.server_ms);
+      server_ms.push_back(oc.done.latency_ms);
       valid_items += oc.items_valid;
-      tokens += oc.tokens;
-      if (oc.has_stages) {
-        queue_ms.push_back(oc.queue_ms);
-        decode_ms.push_back(oc.decode_ms);
-        cache_ms.push_back(oc.cache_ms);
-        verify_ms.push_back(oc.verify_ms);
-        sum_ms.push_back(oc.queue_ms + oc.decode_ms + oc.cache_ms +
-                         oc.verify_ms);
+      tokens += oc.done.tokens;
+      if (const auto& st = oc.done.stages) {
+        queue_ms.push_back(st->queue_ms);
+        decode_ms.push_back(st->decode_ms);
+        cache_ms.push_back(st->cache_ms);
+        verify_ms.push_back(st->verify_ms);
+        sum_ms.push_back(st->queue_ms + st->decode_ms + st->cache_ms +
+                         st->verify_ms);
       }
-    } else if (oc.status == "timeout") {
+    } else if (status == "timeout") {
       ++n_timeout;
-    } else if (oc.status == "rejected") {
+    } else if (status == "rejected") {
       ++n_rejected;
     } else {
       ++n_other;
@@ -593,7 +478,8 @@ int main(int argc, char** argv) {
                n_ok, n_timeout, n_rejected, n_other, n_transport, n_malformed,
                n_retries,
                wall_s > 0.0 ? static_cast<double>(n_ok) / wall_s : 0.0,
-               percentile(client_ms, 50.0), percentile(client_ms, 99.0),
+               percentile_or_0(client_ms, 50.0),
+               percentile_or_0(client_ms, 99.0),
                stage_coverage, cfg.out.c_str());
 
   // Protocol corruption is never acceptable, at any strictness level.

@@ -15,6 +15,11 @@
 #   5. queue overflow: EVA_SERVE_QUEUE_MAX=1 plus parallel bursty clients
 #                    forces "rejected" terminators carrying retry_after_ms
 #   6. SIGTERM drain: the server exits cleanly with its drain banner
+#   7. client failure paths: against a replica that hangs up on its first
+#                    generation request (EVA_FAULT=serve_conn_drop:1), a
+#                    burst client reports its unanswered responses and
+#                    exits 1 (never killed by SIGPIPE, exit 141), and a
+#                    --retry 1 client reconnects and completes its request
 set -euo pipefail
 
 build_dir=${1:?usage: serve_smoke.sh <build-dir>}
@@ -111,5 +116,41 @@ kill -TERM "$server_pid"
 wait "$server_pid"
 grep -q 'eva_serve drained, exiting' "$work/server2.log"
 unset server_pid
+
+echo "== phase 4: client failure paths under EVA_FAULT=serve_conn_drop:1 =="
+# Each check gets a fresh replica, so the drop lands on its first request.
+start_dropping_server() {
+  EVA_SERVE_PORT=0 EVA_FAULT=serve_conn_drop:1 "$server_bin" >"$1" 2>&1 &
+  server_pid=$!
+  port=$(wait_for_port "$1")
+}
+stop_server() {
+  kill -TERM "$server_pid"
+  wait "$server_pid"
+  grep -q 'eva_serve drained, exiting' "$1"
+  unset server_pid
+}
+
+# The burst's later writes meet a socket the server has hung up: the
+# client must count the unanswered responses and exit 1.
+start_dropping_server "$work/server3.log"
+rc=0
+"$client_bin" --port "$port" --burst --repeat 20000 \
+  >/dev/null 2>"$work/drop_burst.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "burst client exited $rc, want 1" >&2
+  cat "$work/drop_burst.err" >&2
+  exit 1
+fi
+grep -q '0/20000 responses complete' "$work/drop_burst.err"
+stop_server "$work/server3.log"
+
+# One retry reconnects and gets the dropped request answered.
+start_dropping_server "$work/server4.log"
+"$client_bin" --port "$port" --retry 1 '{"n":1,"seed":9}' \
+  >"$work/drop_retry.out" 2>"$work/drop_retry.err"
+grep -q '1/1 responses complete (1 retries)' "$work/drop_retry.err"
+grep -q '"status": "ok"' "$work/drop_retry.out"
+stop_server "$work/server4.log"
 
 echo "serve smoke: all phases passed"
