@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "core/eva.hpp"
-#include "obs/obs.hpp"
+#include "obs/log.hpp"
 #include "util/io.hpp"
 
 int main() {

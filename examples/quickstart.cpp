@@ -17,7 +17,8 @@
 #include <string>
 
 #include "core/eva.hpp"
-#include "obs/obs.hpp"
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "spice/engine.hpp"
 #include "train/signal.hpp"
 #include "util/env.hpp"
@@ -61,7 +62,7 @@ int main() {
   if (result.interrupted) {
     std::cout << "interrupted at step " << result.end_step
               << "; checkpoint written, rerun with EVA_RESUME=1\n";
-    obs::flush();
+    obs::export_now();
     return 0;
   }
   if (!result.losses.empty()) {
@@ -88,6 +89,6 @@ int main() {
               << first_valid->to_spice();
   }
   // Write EVA_METRICS_FILE / EVA_TRACE_FILE now (also runs at exit).
-  obs::flush();
+  obs::export_now();
   return 0;
 }

@@ -7,7 +7,6 @@
 #include "circuit/pingraph.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 
 namespace eva::nn {
@@ -219,7 +218,7 @@ PretrainResult pretrain(TransformerLM& model, const SequenceCorpus& corpus,
     obs::log_info("pretrain.done",
                   {{"steps", cfg.steps}, {"val_loss", result.final_val_loss}});
   }
-  obs::flush();
+  obs::export_now();
   return result;
 }
 

@@ -1,30 +1,17 @@
 #include "obs/log.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace eva::obs {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Seconds since the first obs call in the process. Monotonic; shared
-/// with the tracer so log timestamps and span timestamps line up.
-Clock::time_point process_start() {
-  static const Clock::time_point t0 = Clock::now();
-  return t0;
-}
-
-double now_s() {
-  return std::chrono::duration<double>(Clock::now() - process_start()).count();
-}
 
 struct LogState {
   std::atomic<int> level{static_cast<int>(LogLevel::kInfo)};
@@ -83,7 +70,9 @@ void append_value_json(std::string& out, const LogField& f) {
 
 void emit(LogLevel lvl, std::string_view event, LogFields fields,
           const std::uint64_t* rate_count) {
-  const double ts = now_s();
+  // Seconds on the obs time axis, so a line lands inside the spans that
+  // were open when it was logged.
+  const double ts = static_cast<double>(now_us()) / 1e6;
   LogState& s = state();
 
   std::string line;
@@ -103,32 +92,26 @@ void emit(LogLevel lvl, std::string_view event, LogFields fields,
     line += '\n';
   }
 
-  std::string json;
-  {
-    // Build the JSONL record only when the file sink is open; checked
-    // again under the lock before writing.
-    json += "{\"ts_s\":";
-    json_number_into(json, ts);
-    json += ",\"level\":\"";
-    json += level_name(lvl);
-    json += "\",\"event\":";
-    json_string_into(json, event);
-    for (const auto& f : fields) {
-      json += ',';
-      json_string_into(json, f.key);
-      json += ':';
-      append_value_json(json, f);
-    }
-    if (rate_count) json += ",\"count\":" + std::to_string(*rate_count);
-    json += "}\n";
-  }
-
   std::lock_guard<std::mutex> lk(s.mu);
   if (!line.empty()) std::fwrite(line.data(), 1, line.size(), stderr);
-  if (s.file) {
-    std::fwrite(json.data(), 1, json.size(), s.file);
-    std::fflush(s.file);
+  if (!s.file) return;
+  // The JSONL record is built only while the file sink is open.
+  std::string json = "{\"ts_s\":";
+  json_number_into(json, ts);
+  json += ",\"level\":\"";
+  json += level_name(lvl);
+  json += "\",\"event\":";
+  json_string_into(json, event);
+  for (const auto& f : fields) {
+    json += ',';
+    json_string_into(json, f.key);
+    json += ':';
+    append_value_json(json, f);
   }
+  if (rate_count) json += ",\"count\":" + std::to_string(*rate_count);
+  json += "}\n";
+  std::fwrite(json.data(), 1, json.size(), s.file);
+  std::fflush(s.file);
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 //
 //   {"ts_s":12.431,"level":"info","event":"pretrain.step","step":25,...}
 //
+// Both timestamps are seconds on obs::now_us()'s axis (trace.hpp), so a
+// line falls inside the spans that were open when it was logged.
+//
 // Environment control (read once at first use; reload_log_env() re-reads
 // for tests):
 //   EVA_LOG_LEVEL  trace|debug|info|warn|error|off   (default: info)

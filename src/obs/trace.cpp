@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "util/io.hpp"
 
 namespace eva::obs {
@@ -38,7 +39,6 @@ struct ThreadBuf {
 
 struct TraceState {
   std::atomic<bool> enabled{false};
-  Clock::time_point t0 = Clock::now();
   std::mutex mu;  // guards bufs
   std::vector<std::unique_ptr<ThreadBuf>> bufs;
   std::atomic<std::uint32_t> next_tid{1};
@@ -52,7 +52,7 @@ struct TraceState {
 TraceState& state() {
   static TraceState* s = [] {
     auto* st = new TraceState();  // leaked: spans may outlive static dtors
-    std::atexit([] { write_trace_if_configured(); });
+    detail::export_at_exit();
     return st;
   }();
   return *s;
@@ -73,6 +73,13 @@ ThreadBuf& thread_buf() {
 
 }  // namespace
 
+std::uint64_t now_us() noexcept {
+  static const Clock::time_point t0 = Clock::now();
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
+}
+
 bool trace_enabled() noexcept {
   return state().enabled.load(std::memory_order_relaxed);
 }
@@ -82,13 +89,6 @@ void set_trace_enabled(bool on) {
 }
 
 namespace detail {
-
-std::uint64_t trace_now_us() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            state().t0)
-          .count());
-}
 
 namespace {
 
@@ -105,13 +105,13 @@ void record_event(const TraceEvent& e) noexcept {
 }  // namespace
 
 void trace_record(const char* name, std::uint64_t t0_us) noexcept {
-  const std::uint64_t now = trace_now_us();
+  const std::uint64_t now = now_us();
   record_event(TraceEvent{name, t0_us, now - t0_us, 0, false});
 }
 
 void trace_record_request(const char* name, std::uint64_t t0_us,
                           std::uint64_t request_id) noexcept {
-  const std::uint64_t now = trace_now_us();
+  const std::uint64_t now = now_us();
   record_event(TraceEvent{name, t0_us, now - t0_us, request_id, true});
 }
 
@@ -170,12 +170,6 @@ std::string trace_to_json() {
 bool write_trace(const std::string& path) {
   // Temp + rename so a crash mid-export never leaves half-written JSON.
   return atomic_write_file(path, trace_to_json());
-}
-
-bool write_trace_if_configured() {
-  const char* path = std::getenv("EVA_TRACE_FILE");
-  if (!path || !*path) return false;
-  return write_trace(path);
 }
 
 void clear_trace() {

@@ -4,7 +4,7 @@
 //
 // Recording is per-thread: each thread appends complete-duration events
 // ("ph":"X") to its own buffer (one short uncontended lock per span), and
-// the writer stitches all buffers into one JSON object at flush. Buffers
+// the writer stitches all buffers into one JSON object at export. Buffers
 // live for the process lifetime, so spans from pool workers that have
 // already exited still reach the file.
 //
@@ -19,12 +19,15 @@
 
 namespace eva::obs {
 
+/// Microseconds on the process's one obs time axis, which starts at its
+/// first reading: span "ts", log "ts_s" and histogram windows all read it.
+[[nodiscard]] std::uint64_t now_us() noexcept;
+
 [[nodiscard]] bool trace_enabled() noexcept;
 /// Programmatic override (tests, selective tracing of one phase).
 void set_trace_enabled(bool on);
 
 namespace detail {
-[[nodiscard]] std::uint64_t trace_now_us() noexcept;
 void trace_record(const char* name, std::uint64_t t0_us) noexcept;
 /// Request-attributed event: serialized under the synthetic "requests"
 /// process (pid 2) with tid = request_id, so Perfetto shows one lane per
@@ -44,10 +47,10 @@ class Span {
  public:
   explicit Span(const char* name) noexcept
       : name_(trace_enabled() ? name : nullptr),
-        t0_(name_ ? detail::trace_now_us() : 0) {}
+        t0_(name_ ? now_us() : 0) {}
   Span(const char* name, std::uint64_t request_id) noexcept
       : name_(trace_enabled() ? name : nullptr),
-        t0_(name_ ? detail::trace_now_us() : 0),
+        t0_(name_ ? now_us() : 0),
         request_id_(request_id),
         has_request_(true) {}
   ~Span() {
@@ -75,10 +78,6 @@ class Span {
 
 /// Write trace_to_json() to `path`. Returns false on I/O failure.
 bool write_trace(const std::string& path);
-
-/// Write to $EVA_TRACE_FILE if set (also runs automatically at process
-/// exit). Returns false when unset or on I/O failure.
-bool write_trace_if_configured();
 
 /// Drop all buffered events. For tests.
 void clear_trace();

@@ -5,7 +5,6 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "tensor/optim.hpp"
 
@@ -165,7 +164,7 @@ DpoStats DpoTrainer::train(const std::vector<PreferencePair>& pairs,
       break;
     }
   }
-  obs::flush();
+  obs::export_now();
   return stats;
 }
 

@@ -5,7 +5,6 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "tensor/optim.hpp"
 
@@ -281,7 +280,7 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
       break;
     }
   }
-  obs::flush();
+  obs::export_now();
   return stats;
 }
 

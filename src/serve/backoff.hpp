@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "util/rng.hpp"
+
 namespace eva::serve {
 
 /// delay(k) = jitter * min(max_ms, base_ms * 2^(k-1)), with jitter drawn
@@ -21,13 +23,6 @@ namespace eva::serve {
 struct BackoffPolicy {
   double base_ms = 10.0;   // delay scale for the first retry
   double max_ms = 500.0;   // exponential growth cap
-
-  [[nodiscard]] static std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
 
   [[nodiscard]] double delay_ms(int retry, std::uint64_t seed) const {
     if (retry < 1) return 0.0;

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "serve/sidecar.hpp"
 #include "train/signal.hpp"
 #include "util/env.hpp"
@@ -23,7 +22,6 @@ int main(int argc, char** argv) {
   using namespace eva;
 
   train::install_signal_handlers();
-  obs::start_periodic_flush();
 
   serve::SidecarConfig cfg;
   cfg.port = env_int("EVA_CACHE_PORT", 7190);
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "eva_cache: %s\n", e.what());
     return 1;
   }
-  obs::export_now();
   std::printf("eva_cache exiting\n");
   return 0;
 }

@@ -26,7 +26,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "serve/router.hpp"
 #include "train/signal.hpp"
 #include "util/env.hpp"
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
   using namespace eva;
 
   train::install_signal_handlers();
-  obs::start_periodic_flush();
 
   serve::RouterConfig cfg;
   cfg.port = env_int("EVA_ROUTER_PORT", 7070);
@@ -76,7 +74,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "eva_router: %s\n", e.what());
     return 1;
   }
-  obs::export_now();
   std::printf("eva_router drained, exiting\n");
   return 0;
 }

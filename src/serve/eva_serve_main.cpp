@@ -10,8 +10,8 @@
 //   EVA_SERVE_IDLE_MS       per-connection idle read timeout
 //   EVA_SERVE_SLOW_MS       latency budget for the slow-request WARN log
 //   EVA_QUANT               inference weight tier: f32 (default) | int8
-//   EVA_METRICS_FLUSH_SEC   periodic metrics export interval
-//   EVA_METRICS_FILE        metrics export target (obs layer)
+//   EVA_METRICS_FILE        metrics export target, written at exit
+//   EVA_TRACE_FILE          Chrome trace target, written at exit
 //   EVA_FAULT               fault injection spec (serve_accept, ...)
 //
 // Malformed or out-of-range values, and values below the minimum, fall
@@ -22,7 +22,6 @@
 #include "nn/config.hpp"
 #include "nn/tokenizer.hpp"
 #include "nn/transformer.hpp"
-#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "train/signal.hpp"
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
   using namespace eva;
 
   train::install_signal_handlers();
-  obs::start_periodic_flush();
 
   serve::ServerConfig scfg;
   scfg.port = env_int("EVA_SERVE_PORT", 7077);
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "eva_serve: %s\n", e.what());
     return 1;
   }
-  obs::export_now();
   std::printf("eva_serve drained, exiting\n");
   return 0;
 }

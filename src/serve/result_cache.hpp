@@ -23,6 +23,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "util/rng.hpp"
+
 namespace eva::obs {
 class Counter;
 class Gauge;
@@ -87,13 +89,8 @@ class ResultCache : public BoundedLru<std::uint64_t, CachedEval> {
   /// alias.
   [[nodiscard]] static std::uint64_t key_for(std::uint64_t canon_hash,
                                              int type_tag) {
-    std::uint64_t x =
-        canon_hash ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(
-                                                  type_tag) +
-                                              1));
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
+    return mix64(canon_hash ^ (0x9E3779B97F4A7C15ULL *
+                               (static_cast<std::uint64_t>(type_tag) + 1)));
   }
 };
 

@@ -85,7 +85,7 @@ HashRing::HashRing(const std::vector<std::size_t>& members, int vnodes)
       const std::uint64_t salt =
           (static_cast<std::uint64_t>(m) + 1) * 0x9E3779B97F4A7C15ULL +
           static_cast<std::uint64_t>(v);
-      points_.emplace_back(BackoffPolicy::splitmix64(salt), m);
+      points_.emplace_back(splitmix64(salt), m);
     }
   }
   std::sort(points_.begin(), points_.end());
@@ -119,9 +119,9 @@ std::vector<std::size_t> HashRing::preference(std::uint64_t key) const {
 std::uint64_t request_ring_key(int type_tag, std::uint64_t seed,
                                std::uint64_t spread) {
   const std::uint64_t bucket = seed != 0 ? seed : ~spread;
-  return BackoffPolicy::splitmix64(
+  return splitmix64(
       static_cast<std::uint64_t>(type_tag) * 0xBF58476D1CE4E5B9ULL ^
-      BackoffPolicy::splitmix64(bucket));
+      splitmix64(bucket));
 }
 
 // ---------------------------------------------------------------------------
@@ -323,8 +323,7 @@ bool Router::answer(int fd, const std::string& line,
                     const ParsedLine& parsed) {
   static obs::Counter& requests = obs::counter("router.requests");
   static obs::Counter& shed = obs::counter("router.shed");
-  static obs::SlidingHistogram& dispatch_h =
-      obs::sliding_histogram("router.dispatch_ms");
+  static obs::Histogram& dispatch_h = obs::histogram("router.dispatch_ms");
   if (parsed.kind == ParsedLine::Kind::kStats) {
     return net::send_line(fd, stats_json());
   }

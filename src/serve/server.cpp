@@ -58,8 +58,7 @@ bool JsonLineServer::answer(int fd, const std::string&,
   // The response-write stage closes the request timeline: measured here
   // (the only place that sees the socket), recorded into the
   // serve.stage.write_ms window and the request's Perfetto lane.
-  static obs::SlidingHistogram& write_h =
-      obs::sliding_histogram("serve.stage.write_ms");
+  static obs::Histogram& write_h = obs::histogram("serve.stage.write_ms");
   const auto w0 = std::chrono::steady_clock::now();
   bool open = true;
   {

@@ -340,7 +340,7 @@ Response GenerationService::execute(Pending& p, Rng& service_rng) {
 }
 
 void GenerationService::finish(Pending& p, Response&& r) {
-  static obs::SlidingHistogram& e2e_h = obs::sliding_histogram("serve.e2e_ms");
+  static obs::Histogram& e2e_h = obs::histogram("serve.e2e_ms");
   static obs::Counter& completed = obs::counter("serve.completed");
   static obs::Counter& deadline_c = obs::counter("serve.deadline_exceeded");
   r.latency_ms = std::chrono::duration<double, std::milli>(

@@ -10,30 +10,6 @@ namespace eva::serve {
 
 namespace {
 
-void snapshot_into(std::string& out, const obs::HistogramSnapshot& s) {
-  out += "{\"count\": " + std::to_string(s.count);
-  out += ", \"mean\": ";
-  obs::json_number_into(out, s.mean);
-  out += ", \"p50\": ";
-  obs::json_number_into(out, s.p50);
-  out += ", \"p90\": ";
-  obs::json_number_into(out, s.p90);
-  out += ", \"p99\": ";
-  obs::json_number_into(out, s.p99);
-  out += ", \"max\": ";
-  obs::json_number_into(out, s.max);
-  out += "}";
-}
-
-void sliding_into(std::string& out, std::string_view metric) {
-  const obs::SlidingHistogram& h = obs::sliding_histogram(metric);
-  out += "{\"window\": ";
-  snapshot_into(out, h.window_snapshot());
-  out += ", \"total\": ";
-  snapshot_into(out, h.total_snapshot());
-  out += "}";
-}
-
 void counter_field(std::string& out, std::string_view key,
                    std::string_view metric, bool* first) {
   out += *first ? "" : ", ";
@@ -50,9 +26,9 @@ std::string stats_json(const GenerationService& svc) {
   obs::json_number_into(out, svc.uptime_s());
 
   // Per-stage and end-to-end latency distributions, rolling 10 s window
-  // next to since-start. These are the same sliding histograms the
-  // scheduler records into at finish(), so a loadgen run and a live
-  // stats poll see one source of truth.
+  // next to since-start, in metrics.json's shape. These are the same
+  // histograms the scheduler records into at finish(), so a loadgen run
+  // and a live stats poll see one source of truth.
   out += ", \"stages\": {";
   bool first = true;
   for (int i = 0; i < kNumStages; ++i) {
@@ -61,11 +37,12 @@ std::string stats_json(const GenerationService& svc) {
     first = false;
     obs::json_string_into(out, stage_name(s));
     out += ": ";
-    sliding_into(out, std::string("serve.stage.") +
-                          std::string(stage_name(s)) + "_ms");
+    obs::histogram_json_into(
+        out, obs::histogram(std::string("serve.stage.") +
+                            std::string(stage_name(s)) + "_ms"));
   }
   out += ", \"e2e\": ";
-  sliding_into(out, "serve.e2e_ms");
+  obs::histogram_json_into(out, obs::histogram("serve.e2e_ms"));
   out += "}";
 
   const auto depths = svc.queue_depths();

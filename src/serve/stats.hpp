@@ -2,8 +2,8 @@
 // harness"): the JSON snapshot behind the {"cmd":"stats"} protocol
 // request.
 //
-// The snapshot is assembled from the process metrics registry (sliding
-// per-stage histograms, counters, gauges) plus the service's own live
+// The snapshot is assembled from the process metrics registry (per-stage
+// histograms with their rolling windows, counters, gauges) plus the service's own live
 // state (queue depths per priority, cache occupancy, uptime) — no
 // locks are held across stages, so a stats request is cheap enough to
 // poll at dashboard rates while the scheduler is saturated.
@@ -16,7 +16,7 @@
 namespace eva::serve {
 
 /// The stats object: rolling-window (last 10 s) and since-start
-/// count/mean/p50/p90/p99 for every request stage and the end-to-end
+/// count/min/max/mean/p50/p90/p99 for every request stage and the end-to-end
 /// latency, queue depths per priority, batch occupancy, cache hit rate,
 /// request status counters, the active quant tier, and gemm_flops (the
 /// tensor.gemm_flops counter).

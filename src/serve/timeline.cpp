@@ -18,12 +18,12 @@ std::string_view stage_name(Stage s) {
 void record_timeline_metrics(const RequestTimeline& t, bool all_stages) {
   // Cached references: one registry lookup per stage for the process
   // lifetime, then lock-free-ish records on per-request granularity.
-  static obs::SlidingHistogram* stage_h[kNumStages] = {
-      &obs::sliding_histogram("serve.stage.queue_ms"),
-      &obs::sliding_histogram("serve.stage.decode_ms"),
-      &obs::sliding_histogram("serve.stage.cache_ms"),
-      &obs::sliding_histogram("serve.stage.verify_ms"),
-      &obs::sliding_histogram("serve.stage.write_ms"),
+  static obs::Histogram* stage_h[kNumStages] = {
+      &obs::histogram("serve.stage.queue_ms"),
+      &obs::histogram("serve.stage.decode_ms"),
+      &obs::histogram("serve.stage.cache_ms"),
+      &obs::histogram("serve.stage.verify_ms"),
+      &obs::histogram("serve.stage.write_ms"),
   };
   stage_h[static_cast<int>(Stage::kQueue)]->record(t.ms(Stage::kQueue));
   if (!all_stages) return;

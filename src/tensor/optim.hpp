@@ -32,7 +32,6 @@ class AdamW {
   void zero_grad() { zero_grads(params_); }
   void set_lr(float lr) { cfg_.lr = lr; }
   [[nodiscard]] float lr() const { return cfg_.lr; }
-  [[nodiscard]] long steps_taken() const { return t_; }
 
   /// Full optimizer state (step count + first/second moments), in the
   /// parameter order given at construction. Checkpointing an AdamW run

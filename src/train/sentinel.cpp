@@ -9,7 +9,6 @@
 namespace eva::train {
 
 SentinelAction DivergenceSentinel::observe(double loss, double grad_norm) {
-  if (!cfg_.enabled) return SentinelAction::kProceed;
   static obs::Counter& trips_c = obs::counter("train.sentinel.trips");
   static obs::Counter& skips_c = obs::counter("train.sentinel.skipped_batches");
   static obs::Counter& rollbacks_c = obs::counter("train.sentinel.rollbacks");

@@ -21,7 +21,6 @@
 namespace eva::train {
 
 struct SentinelConfig {
-  bool enabled = true;
   double spike_factor = 10.0;  // trip when loss > EMA * spike_factor
   double ema_alpha = 0.1;      // loss EMA smoothing
   int warmup_steps = 10;       // spike detection off for the first steps

@@ -15,6 +15,20 @@
 
 namespace eva {
 
+/// splitmix64's output function: a bijective 64-bit mix.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// splitmix64 (Steele, Lea and Flood) as a pure function of its state:
+/// the state advances by 0x9E3779B97F4A7C15 per output, so chained from
+/// x the outputs are splitmix64(x), splitmix64(x + 0x9E37...), ...
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  return mix64(x + 0x9E3779B97F4A7C15ULL);
+}
+
 /// xoshiro256** PRNG with splitmix64 seeding. Small, fast, high quality.
 class Rng {
  public:
@@ -24,13 +38,9 @@ class Rng {
 
   void reseed(std::uint64_t seed) {
     // splitmix64 expansion of the seed into the 256-bit state.
-    std::uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9E3779B97F4A7C15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      s = z ^ (z >> 31);
+      s = splitmix64(seed);
+      seed += 0x9E3779B97F4A7C15ULL;
     }
   }
 

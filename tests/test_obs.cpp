@@ -4,15 +4,19 @@
 // the concurrent paths.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "json_check.hpp"
-#include "obs/obs.hpp"
+#include "obs/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -123,6 +127,19 @@ TEST(ObsMetrics, HistogramBeyondReservoirKeepsExactAggregates) {
   EXPECT_LE(s.p99, s.max);
 }
 
+TEST(ObsMetrics, ReservoirKeepsItsReplacementRule) {
+  // Past 4096 records the reservoir replaces slot splitmix64(count) mod
+  // 4096, so the since-start percentiles of a fixed stream are fixed
+  // values, whatever the window does.
+  obs::Histogram h;
+  for (int v = 0; v < 10000; ++v) h.record_at(v, 0);
+  const auto s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.mean, 4999.5);
+  EXPECT_DOUBLE_EQ(s.p50, 7233.5);
+  EXPECT_DOUBLE_EQ(s.p90, 9562.5);
+  EXPECT_DOUBLE_EQ(s.p99, 9958.0499999999993);
+}
+
 TEST(ObsMetrics, ConcurrentHistogramAndCounterFromPool) {
   obs::Counter& c = obs::counter("test.pool_counter");
   obs::Histogram& h = obs::histogram("test.pool_hist");
@@ -140,33 +157,31 @@ TEST(ObsMetrics, ConcurrentHistogramAndCounterFromPool) {
 }
 
 TEST(ObsSliding, WindowSeesRecentSamplesTotalSeesAll) {
-  obs::SlidingHistogram h;
+  obs::Histogram h;
   // Timestamps are injected (record_at/window_snapshot_at), so rotation
   // is tested without sleeping through real wall-clock seconds.
   h.record_at(1.0, 0);
-  h.record_at(2.0, obs::SlidingHistogram::kBucketUs);  // second bucket
-  const auto in_window =
-      h.window_snapshot_at(2 * obs::SlidingHistogram::kBucketUs);
+  h.record_at(2.0, obs::Histogram::kBucketUs);  // second bucket
+  const auto in_window = h.window_snapshot_at(2 * obs::Histogram::kBucketUs);
   EXPECT_EQ(in_window.count, 2u);
   EXPECT_DOUBLE_EQ(in_window.min, 1.0);
   EXPECT_DOUBLE_EQ(in_window.max, 2.0);
 
   // Advance past the window: the first sample's bucket has rotated out.
   const auto later = h.window_snapshot_at(
-      obs::SlidingHistogram::kWindowUs + obs::SlidingHistogram::kBucketUs / 2);
+      obs::Histogram::kWindowUs + obs::Histogram::kBucketUs / 2);
   EXPECT_EQ(later.count, 1u);
   EXPECT_DOUBLE_EQ(later.min, 2.0);
 
   // Far in the future the window is empty, but the since-start
   // histogram still remembers everything.
-  const auto empty =
-      h.window_snapshot_at(10 * obs::SlidingHistogram::kWindowUs);
+  const auto empty = h.window_snapshot_at(10 * obs::Histogram::kWindowUs);
   EXPECT_EQ(empty.count, 0u);
-  EXPECT_EQ(h.total_snapshot().count, 2u);
+  EXPECT_EQ(h.snapshot().count, 2u);
 }
 
 TEST(ObsSliding, EmptyWindowPercentilesAreZero) {
-  obs::SlidingHistogram h;
+  obs::Histogram h;
   const auto snap = h.window_snapshot();
   EXPECT_EQ(snap.count, 0u);
   EXPECT_DOUBLE_EQ(snap.p50, 0.0);
@@ -176,19 +191,19 @@ TEST(ObsSliding, EmptyWindowPercentilesAreZero) {
 }
 
 TEST(ObsSliding, BucketReuseResetsStaleEpoch) {
-  obs::SlidingHistogram h;
+  obs::Histogram h;
   h.record_at(5.0, 0);
   // Same bucket index one full window later: the stale epoch must be
   // discarded, not merged.
-  h.record_at(7.0, obs::SlidingHistogram::kWindowUs);
-  const auto snap = h.window_snapshot_at(obs::SlidingHistogram::kWindowUs);
+  h.record_at(7.0, obs::Histogram::kWindowUs);
+  const auto snap = h.window_snapshot_at(obs::Histogram::kWindowUs);
   EXPECT_EQ(snap.count, 1u);
   EXPECT_DOUBLE_EQ(snap.min, 7.0);
-  EXPECT_EQ(h.total_snapshot().count, 2u);
+  EXPECT_EQ(h.snapshot().count, 2u);
 }
 
 TEST(ObsSliding, PercentilesOverWindowSamples) {
-  obs::SlidingHistogram h;
+  obs::Histogram h;
   for (int i = 1; i <= 100; ++i) h.record_at(static_cast<double>(i), 0);
   const auto snap = h.window_snapshot_at(0);
   EXPECT_EQ(snap.count, 100u);
@@ -199,7 +214,7 @@ TEST(ObsSliding, PercentilesOverWindowSamples) {
 }
 
 TEST(ObsSliding, ConcurrentRecordsFromPoolWorkersAreExact) {
-  obs::SlidingHistogram& h = obs::sliding_histogram("test.sliding_pool");
+  obs::Histogram& h = obs::histogram("test.sliding_pool");
   h.reset();
   const std::size_t n = 2000;
   set_num_threads(4);
@@ -208,22 +223,25 @@ TEST(ObsSliding, ConcurrentRecordsFromPoolWorkersAreExact) {
   });
   set_num_threads(0);
   // Aggregates are exact even past the per-bucket sample cap.
-  EXPECT_EQ(h.total_snapshot().count, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(h.snapshot().count, static_cast<std::uint64_t>(n));
   const auto win = h.window_snapshot();
   EXPECT_EQ(win.count, static_cast<std::uint64_t>(n));
   EXPECT_DOUBLE_EQ(win.max, 16.0);
   // Same name returns the same registered object.
-  EXPECT_EQ(&h, &obs::sliding_histogram("test.sliding_pool"));
+  EXPECT_EQ(&h, &obs::histogram("test.sliding_pool"));
 }
 
 TEST(ObsSliding, AppearsInMetricsJson) {
-  obs::sliding_histogram("test.sliding_json").record(3.0);
+  obs::histogram("test.sliding_json").record(3.0);
   const std::string json = obs::metrics_to_json();
   EXPECT_TRUE(json_valid(json)) << json;
-  EXPECT_NE(json.find("\"sliding\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.sliding_json\""), std::string::npos);
-  EXPECT_NE(json.find("\"window\""), std::string::npos);
-  EXPECT_NE(json.find("\"total\""), std::string::npos);
+  // Every histogram carries its window next to its since-start view.
+  EXPECT_NE(json.find("\"test.sliding_json\": {\"window\": {\"count\": 1, "
+                      "\"min\": 3,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"total\": {\"count\": 1, \"min\": 3,"),
+            std::string::npos);
 }
 
 TEST(ObsMetrics, MetricsJsonIsWellFormed) {
@@ -365,6 +383,50 @@ TEST(ObsLog, StringFieldsAreJsonEscaped) {
   ASSERT_FALSE(content.empty());
   EXPECT_TRUE(json_valid(content.substr(0, content.find('\n')))) << content;
   std::remove(path.c_str());
+}
+
+// --- one clock --------------------------------------------------------------
+
+/// The number after `"key":` in `json`, searching from `from`.
+double number_after(const std::string& json, const std::string& key,
+                    std::size_t from = 0) {
+  const std::size_t at = json.find("\"" + key + "\":", from);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST(ObsClock, LogLineLiesInsideItsSpan) {
+  // Log lines and spans read one clock: a line logged inside a span
+  // carries a ts_s inside that span, however long before it the process
+  // recorded its first span.
+  const std::string path = ::testing::TempDir() + "eva_test_clock.jsonl";
+  std::remove(path.c_str());
+  obs::clear_trace();
+  obs::set_trace_enabled(true);
+  { obs::Span first("test.clock_first"); }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  obs::set_log_stderr(false);
+  obs::set_log_file(path);
+  {
+    obs::Span span("test.clock_span");
+    obs::log_info("test.clock_line");
+  }
+  obs::set_log_file("");
+  obs::set_log_stderr(true);
+  obs::set_trace_enabled(false);
+
+  const std::string trace = obs::trace_to_json();
+  const std::size_t ev = trace.find("\"name\":\"test.clock_span\"");
+  ASSERT_NE(ev, std::string::npos) << trace;
+  const double ts = number_after(trace, "ts", ev);
+  const double dur = number_after(trace, "dur", ev);
+  const std::string line = read_file(path);
+  ASSERT_NE(line.find("test.clock_line"), std::string::npos) << line;
+  const double line_us = number_after(line, "ts_s") * 1e6;
+  EXPECT_GE(line_us, ts - 0.5) << line << trace;
+  EXPECT_LE(line_us, ts + dur + 0.5) << line << trace;
+  std::remove(path.c_str());
+  obs::clear_trace();
 }
 
 // --- tracing ----------------------------------------------------------------

@@ -262,7 +262,7 @@ std::uint64_t seed_with_primary(std::size_t n_backends, std::size_t want,
 TEST(HashRingTest, PreferenceCoversAllMembersPrimaryFirst) {
   const HashRing ring({0, 1, 2, 3}, 32);
   for (std::uint64_t k = 0; k < 200; ++k) {
-    const std::uint64_t key = BackoffPolicy::splitmix64(k);
+    const std::uint64_t key = eva::splitmix64(k);
     const auto pref = ring.preference(key);
     ASSERT_EQ(pref.size(), 4u);
     EXPECT_EQ(pref[0], ring.primary(key));
@@ -278,7 +278,7 @@ TEST(HashRingTest, RemovingAMemberRemapsOnlyItsKeys) {
   const int n_keys = 20000;
   int owned_by_2 = 0;
   for (int i = 0; i < n_keys; ++i) {
-    const std::uint64_t key = BackoffPolicy::splitmix64(0xABCDEF + i);
+    const std::uint64_t key = eva::splitmix64(0xABCDEF + i);
     const std::size_t before = full.primary(key);
     const std::size_t after = partial.primary(key);
     if (before == 2) {

@@ -294,11 +294,9 @@ TEST(Service, SigtermDrainCompletesAdmittedRequests) {
 TEST(Service, LatencyHistogramRecordsCompletions) {
   ServeFixture f(fast_config());
   f.service.start();
-  const auto before =
-      obs::sliding_histogram("serve.e2e_ms").total_snapshot().count;
+  const auto before = obs::histogram("serve.e2e_ms").snapshot().count;
   (void)f.service.submit({}).response.get();
-  const auto after =
-      obs::sliding_histogram("serve.e2e_ms").total_snapshot().count;
+  const auto after = obs::histogram("serve.e2e_ms").snapshot().count;
   EXPECT_GT(after, before);
 }
 
@@ -362,11 +360,9 @@ TEST(Timeline, StageNamesAndSlidingMetricsRecorded) {
   EXPECT_DOUBLE_EQ(tl.ms(Stage::kDecode), 5.0);
   EXPECT_DOUBLE_EQ(tl.service_sum_ms(), 6.0);
 
-  const auto before =
-      obs::sliding_histogram("serve.stage.decode_ms").total_snapshot().count;
+  const auto before = obs::histogram("serve.stage.decode_ms").snapshot().count;
   record_timeline_metrics(tl, /*all_stages=*/true);
-  const auto after =
-      obs::sliding_histogram("serve.stage.decode_ms").total_snapshot().count;
+  const auto after = obs::histogram("serve.stage.decode_ms").snapshot().count;
   EXPECT_EQ(after, before + 1);
 }
 
@@ -399,6 +395,15 @@ TEST(ResultCacheTest, PutGetAndTypeSeparation) {
   EXPECT_DOUBLE_EQ(hit->fom, 2.5);
   // Same topology under a different target type is a distinct entry.
   EXPECT_FALSE(cache.get(ResultCache::key_for(h, 1)).has_value());
+}
+
+TEST(ResultCacheTest, KeysKeepTheirBits) {
+  // Cache keys are mix64 of the hash and the type tag. Pinned, so a
+  // change to the mix cannot silently move every key.
+  EXPECT_EQ(ResultCache::key_for(0x0123456789abcdefULL, 3),
+            0x1a8fed80c5952760ULL);
+  EXPECT_EQ(ResultCache::key_for(0xfeedfacecafebeefULL, 10),
+            0xb1e0d5c6a9926686ULL);
 }
 
 TEST(ResultCacheTest, HoldsCapacityDistinctKeys) {
@@ -676,7 +681,7 @@ TEST(Stats, SnapshotIsWellFormedAndCoversTheService) {
   // Stage percentiles: a window and a since-start view per stage.
   for (const char* key :
        {"\"queue\"", "\"decode\"", "\"cache\"", "\"verify\"", "\"write\"",
-        "\"e2e\"", "\"window\"", "\"total\"", "\"p99\""}) {
+        "\"e2e\"", "\"window\"", "\"total\"", "\"min\"", "\"p99\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " missing\n"
                                                  << json;
   }
@@ -1023,13 +1028,12 @@ TEST(CanonHash, StableAcrossThreadCounts) {
   EXPECT_EQ(h1, h4);
 }
 
-// --- periodic metrics flush ---------------------------------------------------
+// --- metrics export ----------------------------------------------------------
 
-TEST(MetricsFlush, ExportNowAndPeriodicFlusher) {
+TEST(MetricsFlush, ExportNowWritesTheConfiguredFile) {
   const std::string path = ::testing::TempDir() + "eva_serve_metrics.json";
   std::remove(path.c_str());
   ::setenv("EVA_METRICS_FILE", path.c_str(), 1);
-  ::setenv("EVA_METRICS_FLUSH_SEC", "0.05", 1);
 
   obs::counter("serve.test_flush_marker").add(3);
   EXPECT_TRUE(obs::export_now());
@@ -1040,38 +1044,14 @@ TEST(MetricsFlush, ExportNowAndPeriodicFlusher) {
                     std::istreambuf_iterator<char>());
     EXPECT_NE(all.find("serve.test_flush_marker"), std::string::npos);
   }
-
-  // Periodic flusher rewrites the file on its cadence.
-  std::remove(path.c_str());
-  ASSERT_TRUE(obs::start_periodic_flush());
-  EXPECT_TRUE(obs::start_periodic_flush());  // idempotent
-  bool appeared = false;
-  for (int i = 0; i < 100 && !appeared; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    appeared = std::ifstream(path).good();
-  }
-  obs::stop_periodic_flush();
-  obs::stop_periodic_flush();  // idempotent
-  EXPECT_TRUE(appeared);
-
-  // export_now still works after the flusher is gone (atexit parity).
+  // A later call writes the file again.
   std::remove(path.c_str());
   EXPECT_TRUE(obs::export_now());
   EXPECT_TRUE(std::ifstream(path).good());
 
   std::remove(path.c_str());
   ::unsetenv("EVA_METRICS_FILE");
-  ::unsetenv("EVA_METRICS_FLUSH_SEC");
-}
-
-TEST(MetricsFlush, FlusherNeedsConfiguredInterval) {
-  ::unsetenv("EVA_METRICS_FLUSH_SEC");
-  EXPECT_FALSE(obs::start_periodic_flush());
-  ::setenv("EVA_METRICS_FLUSH_SEC", "not a number", 1);
-  EXPECT_FALSE(obs::start_periodic_flush());
-  ::setenv("EVA_METRICS_FLUSH_SEC", "-1", 1);
-  EXPECT_FALSE(obs::start_periodic_flush());
-  ::unsetenv("EVA_METRICS_FLUSH_SEC");
+  EXPECT_FALSE(obs::export_now());
 }
 
 }  // namespace

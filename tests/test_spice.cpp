@@ -826,6 +826,72 @@ TEST(Ac, CommonSourceHasGain) {
   EXPECT_LT(std::abs(sweep.back().h), std::abs(sweep.front().h));
 }
 
+TEST(Ac, LowestPointMatchesDcSlope) {
+  // At 1 Hz the capacitors are open and the inductors shorted, so the
+  // lowest AC point is the stage's small-signal gain at its DC point:
+  // dVout/dVin, taken here as a central difference of two DC solves.
+  struct Stage {
+    const char* name;
+    void (*add)(NetBuilder&);
+  };
+  const Stage stages[] = {
+      {"common source",
+       [](NetBuilder& b) {
+         b.mos(DeviceKind::Nmos, "in", "out", "VSS");
+         b.two(DeviceKind::Resistor, "VDD", "out");
+       }},
+      {"source follower",
+       [](NetBuilder& b) {
+         b.mos(DeviceKind::Nmos, "in", "VDD", "out");
+         b.two(DeviceKind::Resistor, "out", "VSS");
+       }},
+      {"degenerated common source",
+       [](NetBuilder& b) {
+         b.mos(DeviceKind::Nmos, "in", "out", "src");
+         b.two(DeviceKind::Resistor, "src", "VSS");
+         b.two(DeviceKind::Resistor, "VDD", "out");
+         b.two(DeviceKind::Capacitor, "out", "VSS");
+       }},
+      {"R-L into a resistor and a diode",
+       [](NetBuilder& b) {
+         b.two(DeviceKind::Resistor, "in", "mid");
+         b.two(DeviceKind::Inductor, "mid", "out");
+         b.two(DeviceKind::Resistor, "out", "VSS");
+         b.two(DeviceKind::Diode, "out", "VSS");
+       }},
+      {"CMOS inverter",
+       [](NetBuilder& b) {
+         b.mos(DeviceKind::Nmos, "in", "out", "VSS");
+         b.mos(DeviceKind::Pmos, "in", "out", "VDD");
+       }},
+  };
+  constexpr double kDv = 1e-4;
+  for (const Stage& stage : stages) {
+    NetBuilder b;
+    b.rails();
+    b.io("in", IoPin::Vin1);
+    b.io("out", IoPin::Vout1);
+    stage.add(b);
+    const Netlist nl = b.take();
+    const Sizing sz = default_sizing(nl);
+    const auto vout_at = [&](double vcm) {
+      SimOptions opts;
+      opts.vcm = vcm;
+      Simulator sim(nl, sz, opts);
+      EXPECT_TRUE(sim.solve_dc()) << stage.name << " at " << vcm;
+      return sim.io_voltage(IoPin::Vout1);
+    };
+    const double vcm = SimOptions{}.vcm;
+    const double slope =
+        (vout_at(vcm + kDv) - vout_at(vcm - kDv)) / (2.0 * kDv);
+    Simulator sim(nl, sz);
+    ASSERT_TRUE(sim.solve_dc()) << stage.name;
+    const std::complex<double> h = sim.ac_sweep().front().h;
+    EXPECT_LE(std::abs(h - slope), 1e-4 * std::abs(slope))
+        << stage.name << ": AC " << h << ", DC slope " << slope;
+  }
+}
+
 TEST(Ac, SweepPointMatchesSameFrequencyAlone) {
   // A sweep solves its points kLanes at a time, point i in lane i % kLanes,
   // with a short last batch. Every point must be bitwise the point that a

@@ -478,13 +478,6 @@ TEST(Sentinel, TripsOnLossSpike) {
   EXPECT_EQ(s.observe(1.1, 1.0), train::SentinelAction::kProceed);
 }
 
-TEST(Sentinel, DisabledNeverTrips) {
-  train::SentinelConfig cfg;
-  cfg.enabled = false;
-  train::DivergenceSentinel s(cfg);
-  EXPECT_EQ(s.observe(std::nan(""), 1.0), train::SentinelAction::kProceed);
-}
-
 // ------------------------------------------------ pretraining resilience
 
 struct PretrainFixture {

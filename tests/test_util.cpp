@@ -112,6 +112,20 @@ TEST(Rng, ForkIndependentStreams) {
   EXPECT_NE(a.next(), child.next());
 }
 
+TEST(Rng, Splitmix64MatchesReferenceVectors) {
+  // splitmix64 chained from 0 gives the generator's published vectors,
+  // and Rng seeds its xoshiro state with that same sequence.
+  const std::uint64_t want[] = {0xe220a8397b1dcdafULL, 0x6e789e6aa1b965f4ULL,
+                                0x06c45d188009454fULL};
+  std::uint64_t x = 0;
+  for (const std::uint64_t w : want) {
+    EXPECT_EQ(eva::splitmix64(x), w);
+    x += 0x9E3779B97F4A7C15ULL;
+  }
+  const Rng::State st = Rng(0).save_state();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(st.s[i], want[i]) << i;
+}
+
 // --- stats ---------------------------------------------------------------
 
 TEST(Stats, MeanVariance) {
