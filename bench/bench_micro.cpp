@@ -47,55 +47,83 @@ using namespace eva;
 
 // Raw kernel throughput for the three GEMM shapes the training loop
 // exercises: nn (forward), nt (input-gradient), tn (weight-gradient).
-// items_per_second == FLOP/s; read it as GFLOP/s.
+// items_per_second == FLOP/s; read it as GFLOP/s. Each shape runs square
+// (64, 256) and at the pretrain LM head's products, 800 tokens x d_model 64
+// x vocab 190 (lm_head: nn its forward, nt its input gradient, tn its
+// weight gradient), whose last 30-column strip is ragged. The argument is
+// the pool width, as for the training rows below: /1 runs inline, so a run
+// pinned to one CPU times one thread; /0 is the hardware default.
 
-void BM_GemmNN(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int ni = static_cast<int>(n);
+void BM_GemmNN(benchmark::State& state, std::size_t M, std::size_t K,
+               std::size_t N) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
   Rng rng(41);
-  auto a = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  auto b = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  std::vector<float> c(n * n, 0.0f);
+  auto a = tensor::Tensor::randn({static_cast<int>(M), static_cast<int>(K)},
+                                 rng, 1.0f, false);
+  auto b = tensor::Tensor::randn({static_cast<int>(K), static_cast<int>(N)},
+                                 rng, 1.0f, false);
+  std::vector<float> c(M * N, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_nn(a.data().data(), b.data().data(), c.data(), n, n, n);
+    tensor::gemm_nn(a.data().data(), b.data().data(), c.data(), M, K, N);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
-                          state.range(0) * state.range(0));
+  state.SetItemsProcessed(state.iterations() * 2LL *
+                          static_cast<std::int64_t>(M * K * N));
+  set_num_threads(0);
 }
-BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNN, 64, 64, 64, 64)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNN, 256, 256, 256, 256)
+    ->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNN, lm_head, 800, 64, 190)
+    ->Arg(1)->Arg(0)->UseRealTime();
 
-void BM_GemmNT(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int ni = static_cast<int>(n);
+// C(M,N) += A(M,K) @ B(N,K)^T.
+void BM_GemmNT(benchmark::State& state, std::size_t M, std::size_t K,
+               std::size_t N) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
   Rng rng(42);
-  auto a = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  auto b = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  std::vector<float> c(n * n, 0.0f);
+  auto a = tensor::Tensor::randn({static_cast<int>(M), static_cast<int>(K)},
+                                 rng, 1.0f, false);
+  auto b = tensor::Tensor::randn({static_cast<int>(N), static_cast<int>(K)},
+                                 rng, 1.0f, false);
+  std::vector<float> c(M * N, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_nt(a.data().data(), b.data().data(), c.data(), n, n, n);
+    tensor::gemm_nt(a.data().data(), b.data().data(), c.data(), M, K, N);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
-                          state.range(0) * state.range(0));
+  state.SetItemsProcessed(state.iterations() * 2LL *
+                          static_cast<std::int64_t>(M * K * N));
+  set_num_threads(0);
 }
-BENCHMARK(BM_GemmNT)->Arg(64)->Arg(256)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNT, 64, 64, 64, 64)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNT, 256, 256, 256, 256)
+    ->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmNT, lm_head, 800, 190, 64)
+    ->Arg(1)->Arg(0)->UseRealTime();
 
-void BM_GemmTN(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int ni = static_cast<int>(n);
+// C(M,N) += A(K,M)^T @ B(K,N).
+void BM_GemmTN(benchmark::State& state, std::size_t K, std::size_t M,
+               std::size_t N) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
   Rng rng(43);
-  auto a = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  auto b = tensor::Tensor::randn({ni, ni}, rng, 1.0f, false);
-  std::vector<float> c(n * n, 0.0f);
+  auto a = tensor::Tensor::randn({static_cast<int>(K), static_cast<int>(M)},
+                                 rng, 1.0f, false);
+  auto b = tensor::Tensor::randn({static_cast<int>(K), static_cast<int>(N)},
+                                 rng, 1.0f, false);
+  std::vector<float> c(M * N, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_tn(a.data().data(), b.data().data(), c.data(), n, n, n);
+    tensor::gemm_tn(a.data().data(), b.data().data(), c.data(), K, M, N);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2LL * state.range(0) *
-                          state.range(0) * state.range(0));
+  state.SetItemsProcessed(state.iterations() * 2LL *
+                          static_cast<std::int64_t>(M * K * N));
+  set_num_threads(0);
 }
-BENCHMARK(BM_GemmTN)->Arg(64)->Arg(256)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmTN, 64, 64, 64, 64)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmTN, 256, 256, 256, 256)
+    ->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK_CAPTURE(BM_GemmTN, lm_head, 800, 64, 190)
+    ->Arg(1)->Arg(0)->UseRealTime();
 
 // Quantized inference GEMM (weight-only int8, fused bias epilogue) at
 // the batched-decode shape: n rows of activations against a

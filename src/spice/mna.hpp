@@ -161,12 +161,18 @@ template <class V>
 }
 
 /// `v` in every lane of a V.
+// GCC 12 reports `out` as maybe uninitialized wherever this inlines into the
+// lane solver, a false positive on lane-by-lane writes into a
+// value-initialized vector; the warning is off for this function alone.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 template <class V>
 [[nodiscard]] inline V broadcast(double v) {
   V out{};
   for (std::size_t l = 0; l < width_of<V>; ++l) lane(out, l) = v;
   return out;
 }
+#pragma GCC diagnostic pop
 
 /// Row index `r` in every lane of a pivot.
 template <class P>

@@ -31,6 +31,11 @@ using MaskFor = decltype(V{} < V{});
 
 /// a·b + c per lane, rounded once where the target has FMA and twice where
 /// it has not: the contraction GCC gave the scalar solver, made explicit.
+// GCC 12 reports `r` as maybe uninitialized, a false positive on lane-by-lane
+// writes into a value-initialized vector (as detail::broadcast's); the
+// warning is off for this function alone.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 template <class V>
 [[nodiscard]] V fused(V a, V b, V c) {
 #if defined(__FMA__)
@@ -44,6 +49,7 @@ template <class V>
   return a * b + c;
 #endif
 }
+#pragma GCC diagnostic pop
 
 // --- device models, per lane -------------------------------------------------
 //

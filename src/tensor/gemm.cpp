@@ -37,53 +37,119 @@ void count_flops(std::size_t m, std::size_t k, std::size_t n) {
 void count_macs(std::size_t macs) { count_flops(macs, 1, 1); }
 
 // Register tile: MR rows x NR columns of C. NR = 32 floats = two 64-byte
-// cache lines per row, picked empirically: with AVX2/AVX-512 the full
-// tile maps onto the vector register file, and even baseline x86-64
-// codegen keeps the accumulators hot (see DESIGN.md "Threading &
-// kernels" for the measured sweep).
+// cache lines per row (see DESIGN.md "Threading & kernels" for the
+// measured sweep).
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 32;
-// K-panel bound: keeps the nt transpose scratch (kKc * kNr floats) and
-// the B panel touched by one tile pass L1/L2-resident.
+// K-panel bound: keeps the packed B panels (kKc * kNr floats) and the B
+// panel touched by one tile pass L1/L2-resident.
 constexpr std::size_t kKc = 256;
 
-// C tile (mr x nr) += A'(mr x kc) @ Bp(kc x nr).
+// Floats in one vector register of the ISA the build targets, as
+// kTanhLanes: a tile row is kNr / kLanes of them. With AVX-512F the 8 x 2
+// accumulators fill 16 of the 32 zmm registers.
+#if defined(__AVX512F__)
+constexpr std::size_t kLanes = 16;
+#elif defined(__AVX__)
+constexpr std::size_t kLanes = 8;
+#else
+constexpr std::size_t kLanes = 4;
+#endif
+constexpr std::size_t kNv = kNr / kLanes;
+
+/// kLanes floats; arithmetic acts lane by lane and a scalar operand is
+/// broadcast.
+using Floats = float __attribute__((vector_size(kLanes * sizeof(float))));
+/// The same lanes at any float address, as GCC's own __m512_u: every load
+/// and store goes through it.
+typedef float UnalignedFloats
+    __attribute__((vector_size(kLanes * sizeof(float)), aligned(4), may_alias));
+
+[[nodiscard]] inline Floats load(const float* p) {
+  return *reinterpret_cast<const UnalignedFloats*>(p);
+}
+inline void store(float* p, Floats v) {
+  *reinterpret_cast<UnalignedFloats*>(p) = v;
+}
+
+// C tile (mr x nr) += A'(mr x kc) @ Bp(kc x nr), in kLanes-float vectors.
 // A' element (r,k) lives at a[r*rsa + k*csa] — (rsa=lda, csa=1) walks A
 // row-major, (rsa=1, csa=lda) walks a transposed view without copying.
 // Bp is row-major with leading dimension ldb; C with ldc.
+//
+// Every k-step reads kNr floats of Bp's row, so a ragged strip (nr < kNr)
+// must come as a panel zero-padded to kNr columns (strip_panel). Rows of A'
+// past mr repeat row mr - 1, so A is never read past its last row. Neither
+// the pad columns nor the repeated rows reach C. Each stored element is
+// the scalar tile's: one multiply-add per k in k order (the contraction
+// the file's flags give `acc += a * b`) into an accumulator that starts at
+// zero and is added onto C once.
 void micro_kernel(std::size_t kc, const float* a, std::size_t rsa,
                   std::size_t csa, const float* bp, std::size_t ldb, float* c,
                   std::size_t ldc, std::size_t mr, std::size_t nr) {
-  if (mr == kMr && nr == kNr) {
-    // Full tile: fixed trip counts so the inner loops vectorize and the
-    // accumulators stay in registers across the whole k sweep.
-    float acc[kMr][kNr] = {};
-    for (std::size_t k = 0; k < kc; ++k) {
-      const float* brow = bp + k * ldb;
-      for (std::size_t r = 0; r < kMr; ++r) {
-        const float av = a[r * rsa + k * csa];
-        for (std::size_t n = 0; n < kNr; ++n) acc[r][n] += av * brow[n];
-      }
+  const float* arow[kMr];
+  for (std::size_t r = 0; r < kMr; ++r) {
+    arow[r] = a + std::min(r, mr - 1) * rsa;
+  }
+  // Every caller's K-panel is non-empty (kc >= 1); saying so keeps the
+  // accumulators in registers from the first k-step to the store.
+  Floats acc[kMr][kNv] = {};
+  std::size_t k = 0;
+  do {
+    Floats b[kNv];
+    for (std::size_t v = 0; v < kNv; ++v) {
+      b[v] = load(bp + k * ldb + v * kLanes);
     }
     for (std::size_t r = 0; r < kMr; ++r) {
-      float* crow = c + r * ldc;
-      for (std::size_t n = 0; n < kNr; ++n) crow[n] += acc[r][n];
+      const float av = arow[r][k * csa];
+      for (std::size_t v = 0; v < kNv; ++v) acc[r][v] += av * b[v];
+    }
+  } while (++k < kc);
+  if (mr == kMr && nr == kNr) {
+    for (std::size_t r = 0; r < kMr; ++r) {
+      for (std::size_t v = 0; v < kNv; ++v) {
+        float* cv = c + r * ldc + v * kLanes;
+        store(cv, load(cv) + acc[r][v]);
+      }
     }
     return;
   }
-  // Ragged edge tile.
-  float acc[kMr][kNr] = {};
-  for (std::size_t k = 0; k < kc; ++k) {
-    const float* brow = bp + k * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float av = a[r * rsa + k * csa];
-      for (std::size_t n = 0; n < nr; ++n) acc[r][n] += av * brow[n];
+  float tile[kMr][kNr];
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t v = 0; v < kNv; ++v) {
+      store(&tile[r][v * kLanes], acc[r][v]);
     }
   }
   for (std::size_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t n = 0; n < nr; ++n) crow[n] += acc[r][n];
+    for (std::size_t n = 0; n < nr; ++n) c[r * ldc + n] += tile[r][n];
   }
+}
+
+// Zeroes columns [nr, kNr) of kc panel rows (leading dimension kNr): the
+// pad micro_kernel reads past a ragged strip.
+void zero_pad(float* panel, std::size_t kc, std::size_t nr) {
+  for (std::size_t k = 0; k < kc; ++k) {
+    std::fill(panel + k * kNr + nr, panel + (k + 1) * kNr, 0.0f);
+  }
+}
+
+/// A kc x kNr B panel as micro_kernel reads it: rows `ld` floats apart.
+struct Panel {
+  const float* p;
+  std::size_t ld;
+};
+
+// The panel for kc rows of an nr-column strip of B (row-major, leading
+// dimension ldb): B itself for a full strip, else the strip copied into
+// `scratch` (kKc * kNr floats) and zero-padded.
+Panel strip_panel(const float* B, std::size_t ldb, std::size_t kc,
+                  std::size_t nr, float* scratch) {
+  if (nr == kNr) return {B, ldb};
+  for (std::size_t k = 0; k < kc; ++k) {
+    std::copy_n(B + k * ldb, nr, scratch + k * kNr);
+  }
+  zero_pad(scratch, kc, nr);
+  return {scratch, kNr};
 }
 
 // c(N) += a(K) @ B(K,N): gemm_nn's M == 1 case, the shape of every
@@ -93,27 +159,36 @@ void micro_kernel(std::size_t kc, const float* a, std::size_t rsa,
 // still fetched once per K-panel. The reduction order is micro_kernel's
 // (each kKc panel summed into a fresh accumulator, then added onto C),
 // so a row comes out bitwise the same whether it is stepped alone or in
-// a cohort, at any K.
+// a cohort, at any K. A full strip runs in kLanes-float vectors, a ragged
+// last strip one float at a time.
 void one_row_nn(const float* a, const float* B, float* c, std::size_t K,
                 std::size_t N) {
   constexpr std::size_t kVNr = 64;
+  constexpr std::size_t kVNv = kVNr / kLanes;
   for (std::size_t nb = 0; nb < N; nb += kVNr) {
     const std::size_t nr = std::min(kVNr, N - nb);
     for (std::size_t kb = 0; kb < K; kb += kKc) {
       const std::size_t kc = std::min(kKc, K - kb);
-      float acc[kVNr] = {};
       if (nr == kVNr) {
+        Floats acc[kVNv] = {};
         for (std::size_t k = kb; k < kb + kc; ++k) {
           const float av = a[k];
           const float* brow = B + k * N + nb;
-          for (std::size_t n = 0; n < kVNr; ++n) acc[n] += av * brow[n];
+          for (std::size_t v = 0; v < kVNv; ++v) {
+            acc[v] += av * load(brow + v * kLanes);
+          }
         }
-      } else {
-        for (std::size_t k = kb; k < kb + kc; ++k) {
-          const float av = a[k];
-          const float* brow = B + k * N + nb;
-          for (std::size_t n = 0; n < nr; ++n) acc[n] += av * brow[n];
+        for (std::size_t v = 0; v < kVNv; ++v) {
+          float* cv = c + nb + v * kLanes;
+          store(cv, load(cv) + acc[v]);
         }
+        continue;
+      }
+      float acc[kVNr] = {};
+      for (std::size_t k = kb; k < kb + kc; ++k) {
+        const float av = a[k];
+        const float* brow = B + k * N + nb;
+        for (std::size_t n = 0; n < nr; ++n) acc[n] += av * brow[n];
       }
       for (std::size_t n = 0; n < nr; ++n) c[nb + n] += acc[n];
     }
@@ -133,13 +208,15 @@ void gemm_nn(const float* A, const float* B, float* C, std::size_t M,
   parallel_chunks(
       0, M,
       [&](std::size_t lo, std::size_t hi) {
+        float panel[kKc * kNr];
         for (std::size_t kb = 0; kb < K; kb += kKc) {
           const std::size_t kc = std::min(kKc, K - kb);
           for (std::size_t nb = 0; nb < N; nb += kNr) {
             const std::size_t nr = std::min(kNr, N - nb);
+            const Panel bp = strip_panel(B + kb * N + nb, N, kc, nr, panel);
             for (std::size_t m = lo; m < hi; m += kMr) {
               const std::size_t mr = std::min(kMr, hi - m);
-              micro_kernel(kc, A + m * K + kb, K, 1, B + kb * N + nb, N,
+              micro_kernel(kc, A + m * K + kb, K, 1, bp.p, bp.ld,
                            C + m * N + nb, N, mr, nr);
             }
           }
@@ -166,6 +243,7 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
               const float* src = B + (nb + j) * K + kb;
               for (std::size_t k = 0; k < kc; ++k) bt[k * kNr + j] = src[k];
             }
+            zero_pad(bt.data(), kc, nr);
             for (std::size_t m = lo; m < hi; m += kMr) {
               const std::size_t mr = std::min(kMr, hi - m);
               micro_kernel(kc, A + m * K + kb, K, 1, bt.data(), kNr,
@@ -186,13 +264,15 @@ void gemm_tn(const float* A, const float* B, float* C, std::size_t K,
   parallel_chunks(
       0, N,
       [&](std::size_t n0, std::size_t n1) {
+        float panel[kKc * kNr];
         for (std::size_t kb = 0; kb < K; kb += kKc) {
           const std::size_t kc = std::min(kKc, K - kb);
           for (std::size_t nb = n0; nb < n1; nb += kNr) {
             const std::size_t nr = std::min(kNr, n1 - nb);
+            const Panel bp = strip_panel(B + kb * N + nb, N, kc, nr, panel);
             for (std::size_t m = 0; m < M; m += kMr) {
               const std::size_t mr = std::min(kMr, M - m);
-              micro_kernel(kc, A + kb * M + m, 1, M, B + kb * N + nb, N,
+              micro_kernel(kc, A + kb * M + m, 1, M, bp.p, bp.ld,
                            C + m * N + nb, N, mr, nr);
             }
           }
@@ -213,6 +293,7 @@ void gemm_nt_causal(const float* A, std::size_t lda, const float* B,
         const float* src = B + (nb + j) * ldb + kb;
         for (std::size_t k = 0; k < kc; ++k) bt[k * kNr + j] = src[k];
       }
+      zero_pad(bt, kc, nr);
       // nb is a multiple of kMr: the first row tile reaching column nb
       // starts there.
       for (std::size_t i0 = nb; i0 < T; i0 += kMr) {
@@ -230,6 +311,7 @@ void gemm_nt_causal(const float* A, std::size_t lda, const float* B,
 void gemm_nn_causal(const float* P, const float* B, std::size_t ldb, float* C,
                     std::size_t ldc, std::size_t T, std::size_t N) {
   std::size_t macs = 0;
+  float panel[kKc * kNr];
   for (std::size_t i0 = 0; i0 < T; i0 += kMr) {
     const std::size_t mr = std::min(kMr, T - i0);
     const std::size_t i1 = i0 + mr;
@@ -237,7 +319,8 @@ void gemm_nn_causal(const float* P, const float* B, std::size_t ldb, float* C,
       const std::size_t kc = std::min(kKc, i1 - kb);
       for (std::size_t nb = 0; nb < N; nb += kNr) {
         const std::size_t nr = std::min(kNr, N - nb);
-        micro_kernel(kc, P + i0 * T + kb, T, 1, B + kb * ldb + nb, ldb,
+        const Panel bp = strip_panel(B + kb * ldb + nb, ldb, kc, nr, panel);
+        micro_kernel(kc, P + i0 * T + kb, T, 1, bp.p, bp.ld,
                      C + i0 * ldc + nb, ldc, mr, nr);
       }
     }
@@ -249,6 +332,7 @@ void gemm_nn_causal(const float* P, const float* B, std::size_t ldb, float* C,
 void gemm_tn_causal(const float* P, const float* B, std::size_t ldb, float* C,
                     std::size_t ldc, std::size_t T, std::size_t N) {
   std::size_t macs = 0;
+  float panel[kKc * kNr];
   for (std::size_t i0 = 0; i0 < T; i0 += kMr) {
     const std::size_t mr = std::min(kMr, T - i0);
     // The reduction starts at i0 but its panels stay on multiples of kKc.
@@ -256,7 +340,8 @@ void gemm_tn_causal(const float* P, const float* B, std::size_t ldb, float* C,
       const std::size_t kc = std::min((kb / kKc + 1) * kKc, T) - kb;
       for (std::size_t nb = 0; nb < N; nb += kNr) {
         const std::size_t nr = std::min(kNr, N - nb);
-        micro_kernel(kc, P + kb * T + i0, 1, T, B + kb * ldb + nb, ldb,
+        const Panel bp = strip_panel(B + kb * ldb + nb, ldb, kc, nr, panel);
+        micro_kernel(kc, P + kb * T + i0, 1, T, bp.p, bp.ld,
                      C + i0 * ldc + nb, ldc, mr, nr);
       }
     }
@@ -336,9 +421,9 @@ __attribute__((noinline)) void store_strip_f32(const float* acc, const float* ws
 }
 
 /// Portable body: decode one kc x nr weight panel to raw f32 codes
-/// (leading dimension kNr) so the register-tiled micro-kernel can run
-/// unmodified on top; the int8 per-column rescale happens once in the
-/// epilogue.
+/// (leading dimension kNr, zero-padded past nr) so the register-tiled
+/// micro-kernel can run unmodified on top; the int8 per-column rescale
+/// happens once in the epilogue.
 void decode_panel(const QuantMatrix& W, std::size_t kb, std::size_t kc,
                   std::size_t nb, std::size_t nr, float* panel) {
   const std::size_t N = W.cols;
@@ -347,6 +432,7 @@ void decode_panel(const QuantMatrix& W, std::size_t kb, std::size_t kc,
     float* dst = panel + k * kNr;
     for (std::size_t j = 0; j < nr; ++j) dst[j] = static_cast<float>(src[j]);
   }
+  zero_pad(panel, kc, nr);
 }
 
 #else  // EVA_QKERNELS_AVX512

@@ -23,6 +23,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "attention_reference.hpp"
+#include "gemm_reference.hpp"
 #include "tanh_reference.hpp"
 
 namespace {
@@ -199,6 +200,15 @@ std::vector<float> random_mat(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+/// Bit patterns, so a comparison tells -0 from +0.
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return out;
+}
+
 TEST(Gemm, KernelsMatchNaiveReference) {
   const std::size_t dims[] = {1, 3, 17, 64, 129};
   Rng rng(99);
@@ -325,6 +335,111 @@ TEST(Gemm, FlopCounterCountsEveryKernel) {
   expect_flops("qgemm", 2 * 9 * 40 * 24, [&] {
     qgemm(A.data(), W, nullptr, C.data(), 9, Epilogue::kNone);
   });
+}
+
+TEST(Gemm, LaneTileMatchesScalarTileBitwise) {
+  // The lane tile must give every element of C the scalar tile's
+  // multiply-add chain (tests/gemm_reference.cpp): full and ragged row
+  // tiles, ragged column strips, K past one 256-wide panel, the one-row
+  // case, and the lower-triangle products at every head width, at pool
+  // widths 1 and 4. Every operand is allocated at its exact size, so a
+  // read past a ragged edge shows under ASan; C starts non-zero because
+  // every kernel accumulates into it.
+  const std::size_t Ms[] = {1, 2, 7, 8, 9, 15, 16, 17, 33, 800};
+  const std::size_t Ks[] = {1, 3, 64, 256, 257, 600};
+  const std::size_t Ns[] = {1, 5, 16, 30, 31, 32, 33, 64, 190, 256};
+  const std::size_t Ts[] = {1,  2,   7,   8,   9,   31, 32,
+                            33, 100, 255, 256, 257, 300};
+  const auto expect_same = [](const std::vector<float>& lanes,
+                              const std::vector<float>& scalar,
+                              const std::string& what) {
+    const auto a = bits(lanes), b = bits(scalar);
+    const auto at = std::mismatch(a.begin(), a.end(), b.begin()).first;
+    EXPECT_TRUE(at == a.end())
+        << what << ": element " << (at - a.begin()) << " differs";
+  };
+  Rng rng(103);
+  // Uniform, not normal: drawing the operands would otherwise take most
+  // of the test's time.
+  const auto operand = [&](std::size_t rows, std::size_t cols) {
+    std::vector<float> m(rows * cols);
+    for (auto& x : m) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return m;
+  };
+  for (std::size_t width : {1u, 4u}) {
+    eva::set_num_threads(width);
+    const std::string pool = " at width " + std::to_string(width);
+    for (std::size_t M : Ms) {
+      for (std::size_t K : Ks) {
+        for (std::size_t N : Ns) {
+          // The largest products add time, not cases: M = 800 already
+          // runs the LM head's 800 x 64 x 190.
+          if (M * K * N > (std::size_t{1} << 24)) continue;
+          const std::string shape = std::to_string(M) + "x" +
+                                    std::to_string(K) + "x" +
+                                    std::to_string(N) + pool;
+          const auto A = operand(M, K);
+          const auto B = operand(K, N);
+          const auto Bt = operand(N, K);
+          const auto At = operand(K, M);
+          const auto C0 = operand(M, N);
+          std::vector<float> lanes = C0, scalar = C0;
+          gemm_nn(A.data(), B.data(), lanes.data(), M, K, N);
+          reference::gemm_nn(A.data(), B.data(), scalar.data(), M, K, N);
+          expect_same(lanes, scalar, "nn " + shape);
+          lanes = scalar = C0;
+          gemm_nt(A.data(), Bt.data(), lanes.data(), M, K, N);
+          reference::gemm_nt(A.data(), Bt.data(), scalar.data(), M, K, N);
+          expect_same(lanes, scalar, "nt " + shape);
+          lanes = scalar = C0;
+          gemm_tn(At.data(), B.data(), lanes.data(), K, M, N);
+          reference::gemm_tn(At.data(), B.data(), scalar.data(), K, M, N);
+          expect_same(lanes, scalar, "tn " + shape);
+        }
+      }
+    }
+    // One head of two at a time, in place in (T, 2D) rows as
+    // causal_attention runs it: the second head's last row ends the
+    // buffer. P is zero above the diagonal.
+    for (std::size_t T : Ts) {
+      for (std::size_t D : {8u, 16u, 32u, 64u}) {
+        const std::size_t ld = 2 * D;
+        const auto q = operand(T, ld);
+        const auto k = operand(T, ld);
+        const auto v = operand(T, ld);
+        const auto S0 = operand(T, T);
+        const auto C0 = operand(T, ld);
+        auto P = operand(T, T);
+        for (std::size_t i = 0; i < T; ++i) {
+          std::fill(P.begin() + i * T + i + 1, P.begin() + (i + 1) * T, 0.0f);
+        }
+        for (std::size_t o : {std::size_t{0}, D}) {
+          const std::string shape = "T " + std::to_string(T) + ", D " +
+                                    std::to_string(D) + ", head at " +
+                                    std::to_string(o) + pool;
+          std::vector<float> lanes = S0, scalar = S0;
+          gemm_nt_causal(q.data() + o, ld, k.data() + o, ld, lanes.data(), T,
+                         D);
+          reference::gemm_nt_causal(q.data() + o, ld, k.data() + o, ld,
+                                    scalar.data(), T, D);
+          expect_same(lanes, scalar, "nt_causal " + shape);
+          lanes = scalar = C0;
+          gemm_nn_causal(P.data(), v.data() + o, ld, lanes.data() + o, ld, T,
+                         D);
+          reference::gemm_nn_causal(P.data(), v.data() + o, ld,
+                                    scalar.data() + o, ld, T, D);
+          expect_same(lanes, scalar, "nn_causal " + shape);
+          lanes = scalar = C0;
+          gemm_tn_causal(P.data(), v.data() + o, ld, lanes.data() + o, ld, T,
+                         D);
+          reference::gemm_tn_causal(P.data(), v.data() + o, ld,
+                                    scalar.data() + o, ld, T, D);
+          expect_same(lanes, scalar, "tn_causal " + shape);
+        }
+      }
+    }
+  }
+  eva::set_num_threads(0);
 }
 
 TEST(Tensor, TransposeLast) {
@@ -635,15 +750,6 @@ TEST(TensorStorage, TensorsFreedOnPoolWorkers) {
 }
 
 // ------------------------------------------------ training elementwise ops
-
-/// Bit patterns, so a comparison tells -0 from +0.
-std::vector<std::uint32_t> bits(std::span<const float> v) {
-  std::vector<std::uint32_t> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = std::bit_cast<std::uint32_t>(v[i]);
-  }
-  return out;
-}
 
 std::vector<float> seeded(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
