@@ -220,6 +220,50 @@ BENCHMARK(BM_CausalAttention)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// One biased linear layer, forward and backward, at the pretrain shape
+// (batch 8 x 100 tokens) and pool width 1: 800 x 64 -> 256 is the MLP's
+// up projection, 800 x 256 -> 64 its down projection. The argument is the
+// pool width; items_per_second == FLOP/s of the three products (output,
+// input gradient, weight gradient).
+void BM_Linear(benchmark::State& state, int K, int N) {
+  set_num_threads(static_cast<std::size_t>(state.range(0)));
+  constexpr int kTokens = 800;
+  Rng rng(47);
+  auto x = tensor::Tensor::randn({8, kTokens / 8, K}, rng, 1.0f);
+  auto w = tensor::Tensor::randn({K, N}, rng, 0.1f);
+  auto b = tensor::Tensor::randn({N}, rng, 0.1f);
+  auto g = tensor::Tensor::randn({8, kTokens / 8, N}, rng, 1.0f, false);
+  for (auto _ : state) {
+    auto loss = tensor::sum_all(tensor::mul(tensor::linear(x, w, b), g));
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+  state.SetItemsProcessed(state.iterations() * 6LL * kTokens * K * N);
+  set_num_threads(0);
+}
+BENCHMARK_CAPTURE(BM_Linear, 64x256, 64, 256)->Arg(1)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Linear, 256x64, 256, 64)->Arg(1)->UseRealTime();
+
+// The pretrain loss at pool width 1: cross-entropy over 800 positions of
+// the 190-token vocabulary, forward (a softmax row per position) and
+// backward. items_per_second == rows per second.
+void BM_CrossEntropy(benchmark::State& state) {
+  set_num_threads(1);
+  constexpr int kRows = 800, kVocab = 190;
+  Rng rng(48);
+  auto logits = tensor::Tensor::randn({kRows, kVocab}, rng, 2.0f);
+  std::vector<int> targets(kRows);
+  for (auto& t : targets) t = static_cast<int>(rng.index(kVocab));
+  for (auto _ : state) {
+    auto loss = tensor::cross_entropy(logits, targets);
+    loss.backward();
+    benchmark::DoNotOptimize(loss.item());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  set_num_threads(0);
+}
+BENCHMARK(BM_CrossEntropy)->UseRealTime();
+
 // The training rows take the thread pool's width as their argument:
 // /1 runs every parallel region inline, so a run pinned to one CPU times
 // one thread; /0 is the hardware default.

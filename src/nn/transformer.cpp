@@ -117,11 +117,11 @@ Tensor TransformerLM::block_forward(const Tensor& x, const Block& blk,
                                     bool training, Rng* dropout_rng) const {
   // Attention sublayer.
   Tensor h = layernorm(x, blk.ln1_g, blk.ln1_b);
-  Tensor q = add(matmul(h, blk.wq), blk.bq);
-  Tensor k = add(matmul(h, blk.wk), blk.bk);
-  Tensor v = add(matmul(h, blk.wv), blk.bv);
+  Tensor q = linear(h, blk.wq, blk.bq);
+  Tensor k = linear(h, blk.wk, blk.bk);
+  Tensor v = linear(h, blk.wv, blk.bv);
   Tensor ctx = causal_attention(q, k, v, cfg_.n_heads);
-  Tensor att = add(matmul(ctx, blk.wo), blk.bo);
+  Tensor att = linear(ctx, blk.wo, blk.bo);
   if (training && dropout_rng != nullptr && cfg_.dropout > 0.0f) {
     att = dropout(att, cfg_.dropout, *dropout_rng, true);
   }
@@ -129,7 +129,7 @@ Tensor TransformerLM::block_forward(const Tensor& x, const Block& blk,
 
   // MLP sublayer.
   Tensor m = layernorm(x1, blk.ln2_g, blk.ln2_b);
-  Tensor ff = add(matmul(gelu(add(matmul(m, blk.w1), blk.b1)), blk.w2), blk.b2);
+  Tensor ff = linear(gelu(linear(m, blk.w1, blk.b1)), blk.w2, blk.b2);
   if (training && dropout_rng != nullptr && cfg_.dropout > 0.0f) {
     ff = dropout(ff, cfg_.dropout, *dropout_rng, true);
   }

@@ -87,7 +87,7 @@ void PpoTrainer::collect_rollouts(std::vector<Rollout>& out) {
     Tensor logits = policy_->lm_logits(hidden);
     Tensor lsm = log_softmax_lastdim(logits);
     Tensor logp = gather_lastdim(lsm, actions);
-    Tensor values = reshape(add(matmul(hidden, value_w_), value_b_), {K});
+    Tensor values = reshape(linear(hidden, value_w_, value_b_), {K});
 
     Tensor ref_logits = ref_.forward(inputs, 1, K, false);
     Tensor ref_lsm = log_softmax_lastdim(ref_logits);
@@ -232,8 +232,7 @@ PpoStats PpoTrainer::train(const std::function<void(int, double)>& on_epoch) {
           Tensor pol = sum_all(min_t(unclipped, clipped));
           pol_sum = pol_sum.defined() ? add(pol_sum, pol) : pol;
 
-          Tensor v_new =
-              reshape(add(matmul(hidden, value_w_), value_b_), {K});
+          Tensor v_new = reshape(linear(hidden, value_w_, value_b_), {K});
           Tensor ret = Tensor::from({K}, std::vector<float>(
                                              r.returns.begin(),
                                              r.returns.end()));

@@ -133,7 +133,7 @@ Tensor RewardModel::class_logits(const std::vector<int>& ids) const {
   Tensor pool_w = Tensor::full({T, 1}, 1.0f / static_cast<float>(T));
   Tensor pooled = reshape(matmul(transpose_last(h2), pool_w),
                           {1, trunk_.config().d_model});
-  return add(matmul(pooled, head_w_), head_b_);  // (1,3)
+  return linear(pooled, head_w_, head_b_);  // (1,3)
 }
 
 std::vector<float> RewardModel::classify(const std::vector<int>& ids) const {

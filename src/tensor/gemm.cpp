@@ -234,7 +234,7 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
       [&](std::size_t lo, std::size_t hi) {
         // Pack B^T panels so the micro-kernel sees contiguous rows; the
         // pack cost amortizes over all row tiles of this stripe.
-        std::vector<float> bt(kKc * kNr);
+        float bt[kKc * kNr];
         for (std::size_t kb = 0; kb < K; kb += kKc) {
           const std::size_t kc = std::min(kKc, K - kb);
           for (std::size_t nb = 0; nb < N; nb += kNr) {
@@ -243,10 +243,10 @@ void gemm_nt(const float* A, const float* B, float* C, std::size_t M,
               const float* src = B + (nb + j) * K + kb;
               for (std::size_t k = 0; k < kc; ++k) bt[k * kNr + j] = src[k];
             }
-            zero_pad(bt.data(), kc, nr);
+            zero_pad(bt, kc, nr);
             for (std::size_t m = lo; m < hi; m += kMr) {
               const std::size_t mr = std::min(kMr, hi - m);
-              micro_kernel(kc, A + m * K + kb, K, 1, bt.data(), kNr,
+              micro_kernel(kc, A + m * K + kb, K, 1, bt, kNr,
                            C + m * N + nb, N, mr, nr);
             }
           }

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/exp.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/tanh.hpp"
 #include "util/parallel.hpp"
@@ -196,17 +197,25 @@ std::shared_ptr<Node> make_leaf(Shape shape, Storage data,
   return n;
 }
 
-std::shared_ptr<Node> make_result(Shape shape, const char* op,
-                                  std::vector<std::shared_ptr<Node>> parents) {
+/// The node `op` computes from `parents`, holding `data`.
+std::shared_ptr<Node> make_node(Shape shape, Storage data, const char* op,
+                                std::vector<std::shared_ptr<Node>> parents) {
   auto n = std::make_shared<Node>();
   n->shape = std::move(shape);
-  n->data.assign(shape_numel(n->shape), 0.0f);
+  n->data = std::move(data);
   n->op = op;
   bool rg = false;
   for (const auto& p : parents) rg = rg || p->requires_grad;
   n->requires_grad = rg;
   if (rg) n->parents = std::move(parents);
   return n;
+}
+
+/// The same, zero-filled, for an op that writes or accumulates into it.
+std::shared_ptr<Node> make_result(Shape shape, const char* op,
+                                  std::vector<std::shared_ptr<Node>> parents) {
+  const std::size_t n = shape_numel(shape);
+  return make_node(std::move(shape), Storage(n, 0.0f), op, std::move(parents));
 }
 
 }  // namespace
@@ -751,6 +760,57 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
               shape_str(sb));
 }
 
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
+  auto xn = x.node();
+  auto wn = w.node();
+  auto bn = b.node();
+  EVA_ASSERT(xn && wn && bn, "undefined operand");
+  const Shape& sx = xn->shape;
+  const Shape& sw = wn->shape;
+  const Shape& sb = bn->shape;
+  EVA_REQUIRE((sx.size() == 2 || sx.size() == 3) && sw.size() == 2 &&
+                  sb.size() == 1 && sx.back() == sw[0] && sb[0] == sw[1],
+              "linear: x " + shape_str(sx) + ", W " + shape_str(sw) +
+                  " and b " + shape_str(sb) +
+                  " are not (M,K) or (B,T,K), (K,N) and (N)");
+  const auto K = static_cast<std::size_t>(sw[0]);
+  const auto N = static_cast<std::size_t>(sw[1]);
+  const std::size_t M = xn->numel() / K;
+  Shape so = sx;
+  so.back() = sw[1];
+  auto out = make_result(std::move(so), "linear", {xn, wn, bn});
+  // add(matmul(x, W), b)'s two roundings: the product summed onto zeros,
+  // then the bias added.
+  float* po = out->data.data();
+  const float* pb = bn->data.data();
+  gemm_nn(xn->data.data(), wn->data.data(), po, M, K, N);
+  for_each_pair(M * N, N, [&](std::size_t i, std::size_t j) {
+    po[i] = po[i] + pb[j];
+  });
+  if (out->requires_grad) {
+    out->backward = [xn, wn, bn, M, K, N](Node& self) {
+      const float* g = self.grad.data();
+      if (bn->requires_grad) {
+        // add's column reduction: each gb[j] sums its column, rows
+        // ascending, in the one chunk that owns j.
+        float* gb = bn->grad.data();
+        parallel_chunks(0, N, [&](std::size_t jlo, std::size_t jhi) {
+          for (std::size_t base = 0; base < M * N; base += N) {
+            for (std::size_t j = jlo; j < jhi; ++j) gb[j] += g[base + j];
+          }
+        });
+      }
+      if (xn->requires_grad) {
+        gemm_nt(g, wn->data.data(), xn->grad.data(), M, N, K);
+      }
+      if (wn->requires_grad) {
+        gemm_tn(xn->data.data(), g, wn->grad.data(), M, K, N);
+      }
+    };
+  }
+  return Tensor{out};
+}
+
 Tensor transpose_last(const Tensor& a) {
   auto an = a.node();
   EVA_ASSERT(an, "undefined operand");
@@ -791,8 +851,7 @@ Tensor reshape(const Tensor& a, Shape shape) {
   auto an = a.node();
   EVA_ASSERT(an, "undefined operand");
   EVA_REQUIRE(shape_numel(shape) == an->numel(), "reshape numel mismatch");
-  auto out = make_result(std::move(shape), "reshape", {an});
-  out->data = an->data;
+  auto out = make_node(std::move(shape), an->data, "reshape", {an});
   if (out->requires_grad) {
     out->backward = [an](Node& self) {
       for (std::size_t i = 0; i < self.numel(); ++i) {
@@ -846,16 +905,42 @@ Tensor mean_all(const Tensor& a) {
 
 namespace {
 
-/// Softmax of the first v entries of a row of cols (x and y may be the
-/// same row); the other cols - v entries get probability 0.
-void softmax_row(const float* x, float* y, std::size_t v, std::size_t cols) {
-  float mx = -std::numeric_limits<float>::infinity();
-  for (std::size_t c = 0; c < v; ++c) mx = std::max(mx, x[c]);
-  float z = 0.0f;
-  for (std::size_t c = 0; c < v; ++c) {
-    y[c] = std::exp(x[c] - mx);
-    z += y[c];
+/// Floats a row op exponentiates at a time, from a stack buffer.
+constexpr std::size_t kExpChunk = 256;
+
+/// The largest of x[0, n), -inf if none, as 16 lanes of running maxima.
+/// Every max ignores a NaN as the serial loop does, and a max is exact in
+/// any order, so this is the serial loop's value but for the sign of a
+/// zero tie, which changes no exp(x - max) after it.
+float row_max(const float* x, std::size_t n) {
+  constexpr std::size_t kW = 16;
+  using Lanes = float __attribute__((vector_size(kW * sizeof(float))));
+  Lanes m;
+  for (std::size_t l = 0; l < kW; ++l) {
+    m[l] = -std::numeric_limits<float>::infinity();
   }
+  std::size_t c = 0;
+  for (; c + kW <= n; c += kW) {
+    Lanes v;
+    std::memcpy(&v, x + c, sizeof v);
+    m = m < v ? v : m;
+  }
+  float mx = m[0];
+  for (std::size_t l = 1; l < kW; ++l) mx = std::max(mx, m[l]);
+  for (; c < n; ++c) mx = std::max(mx, x[c]);
+  return mx;
+}
+
+/// Softmax of the first v entries of a row of cols (x and y may be the
+/// same row); the other cols - v entries get probability 0. The exps run
+/// in lanes (tensor/exp.hpp); their sum z runs in c order, as its
+/// rounding reaches every probability.
+void softmax_row(const float* x, float* y, std::size_t v, std::size_t cols) {
+  const float mx = row_max(x, v);
+  for (std::size_t c = 0; c < v; ++c) y[c] = x[c] - mx;
+  exp_n(y, y, v);
+  float z = 0.0f;
+  for (std::size_t c = 0; c < v; ++c) z += y[c];
   const float inv = 1.0f / z;
   for (std::size_t c = 0; c < v; ++c) y[c] *= inv;
   for (std::size_t c = v; c < cols; ++c) y[c] = 0.0f;
@@ -988,13 +1073,19 @@ Tensor log_softmax_lastdim(const Tensor& a) {
   const float* x = an->data.data();
   float* y = out->data.data();
   parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
+    float e[kExpChunk];
     for (std::size_t r = lo; r < hi; ++r) {
       const float* xr = x + r * cols;
       float* yr = y + r * cols;
       float mx = xr[0];
       for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
       float z = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) z += std::exp(xr[c] - mx);
+      for (std::size_t c0 = 0; c0 < cols; c0 += kExpChunk) {
+        const std::size_t m = std::min(kExpChunk, cols - c0);
+        for (std::size_t i = 0; i < m; ++i) e[i] = xr[c0 + i] - mx;
+        exp_n(e, e, m);
+        for (std::size_t i = 0; i < m; ++i) z += e[i];
+      }
       const float lz = mx + std::log(z);
       for (std::size_t c = 0; c < cols; ++c) yr[c] = xr[c] - lz;
     }
@@ -1005,14 +1096,19 @@ Tensor log_softmax_lastdim(const Tensor& a) {
       const float* g = self.grad.data();
       float* gx = an->grad.data();
       parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
+        float e[kExpChunk];
         for (std::size_t r = lo; r < hi; ++r) {
           const float* yr = yv + r * cols;
           const float* gr = g + r * cols;
           float* gxr = gx + r * cols;
           float gsum = 0.0f;
           for (std::size_t c = 0; c < cols; ++c) gsum += gr[c];
-          for (std::size_t c = 0; c < cols; ++c) {
-            gxr[c] += gr[c] - std::exp(yr[c]) * gsum;
+          for (std::size_t c0 = 0; c0 < cols; c0 += kExpChunk) {
+            const std::size_t m = std::min(kExpChunk, cols - c0);
+            exp_n(yr + c0, e, m);
+            for (std::size_t i = 0; i < m; ++i) {
+              gxr[c0 + i] += gr[c0 + i] - e[i] * gsum;
+            }
           }
         }
       });

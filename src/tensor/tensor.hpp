@@ -165,6 +165,10 @@ class Tensor {
 // --- Matmul / layout -----------------------------------------------------
 /// (M,K)x(K,N); (B,M,K)x(K,N); (B,M,K)x(B,K,N). Multi-threaded.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
+/// x W + b for x (M,K) or (B,T,K), W (K,N) and b (N): one node, whose
+/// output and x, W and b gradients are bit for bit add(matmul(x, W), b)'s
+/// (DESIGN.md §6 "Linear layers"). Throws eva::Error on other shapes.
+[[nodiscard]] Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b);
 /// Swap the last two dims.
 [[nodiscard]] Tensor transpose_last(const Tensor& a);
 /// Same data, new shape (copies; numel must match).

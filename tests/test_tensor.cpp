@@ -16,6 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/exp.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/optim.hpp"
 #include "tensor/tanh.hpp"
@@ -866,6 +867,103 @@ TEST(Tensor, TrainingStepBitwiseAcrossPoolWidths) {
   }
 }
 
+// ------------------------------------------------------------- linear
+
+/// Values with a few signed zeros among them: a -0 upstream gradient is
+/// where the chain's copy 0 + g of it differs from g.
+std::vector<float> seeded_with_zeros(std::size_t n, std::uint64_t seed) {
+  std::vector<float> v = seeded(n, seed);
+  for (std::size_t i = 0; i < n; i += 7) v[i] = i % 2 ? -0.0f : 0.0f;
+  return v;
+}
+
+using Affine = Tensor (*)(const Tensor&, const Tensor&, const Tensor&);
+
+Tensor matmul_add(const Tensor& x, const Tensor& w, const Tensor& b) {
+  return add(matmul(x, w), b);
+}
+
+/// The outputs of `affine` on one x and three (W, b) pairs, and the x,
+/// W and b gradients, as bits, backpropagated from the sum of each output
+/// times a seeded weight: x's gradient takes its three contributions in
+/// the order the tape gives the three nodes.
+std::vector<std::vector<std::uint32_t>> affine_bits(Affine affine,
+                                                    const Shape& xs, int N) {
+  const int K = xs.back();
+  const auto seed = static_cast<std::uint64_t>(xs.size() * 1000 + K * 7 + N);
+  const Tensor x =
+      Tensor::from(xs, seeded_with_zeros(shape_numel(xs), seed), true);
+  Shape os = xs;
+  os.back() = N;
+  const std::size_t on = shape_numel(os);
+  std::vector<std::vector<std::uint32_t>> out;
+  std::vector<Tensor> params;
+  Tensor loss;
+  for (std::uint64_t l = 1; l <= 3; ++l) {
+    const auto ks = static_cast<std::size_t>(K);
+    const auto ns = static_cast<std::size_t>(N);
+    const Tensor w = Tensor::from({K, N}, seeded(ks * ns, seed + 10 * l), true);
+    const Tensor b = Tensor::from({N}, seeded(ns, seed + 10 * l + 1), true);
+    const Tensor y = affine(x, w, b);
+    out.push_back(bits(y.data()));
+    const Tensor term = sum_all(
+        mul(y, Tensor::from(os, seeded_with_zeros(on, seed + 10 * l + 2))));
+    loss = l == 1 ? term : add(loss, term);
+    params.push_back(w);
+    params.push_back(b);
+  }
+  loss.backward();
+  out.push_back(bits(x.grad()));
+  for (const Tensor& p : params) out.push_back(bits(p.grad()));
+  return out;
+}
+
+TEST(Tensor, LinearMatchesMatmulAddChainBitwise) {
+  const char* what[] = {"output 1",   "output 2",   "output 3",
+                        "x gradient", "W1 gradient", "b1 gradient",
+                        "W2 gradient", "b2 gradient", "W3 gradient",
+                        "b3 gradient"};
+  for (const std::size_t width : {1, 4}) {
+    eva::set_num_threads(width);
+    // One K-panel, two (257) and three (600); kNr-sized, ragged and LM-head
+    // column counts.
+    for (const int K : {1, 3, 64, 256, 257, 600}) {
+      for (const int N : {1, 5, 32, 33, 190, 256}) {
+        for (const Shape& xs : {Shape{17, K}, Shape{3, 7, K}}) {
+          const auto op = affine_bits(linear, xs, N);
+          const auto chain = affine_bits(matmul_add, xs, N);
+          ASSERT_EQ(op.size(), chain.size());
+          for (std::size_t i = 0; i < op.size(); ++i) {
+            EXPECT_TRUE(op[i] == chain[i])
+                << what[i] << ", x " << shape_str(xs) << ", N " << N
+                << ", pool width " << width;
+          }
+        }
+      }
+    }
+  }
+  eva::set_num_threads(0);
+}
+
+TEST(Tensor, LinearRejectsShapesOtherThanXWPlusB) {
+  const auto t = [](Shape s) { return Tensor::zeros(std::move(s)); };
+  EXPECT_NO_THROW((void)linear(t({2, 3, 4}), t({4, 5}), t({5})));
+  EXPECT_THROW((void)linear(t({4}), t({4, 5}), t({5})), eva::Error);
+  EXPECT_THROW((void)linear(t({1, 2, 3, 4}), t({4, 5}), t({5})), eva::Error);
+  EXPECT_THROW((void)linear(t({2, 3}), t({4, 5}), t({5})), eva::Error);
+  EXPECT_THROW((void)linear(t({2, 4}), t({2, 4, 5}), t({5})), eva::Error);
+  EXPECT_THROW((void)linear(t({2, 4}), t({4, 5}), t({6})), eva::Error);
+  EXPECT_THROW((void)linear(t({2, 4}), t({4, 5}), t({1, 5})), eva::Error);
+  try {
+    (void)linear(t({2, 3}), t({4, 5}), t({5}));
+  } catch (const eva::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("(2,3)"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("(4,5)"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------- causal attention
 
 using Attend = Tensor (*)(const Tensor&, const Tensor&, const Tensor&, int);
@@ -1261,6 +1359,212 @@ TEST(TanhLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
         }
       }
     }
+  }
+}
+
+// --- exp in lanes -----------------------------------------------------------
+//
+// exp_n runs glibc's expf in kExpLanes lanes (std::exp without FMA). It
+// must equal std::exp bit for bit on every build; the row ops built on it
+// must equal the scalar std::exp loops they replaced.
+
+/// exp_n over all of `xs` at once, compared with std::exp; names the
+/// first few differing inputs.
+void expect_exp_lanes_match_std_exp(const std::vector<float>& xs,
+                                    const std::string& what) {
+  std::vector<float> got(xs.size());
+  exp_n(xs.data(), got.data(), xs.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float want = std::exp(xs[i]);
+    if (word(got[i]) == word(want)) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << what << ": exp_n(0x" << std::hex << word(xs[i])
+                    << ") = 0x" << word(got[i]) << ", std::exp 0x"
+                    << word(want);
+    }
+  }
+  EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << xs.size()
+                     << " differ at kExpLanes " << kExpLanes << ", glibc "
+                     << gnu_get_libc_version();
+}
+
+TEST(ExpLanes, MatchesStdExp) {
+  // Every 97th bit pattern, in blocks: 44M floats of every exponent, both
+  // signs, Inf and NaN included.
+  constexpr std::uint64_t kStride = 97, kBlock = std::uint64_t{1} << 16;
+  std::vector<float> xs;
+  xs.reserve(kBlock);
+  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += kStride) {
+    xs.push_back(from_word(static_cast<std::uint32_t>(w)));
+    if (xs.size() == kBlock) {
+      expect_exp_lanes_match_std_exp(xs, "strided sweep");
+      xs.clear();
+    }
+  }
+  expect_exp_lanes_match_std_exp(xs, "strided sweep");
+
+  // The edges, each with its 16 neighbours on either side: zero and the
+  // denormals; the two inputs only a fused build gets right (32.56 and
+  // -63.10); the overflow threshold (88, the last finite result, the first
+  // infinite one); the underflow to denormals and to zero; Inf and NaN.
+  xs.clear();
+  for (const std::uint32_t e :
+       {0x00000000u, 0x80000000u, 0x00000010u, 0x80000010u, 0x007ffff0u,
+        0x807ffff0u, 0x4202422fu, 0xc27c65d9u, 0x42b00000u, 0x42b17217u,
+        0x42b17218u, 0xc2ce8ecfu, 0xc2cff1b4u, 0x7f800000u, 0xff800000u,
+        0x7fc00000u, 0xffc00000u}) {
+    for (std::uint32_t w = e - 16; w != e + 17; ++w) {
+      xs.push_back(from_word(w));
+    }
+  }
+  expect_exp_lanes_match_std_exp(xs, "edges");
+}
+
+TEST(ExpLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
+  // Distinct inputs, some special (|x| >= 88, Inf, NaN), so a lane read
+  // from the wrong element or left over from an earlier vector shows.
+  std::vector<float> pool;
+  Rng rng(5);
+  for (std::size_t i = 0; pool.size() < 4 * kExpLanes + 4; ++i) {
+    pool.push_back(static_cast<float>(rng.uniform() * 40.0 - 20.0));
+  }
+  pool[1] = 95.0f;
+  pool[kExpLanes + 1] = -std::numeric_limits<float>::infinity();
+  pool[kExpLanes + 2] = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = from_word(0x7fc0beefu);
+  for (std::size_t off = 0; off <= kExpLanes; ++off) {
+    for (std::size_t n = 1; n <= 2 * kExpLanes + 1; ++n) {
+      const std::string where =
+          "n " + std::to_string(n) + " offset " + std::to_string(off);
+      // Buffers that end at n: a read or write past it is a heap
+      // overflow under ASan.
+      std::vector<float> in(pool.begin(), pool.begin() + off + n);
+      std::vector<float> out(off + n, sentinel);
+      exp_n(in.data() + off, out.data() + off, n);
+      std::vector<float> padded(off + n + kExpLanes, sentinel);
+      exp_n(in.data() + off, padded.data() + off, n);
+      std::vector<float> inplace = in;
+      exp_n(inplace.data() + off, inplace.data() + off, n);
+      for (std::size_t i = 0; i < off + n + kExpLanes; ++i) {
+        const bool live = i >= off && i < off + n;
+        const std::uint32_t want =
+            live ? word(std::exp(in[i])) : word(sentinel);
+        ASSERT_EQ(word(padded[i]), want) << where << " index " << i;
+        if (i < off + n) {
+          ASSERT_EQ(word(out[i]), want) << where << " index " << i;
+          ASSERT_EQ(word(inplace[i]), live ? want : word(in[i]))
+              << where << " in place, index " << i;
+        }
+      }
+    }
+  }
+}
+
+// The row ops as they were before exp_n, one scalar std::exp at a time.
+
+void softmax_row_scalar(const float* x, float* y, std::size_t cols) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::size_t c = 0; c < cols; ++c) mx = std::max(mx, x[c]);
+  float z = 0.0f;
+  for (std::size_t c = 0; c < cols; ++c) {
+    y[c] = std::exp(x[c] - mx);
+    z += y[c];
+  }
+  const float inv = 1.0f / z;
+  for (std::size_t c = 0; c < cols; ++c) y[c] *= inv;
+}
+
+/// Rows of logits whose length is `cols`: seeded, spread wide enough that
+/// some exps underflow, with a row of signed-zero ties at the max.
+std::vector<float> softmax_input(std::size_t rows, std::size_t cols) {
+  std::vector<float> x = seeded(rows * cols, 40 + cols);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= i % 3 ? 4.0f : 30.0f;
+  for (std::size_t c = 0; c < cols; ++c) {
+    x[c] = c % 3 == 0 ? 0.0f : c % 3 == 1 ? -0.0f : -std::abs(x[c]);
+  }
+  return x;
+}
+
+TEST(ExpLanes, RowOpsMatchScalarExpLoops) {
+  constexpr std::size_t kRows = 3;
+  for (std::size_t cols = 1; cols <= 300; ++cols) {
+    const std::string where = "row length " + std::to_string(cols);
+    const Shape shape{static_cast<int>(kRows), static_cast<int>(cols)};
+    const std::size_t n = kRows * cols;
+    const std::vector<float> x = softmax_input(kRows, cols);
+    const std::vector<float> w = seeded(n, 900 + cols);  // upstream grad
+
+    // softmax_lastdim: values, and the gradient its backward forms from
+    // them.
+    std::vector<float> y(n), gx(n, 0.0f);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      softmax_row_scalar(x.data() + r * cols, y.data() + r * cols, cols);
+      const float* yr = y.data() + r * cols;
+      const float* gr = w.data() + r * cols;
+      float dot = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) dot += yr[c] * gr[c];
+      for (std::size_t c = 0; c < cols; ++c) {
+        gx[r * cols + c] += yr[c] * (gr[c] - dot);
+      }
+    }
+    Tensor t = Tensor::from(shape, x, true);
+    const Tensor s = softmax_lastdim(t);
+    sum_all(mul(s, Tensor::from(shape, w))).backward();
+    EXPECT_EQ(bits(s.data()), bits(y)) << "softmax, " << where;
+    EXPECT_EQ(bits(t.grad()), bits(gx)) << "softmax gradient, " << where;
+
+    // cross_entropy, the last row's target ignored.
+    std::vector<int> targets(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      targets[r] = static_cast<int>((r * 7 + cols / 2) % cols);
+    }
+    targets[kRows - 1] = -1;
+    double total = 0.0;
+    for (std::size_t r = 0; r + 1 < kRows; ++r) {
+      total += -std::log(std::max(
+          y[r * cols + static_cast<std::size_t>(targets[r])], 1e-12f));
+    }
+    const float denom = static_cast<float>(kRows - 1);
+    const float g = 1.0f / denom;
+    std::vector<float> gce(n, 0.0f);
+    for (std::size_t r = 0; r + 1 < kRows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        gce[r * cols + c] += g * y[r * cols + c];
+      }
+      gce[r * cols + static_cast<std::size_t>(targets[r])] -= g;
+    }
+    t = Tensor::from(shape, x, true);
+    Tensor ce = cross_entropy(t, targets);
+    ce.backward();
+    EXPECT_EQ(word(ce.item()), word(static_cast<float>(total) / denom))
+        << "cross_entropy, " << where;
+    EXPECT_EQ(bits(t.grad()), bits(gce)) << "cross_entropy gradient, "
+                                         << where;
+
+    // log_softmax_lastdim.
+    std::vector<float> ly(n), lgx(n, 0.0f);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float* xr = x.data() + r * cols;
+      float mx = xr[0];
+      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
+      float z = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) z += std::exp(xr[c] - mx);
+      const float lz = mx + std::log(z);
+      for (std::size_t c = 0; c < cols; ++c) ly[r * cols + c] = xr[c] - lz;
+      const float* yr = ly.data() + r * cols;
+      const float* gr = w.data() + r * cols;
+      float gsum = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) gsum += gr[c];
+      for (std::size_t c = 0; c < cols; ++c) {
+        lgx[r * cols + c] += gr[c] - std::exp(yr[c]) * gsum;
+      }
+    }
+    t = Tensor::from(shape, x, true);
+    const Tensor ls = log_softmax_lastdim(t);
+    sum_all(mul(ls, Tensor::from(shape, w))).backward();
+    EXPECT_EQ(bits(ls.data()), bits(ly)) << "log_softmax, " << where;
+    EXPECT_EQ(bits(t.grad()), bits(lgx)) << "log_softmax gradient, " << where;
   }
 }
 
