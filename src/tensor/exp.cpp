@@ -18,7 +18,7 @@
 
 namespace eva::tensor {
 
-#if defined(__FMA__)
+#if defined(__FMA__) && defined(__OPTIMIZE__)
 namespace {
 
 constexpr std::size_t kDoubleBytes = kExpLanes * sizeof(double);
@@ -64,7 +64,7 @@ constexpr double kC2 = 0x1.62e42ff0c52d6p-1 / 32;
   kd -= kShift;
   const Doubles r = kInvLn2N * xd - kd;
   // s = 2^(k/32): the table gives the fraction, k's high bits the exponent.
-  Words t;
+  Words t{};
   for (std::size_t l = 0; l < kExpLanes; ++l) t[l] = kTab[ki[l] % 32];
   const Doubles s = (Doubles)(t + (ki << 47));
   const Doubles z = kC0 * r + kC1;

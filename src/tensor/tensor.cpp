@@ -915,13 +915,13 @@ constexpr std::size_t kExpChunk = 256;
 float row_max(const float* x, std::size_t n) {
   constexpr std::size_t kW = 16;
   using Lanes = float __attribute__((vector_size(kW * sizeof(float))));
-  Lanes m;
+  Lanes m{};
   for (std::size_t l = 0; l < kW; ++l) {
     m[l] = -std::numeric_limits<float>::infinity();
   }
   std::size_t c = 0;
   for (; c + kW <= n; c += kW) {
-    Lanes v;
+    Lanes v{};
     std::memcpy(&v, x + c, sizeof v);
     m = m < v ? v : m;
   }
