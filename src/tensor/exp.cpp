@@ -1,16 +1,16 @@
 // glibc's expf in SIMD lanes (DESIGN.md §6 "exp in lanes").
 //
 // A port of sysdeps/ieee754/flt-32/e_expf.c as glibc 2.36 builds it into
-// `__expf_fma`, the variant its ifunc selects on an FMA host, to GCC
-// vector extensions over doubles. Each lane performs that object's
-// operations in its order, so it rounds as glibc does. Its five fused
-// multiply-adds are each one `a * b + c` expression, which this file's
-// default contraction fuses as glibc's -mfma build fused them: the file
-// must keep it (no -ffp-contract=off here). A build without FMA, or
-// without optimization (where GCC fuses nothing), calls std::exp
-// instead, whose ifunc then picks the same FMA code on an FMA host at
-// run time. The lookup table and constants are glibc's
-// __exp2f_data (sysdeps/ieee754/flt-32/e_exp2f_data.c).
+// `__expf_fma`, the variant its ifunc selects on a host with FMA and
+// AVX2, to GCC vector extensions over doubles. Each lane performs that
+// object's operations in its order, so it rounds as glibc does. Its five
+// fused multiply-adds are each one `a * b + c` expression, which this
+// file's default contraction fuses as glibc's -mfma -mavx2 build fused
+// them: the file must keep it (no -ffp-contract=off here). A build
+// without FMA or AVX2, or without optimization (where GCC fuses
+// nothing), calls std::exp instead, whose ifunc then picks the same
+// fused code on such a host at run time. The lookup table and constants
+// are glibc's __exp2f_data (sysdeps/ieee754/flt-32/e_exp2f_data.c).
 #include "tensor/exp.hpp"
 
 #include <cmath>
@@ -19,7 +19,7 @@
 
 namespace eva::tensor {
 
-#if defined(__FMA__) && defined(__OPTIMIZE__)
+#if defined(__FMA__) && defined(__AVX2__) && defined(__OPTIMIZE__)
 namespace {
 
 constexpr std::size_t kDoubleBytes = kExpLanes * sizeof(double);

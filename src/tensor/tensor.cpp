@@ -905,9 +905,6 @@ Tensor mean_all(const Tensor& a) {
 
 namespace {
 
-/// Floats a row op exponentiates at a time, from a stack buffer.
-constexpr std::size_t kExpChunk = 256;
-
 /// The largest of x[0, n), -inf if none, as 16 lanes of running maxima.
 /// Every max ignores a NaN as the serial loop does, and a max is exact in
 /// any order, so this is the serial loop's value but for the sign of a
@@ -1073,19 +1070,13 @@ Tensor log_softmax_lastdim(const Tensor& a) {
   const float* x = an->data.data();
   float* y = out->data.data();
   parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
-    float e[kExpChunk];
     for (std::size_t r = lo; r < hi; ++r) {
       const float* xr = x + r * cols;
       float* yr = y + r * cols;
       float mx = xr[0];
       for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
       float z = 0.0f;
-      for (std::size_t c0 = 0; c0 < cols; c0 += kExpChunk) {
-        const std::size_t m = std::min(kExpChunk, cols - c0);
-        for (std::size_t i = 0; i < m; ++i) e[i] = xr[c0 + i] - mx;
-        exp_n(e, e, m);
-        for (std::size_t i = 0; i < m; ++i) z += e[i];
-      }
+      for (std::size_t c = 0; c < cols; ++c) z += std::exp(xr[c] - mx);
       const float lz = mx + std::log(z);
       for (std::size_t c = 0; c < cols; ++c) yr[c] = xr[c] - lz;
     }
@@ -1096,19 +1087,14 @@ Tensor log_softmax_lastdim(const Tensor& a) {
       const float* g = self.grad.data();
       float* gx = an->grad.data();
       parallel_chunks(0, rows, [&](std::size_t lo, std::size_t hi) {
-        float e[kExpChunk];
         for (std::size_t r = lo; r < hi; ++r) {
           const float* yr = yv + r * cols;
           const float* gr = g + r * cols;
           float* gxr = gx + r * cols;
           float gsum = 0.0f;
           for (std::size_t c = 0; c < cols; ++c) gsum += gr[c];
-          for (std::size_t c0 = 0; c0 < cols; c0 += kExpChunk) {
-            const std::size_t m = std::min(kExpChunk, cols - c0);
-            exp_n(yr + c0, e, m);
-            for (std::size_t i = 0; i < m; ++i) {
-              gxr[c0 + i] += gr[c0 + i] - e[i] * gsum;
-            }
+          for (std::size_t c = 0; c < cols; ++c) {
+            gxr[c] += gr[c] - std::exp(yr[c]) * gsum;
           }
         }
       });

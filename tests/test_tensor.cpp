@@ -1205,52 +1205,78 @@ TEST(Tensor, BackwardRecordsASpanPerOp) {
 std::uint32_t word(float x) { return std::bit_cast<std::uint32_t>(x); }
 float from_word(std::uint32_t w) { return std::bit_cast<float>(w); }
 
-/// Every 509th bit pattern, from 0 up: 8.4M floats of every exponent,
-/// both signs, Inf and NaN included.
-std::vector<float> strided_sweep() {
+/// A lane function and the scalar function each of its lanes must equal.
+struct LaneFunction {
+  const char* name;
+  void (*lanes)(const float*, float*, std::size_t);
+  std::size_t width;
+  const char* scalar_name;
+  float (*scalar)(float);
+};
+
+const LaneFunction kTanh{"tanh_n", tanh_n, kTanhLanes, "reference",
+                         eva::test::tanhf_reference};
+const LaneFunction kExp{"exp_n", exp_n, kExpLanes, "std::exp",
+                        [](float x) { return std::exp(x); }};
+
+/// Every `stride`th bit pattern from 0 up, handed to `check` 2^20 at a
+/// time: floats of every exponent, both signs, Inf and NaN included.
+template <class Check>
+void strided_sweep(std::uint64_t stride, Check check) {
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
   std::vector<float> xs;
-  xs.reserve((std::uint64_t{1} << 32) / 509 + 1);
-  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += 509) {
+  xs.reserve(kBlock);
+  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += stride) {
     xs.push_back(from_word(static_cast<std::uint32_t>(w)));
+    if (xs.size() == kBlock) {
+      check(xs);
+      xs.clear();
+    }
   }
-  return xs;
+  if (!xs.empty()) check(xs);
 }
 
-/// tanh_n over all of `xs` at once, compared with the reference; names
-/// the first few differing inputs.
-void expect_lanes_match_reference(const std::vector<float>& xs,
-                                  const std::string& what) {
+/// f's lanes over all of `xs` at once, compared with its scalar function;
+/// names the first few differing inputs.
+void expect_lanes_match(const LaneFunction& f, const std::vector<float>& xs,
+                        const std::string& what) {
   std::vector<float> got(xs.size());
-  tanh_n(xs.data(), got.data(), xs.size());
+  f.lanes(xs.data(), got.data(), xs.size());
   std::size_t bad = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const float want = eva::test::tanhf_reference(xs[i]);
+    const float want = f.scalar(xs[i]);
     if (word(got[i]) == word(want)) continue;
     if (++bad <= 5) {
-      ADD_FAILURE() << what << ": tanh_n(0x" << std::hex << word(xs[i])
-                    << ") = 0x" << word(got[i]) << ", reference 0x"
-                    << word(want);
+      ADD_FAILURE() << what << ": " << f.name << "(0x" << std::hex
+                    << word(xs[i]) << ") = 0x" << word(got[i]) << ", "
+                    << f.scalar_name << " 0x" << word(want);
     }
   }
   EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << xs.size()
-                     << " differ at kTanhLanes " << kTanhLanes;
+                     << " differ at " << f.width << " lanes, glibc "
+                     << gnu_get_libc_version();
 }
 
 TEST(TanhLanes, MatchReferenceOnStridedSweep) {
-  expect_lanes_match_reference(strided_sweep(), "strided sweep");
+  // Every 509th bit pattern: 8.4M floats.
+  strided_sweep(509, [](const std::vector<float>& xs) {
+    expect_lanes_match(kTanh, xs, "strided sweep");
+  });
 }
 
 TEST(TanhReference, MatchesStdTanhOnStridedSweep) {
   std::size_t bad = 0;
-  for (const float x : strided_sweep()) {
-    const float want = std::tanh(x);
-    const float got = eva::test::tanhf_reference(x);
-    if (word(got) == word(want)) continue;
-    if (++bad <= 5) {
-      ADD_FAILURE() << "reference(0x" << std::hex << word(x) << ") = 0x"
-                    << word(got) << ", std::tanh 0x" << word(want);
+  strided_sweep(509, [&bad](const std::vector<float>& xs) {
+    for (const float x : xs) {
+      const float want = std::tanh(x);
+      const float got = eva::test::tanhf_reference(x);
+      if (word(got) == word(want)) continue;
+      if (++bad <= 5) {
+        ADD_FAILURE() << "reference(0x" << std::hex << word(x) << ") = 0x"
+                      << word(got) << ", std::tanh 0x" << word(want);
+      }
     }
-  }
+  });
   EXPECT_EQ(bad, 0u)
       << "the reference ports glibc 2.36's tanhf (fdlibm); this libm is glibc "
       << gnu_get_libc_version()
@@ -1265,7 +1291,7 @@ TEST(TanhLanes, MatchReferenceOverGeluRange) {
     xs.push_back(from_word(w));
     xs.push_back(-from_word(w));
   }
-  expect_lanes_match_reference(xs, "GELU range");
+  expect_lanes_match(kTanh, xs, "GELU range");
 }
 
 TEST(TanhLanes, MatchReferenceAtBranchThresholds) {
@@ -1304,7 +1330,7 @@ TEST(TanhLanes, MatchReferenceAtBranchThresholds) {
       xs.push_back(from_word(w | 0x80000000u));
     }
   }
-  expect_lanes_match_reference(xs, "branch thresholds");
+  expect_lanes_match(kTanh, xs, "branch thresholds");
 }
 
 TEST(TanhLanes, MatchReferenceAtZerosDenormalsInfinitiesAndNaNs) {
@@ -1317,40 +1343,47 @@ TEST(TanhLanes, MatchReferenceAtZerosDenormalsInfinitiesAndNaNs) {
     xs.push_back(from_word(w));
     xs.push_back(from_word(w | 0x80000000u));
   }
-  expect_lanes_match_reference(xs, "special values");
+  expect_lanes_match(kTanh, xs, "special values");
 }
 
-TEST(TanhLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
+/// f at every length from 0 to three vectors and every offset within one:
+/// into buffers that end at n, into slack past n that must keep its
+/// sentinels, and in place.
+void expect_every_length_and_offset_touches_only_its_range(
+    const LaneFunction& f) {
+  const std::size_t lanes = f.width;
   // Inputs from every branch, all distinct, so a lane read from the
-  // wrong element or left over from an earlier vector shows.
+  // wrong element or left over from an earlier vector shows; 4 more than
+  // five vectors, so the specials fit at one lane too.
   std::vector<float> pool;
   Rng rng(7);
-  for (std::size_t i = 0; pool.size() < 5 * kTanhLanes; ++i) {
+  for (std::size_t i = 0; pool.size() < 5 * lanes + 4; ++i) {
     const float mag = static_cast<float>(rng.uniform()) * (i % 3 == 0 ? 30 : 2);
     pool.push_back(i % 2 ? -mag : mag);
   }
   pool[1] = std::numeric_limits<float>::infinity();
-  pool[kTanhLanes + 2] = std::numeric_limits<float>::quiet_NaN();
-  pool[2 * kTanhLanes + 3] = 0x1p-60f;
+  pool[lanes + 2] = std::numeric_limits<float>::quiet_NaN();
+  pool[2 * lanes + 3] = 0x1p-60f;
   const float sentinel = from_word(0x7fc0beefu);
-  for (std::size_t off = 0; off < kTanhLanes; ++off) {
-    for (std::size_t n = 0; n <= 3 * kTanhLanes; ++n) {
-      const std::string where =
-          "n " + std::to_string(n) + " offset " + std::to_string(off);
+  for (std::size_t off = 0; off < lanes; ++off) {
+    for (std::size_t n = 0; n <= 3 * lanes; ++n) {
+      const std::string where = std::string(f.name) + ", n " +
+                                std::to_string(n) + " offset " +
+                                std::to_string(off);
       // Buffers that end at n: a read or write past it is a heap
       // overflow under ASan.
       std::vector<float> in(pool.begin(), pool.begin() + off + n);
       std::vector<float> out(off + n, sentinel);
-      tanh_n(in.data() + off, out.data() + off, n);
+      f.lanes(in.data() + off, out.data() + off, n);
       // Slack after n, which must keep its sentinels; and in place.
-      std::vector<float> padded(off + n + kTanhLanes, sentinel);
-      tanh_n(in.data() + off, padded.data() + off, n);
+      std::vector<float> padded(off + n + lanes, sentinel);
+      f.lanes(in.data() + off, padded.data() + off, n);
       std::vector<float> inplace = in;
-      tanh_n(inplace.data() + off, inplace.data() + off, n);
-      for (std::size_t i = 0; i < off + n + kTanhLanes; ++i) {
+      f.lanes(inplace.data() + off, inplace.data() + off, n);
+      for (std::size_t i = 0; i < off + n + lanes; ++i) {
         const bool live = i >= off && i < off + n;
         const std::uint32_t want =
-            live ? word(eva::test::tanhf_reference(in[i])) : word(sentinel);
+            live ? word(f.scalar(in[i])) : word(sentinel);
         ASSERT_EQ(word(padded[i]), want) << where << " index " << i;
         if (i < off + n) {
           ASSERT_EQ(word(out[i]), want) << where << " index " << i;
@@ -1362,53 +1395,27 @@ TEST(TanhLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
   }
 }
 
-// --- exp in lanes -----------------------------------------------------------
-//
-// exp_n runs glibc's expf in kExpLanes lanes (std::exp without FMA). It
-// must equal std::exp bit for bit on every build; the row ops built on it
-// must equal the scalar std::exp loops they replaced.
-
-/// exp_n over all of `xs` at once, compared with std::exp; names the
-/// first few differing inputs.
-void expect_exp_lanes_match_std_exp(const std::vector<float>& xs,
-                                    const std::string& what) {
-  std::vector<float> got(xs.size());
-  exp_n(xs.data(), got.data(), xs.size());
-  std::size_t bad = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const float want = std::exp(xs[i]);
-    if (word(got[i]) == word(want)) continue;
-    if (++bad <= 5) {
-      ADD_FAILURE() << what << ": exp_n(0x" << std::hex << word(xs[i])
-                    << ") = 0x" << word(got[i]) << ", std::exp 0x"
-                    << word(want);
-    }
-  }
-  EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << xs.size()
-                     << " differ at kExpLanes " << kExpLanes << ", glibc "
-                     << gnu_get_libc_version();
+TEST(TanhLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
+  expect_every_length_and_offset_touches_only_its_range(kTanh);
 }
 
+// --- exp in lanes -----------------------------------------------------------
+//
+// exp_n runs glibc's expf in kExpLanes lanes (std::exp without FMA and
+// AVX2). It must equal std::exp bit for bit on every build; the softmax
+// rows built on it must equal the scalar std::exp loops they replaced.
+
 TEST(ExpLanes, MatchesStdExp) {
-  // Every 97th bit pattern, in blocks: 44M floats of every exponent, both
-  // signs, Inf and NaN included.
-  constexpr std::uint64_t kStride = 97, kBlock = std::uint64_t{1} << 16;
-  std::vector<float> xs;
-  xs.reserve(kBlock);
-  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += kStride) {
-    xs.push_back(from_word(static_cast<std::uint32_t>(w)));
-    if (xs.size() == kBlock) {
-      expect_exp_lanes_match_std_exp(xs, "strided sweep");
-      xs.clear();
-    }
-  }
-  expect_exp_lanes_match_std_exp(xs, "strided sweep");
+  // Every 97th bit pattern: 44M floats.
+  strided_sweep(97, [](const std::vector<float>& xs) {
+    expect_lanes_match(kExp, xs, "strided sweep");
+  });
 
   // The edges, each with its 16 neighbours on either side: zero and the
   // denormals; the two inputs only a fused build gets right (32.56 and
   // -63.10); the overflow threshold (88, the last finite result, the first
   // infinite one); the underflow to denormals and to zero; Inf and NaN.
-  xs.clear();
+  std::vector<float> xs;
   for (const std::uint32_t e :
        {0x00000000u, 0x80000000u, 0x00000010u, 0x80000010u, 0x007ffff0u,
         0x807ffff0u, 0x4202422fu, 0xc27c65d9u, 0x42b00000u, 0x42b17217u,
@@ -1418,47 +1425,11 @@ TEST(ExpLanes, MatchesStdExp) {
       xs.push_back(from_word(w));
     }
   }
-  expect_exp_lanes_match_std_exp(xs, "edges");
+  expect_lanes_match(kExp, xs, "edges");
 }
 
 TEST(ExpLanes, EveryLengthAndOffsetTouchesOnlyItsRange) {
-  // Distinct inputs, some special (|x| >= 88, Inf, NaN), so a lane read
-  // from the wrong element or left over from an earlier vector shows.
-  std::vector<float> pool;
-  Rng rng(5);
-  for (std::size_t i = 0; pool.size() < 4 * kExpLanes + 4; ++i) {
-    pool.push_back(static_cast<float>(rng.uniform() * 40.0 - 20.0));
-  }
-  pool[1] = 95.0f;
-  pool[kExpLanes + 1] = -std::numeric_limits<float>::infinity();
-  pool[kExpLanes + 2] = std::numeric_limits<float>::quiet_NaN();
-  const float sentinel = from_word(0x7fc0beefu);
-  for (std::size_t off = 0; off <= kExpLanes; ++off) {
-    for (std::size_t n = 1; n <= 2 * kExpLanes + 1; ++n) {
-      const std::string where =
-          "n " + std::to_string(n) + " offset " + std::to_string(off);
-      // Buffers that end at n: a read or write past it is a heap
-      // overflow under ASan.
-      std::vector<float> in(pool.begin(), pool.begin() + off + n);
-      std::vector<float> out(off + n, sentinel);
-      exp_n(in.data() + off, out.data() + off, n);
-      std::vector<float> padded(off + n + kExpLanes, sentinel);
-      exp_n(in.data() + off, padded.data() + off, n);
-      std::vector<float> inplace = in;
-      exp_n(inplace.data() + off, inplace.data() + off, n);
-      for (std::size_t i = 0; i < off + n + kExpLanes; ++i) {
-        const bool live = i >= off && i < off + n;
-        const std::uint32_t want =
-            live ? word(std::exp(in[i])) : word(sentinel);
-        ASSERT_EQ(word(padded[i]), want) << where << " index " << i;
-        if (i < off + n) {
-          ASSERT_EQ(word(out[i]), want) << where << " index " << i;
-          ASSERT_EQ(word(inplace[i]), live ? want : word(in[i]))
-              << where << " in place, index " << i;
-        }
-      }
-    }
-  }
+  expect_every_length_and_offset_touches_only_its_range(kExp);
 }
 
 // The row ops as they were before exp_n, one scalar std::exp at a time.
@@ -1541,30 +1512,6 @@ TEST(ExpLanes, RowOpsMatchScalarExpLoops) {
         << "cross_entropy, " << where;
     EXPECT_EQ(bits(t.grad()), bits(gce)) << "cross_entropy gradient, "
                                          << where;
-
-    // log_softmax_lastdim.
-    std::vector<float> ly(n), lgx(n, 0.0f);
-    for (std::size_t r = 0; r < kRows; ++r) {
-      const float* xr = x.data() + r * cols;
-      float mx = xr[0];
-      for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
-      float z = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) z += std::exp(xr[c] - mx);
-      const float lz = mx + std::log(z);
-      for (std::size_t c = 0; c < cols; ++c) ly[r * cols + c] = xr[c] - lz;
-      const float* yr = ly.data() + r * cols;
-      const float* gr = w.data() + r * cols;
-      float gsum = 0.0f;
-      for (std::size_t c = 0; c < cols; ++c) gsum += gr[c];
-      for (std::size_t c = 0; c < cols; ++c) {
-        lgx[r * cols + c] += gr[c] - std::exp(yr[c]) * gsum;
-      }
-    }
-    t = Tensor::from(shape, x, true);
-    const Tensor ls = log_softmax_lastdim(t);
-    sum_all(mul(ls, Tensor::from(shape, w))).backward();
-    EXPECT_EQ(bits(ls.data()), bits(ly)) << "log_softmax, " << where;
-    EXPECT_EQ(bits(t.grad()), bits(lgx)) << "log_softmax gradient, " << where;
   }
 }
 
